@@ -16,8 +16,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.special import erf
 
-_INV_SQRT2 = 1.0 / np.sqrt(2.0)
-_INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+# Python floats, not numpy scalars: under NEP 50 a ``np.float64`` scalar
+# promotes a float32 array to float64.
+_INV_SQRT2 = float(1.0 / np.sqrt(2.0))
+_INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Tensor:
@@ -319,6 +321,15 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
+def sum_in_order(a: Tensor) -> Tensor:
+    """Sum over axis 0 adding entries first to last, the order of a Python
+    loop of ``add`` (so a looped sum is reproduced bit for bit)."""
+    def bw(g: np.ndarray) -> None:
+        _accumulate(a, np.broadcast_to(g, a.data.shape))
+
+    return Tensor(np.add.accumulate(a.data, axis=0)[-1], parents=(a,), backward_fn=bw)
+
+
 def sum_all(a: Tensor) -> Tensor:
     out_data = np.asarray(a.data.sum())
 
@@ -364,16 +375,21 @@ def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
 
 
 def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
-    """All squared Euclidean distances between rows of ``a`` and ``b``."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
-        raise ValueError(f"pairwise_sqdist expects (p, d) and (q, d), got {_shapes(a, b)}")
-    diff = a.data[:, None, :] - b.data[None, :, :]
-    out_data = np.einsum("ijk,ijk->ij", diff, diff)
+    """All squared Euclidean distances between the rows of ``a`` and ``b``.
+
+    ``a`` is ``(..., p, d)`` and ``b`` is ``(..., q, d)`` with equal leading
+    (batch) axes; the result is ``(..., p, q)``.
+    """
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-1]:
+        raise ValueError(f"pairwise_sqdist expects (..., p, d) and (..., q, d), got {_shapes(a, b)}")
+    diff = a.data[..., :, None, :] - b.data[..., None, :, :]
+    out_data = np.einsum("...ijk,...ijk->...ij", diff, diff)
 
     def bw(g: np.ndarray) -> None:
-        weighted = 2.0 * g[:, :, None] * diff
-        _accumulate(a, weighted.sum(axis=1))
-        _accumulate(b, -weighted.sum(axis=0))
+        weighted = 2.0 * g[..., None] * diff
+        _accumulate(a, weighted.sum(axis=-2))
+        _accumulate(b, -weighted.sum(axis=-3))
 
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
 

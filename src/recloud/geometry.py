@@ -127,7 +127,12 @@ def farthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator) 
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """Result of a k-NN query: indices sorted by ascending squared distance."""
+    """Result of a k-NN query: indices sorted by ascending squared distance.
+
+    ``indices`` and ``sq_distances`` are ``(k,)`` for one query and
+    ``(n, k)`` for n queries, one row per query. ``query_index`` is
+    bookkeeping for a single query that is itself a cloud point (-1 if not).
+    """
 
     query_index: int
     indices: np.ndarray
@@ -136,21 +141,22 @@ class Neighborhood:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         d = np.asarray(self.sq_distances, dtype=np.float64)
-        if idx.ndim != 1 or d.shape != idx.shape:
-            raise ValueError("indices and distances must be matching 1-D arrays")
-        if len(np.unique(idx)) != len(idx):
+        if idx.ndim not in (1, 2) or d.shape != idx.shape:
+            raise ValueError("indices and distances must be matching 1-D or 2-D arrays")
+        if np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
             raise ValueError("neighbor indices must be distinct")
-        if np.any(np.diff(d) < 0):
+        if np.any(np.diff(d, axis=-1) < 0):
             raise ValueError("neighbor distances must be non-decreasing")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "sq_distances", d)
 
 
 def knn(points: np.ndarray, query: np.ndarray, k: int, query_index: int = -1) -> Neighborhood:
-    """The ``k`` nearest points to ``query`` by squared Euclidean distance.
+    """The ``k`` nearest points to each query by squared Euclidean distance.
 
-    Ties are broken by lowest index. ``query_index`` is bookkeeping for
-    callers whose query is itself a cloud point.
+    ``query`` is one ``(3,)`` point, giving ``(k,)`` rows, or ``(n, 3)``
+    points, giving ``(n, k)`` rows. Ties are broken by lowest index, so each
+    row equals the first ``k`` entries of a stable argsort of its distances.
     """
     pts = as_cloud(points)
     w = pts.shape[0]
@@ -158,11 +164,23 @@ def knn(points: np.ndarray, query: np.ndarray, k: int, query_index: int = -1) ->
         raise ValueError(f"k must be positive, got {k}")
     if k > w:
         raise ValueError(f"k={k} exceeds cloud size {w}")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    sq = np.sum((pts - q) ** 2, axis=1)
-    # stable sort keeps index order within equal distances: lowest-index ties
-    order = np.argsort(sq, kind="stable")[:k]
-    return Neighborhood(query_index=query_index, indices=order, sq_distances=sq[order])
+    q = np.asarray(query, dtype=np.float64)
+    if q.shape[-1:] != (3,) or q.ndim > 2:
+        raise ValueError(f"query must have shape (3,) or (n, 3), got {q.shape}")
+    sq = np.sum((pts - q.reshape(-1, 1, 3)) ** 2, axis=2)  # (n, w)
+    # all points closer than the k-th distance, plus the lowest-index ones at it
+    kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
+    below, at_kth = sq < kth, sq == kth
+    need = k - np.count_nonzero(below, axis=1, keepdims=True)
+    take = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
+    idx = np.nonzero(take)[1].reshape(-1, k)  # ascending index within each row
+    # a stable sort of the index-ordered selection keeps lowest-index ties first
+    order = np.argsort(np.take_along_axis(sq, idx, axis=1), axis=1, kind="stable")
+    idx = np.take_along_axis(idx, order, axis=1)
+    dist = np.take_along_axis(sq, idx, axis=1)
+    if q.ndim == 1:
+        idx, dist = idx[0], dist[0]
+    return Neighborhood(query_index=query_index, indices=idx, sq_distances=dist)
 
 
 @dataclass(frozen=True)
@@ -204,9 +222,7 @@ def patchify(points: np.ndarray, num_patches: int, patch_size: int,
     pts = as_cloud(points)
     center_idx = farthest_point_sample(pts, num_patches, rng)
     centers = pts[center_idx]
-    idx = np.empty((num_patches, patch_size), dtype=np.int64)
-    for i in range(num_patches):
-        idx[i] = knn(pts, centers[i], patch_size, query_index=int(center_idx[i])).indices
+    idx = knn(pts, centers, patch_size).indices
     return PatchSet(centers=centers, patches=pts[idx], indices=idx, normalized=False)
 
 

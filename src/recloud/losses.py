@@ -15,50 +15,43 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-def _as_points(x, name: str) -> Tensor:
-    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-    if t.data.ndim != 2 or t.data.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (count, 3), got {t.data.shape}")
-    if t.data.shape[0] < 1:
+def _as_points(x, dtype, name: str) -> Tensor:
+    t = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=dtype))
+    if t.data.ndim < 2 or t.data.shape[-1] != 3:
+        raise ValueError(f"{name} must have shape (..., count, 3), got {t.data.shape}")
+    if t.data.shape[-2] < 1:
         raise ValueError(f"{name} is empty")
     return t
 
 
 def chamfer(a, b) -> Tensor:
-    """Symmetric squared-distance Chamfer loss between two clouds."""
-    ta = _as_points(a, "first cloud")
-    tb = _as_points(b, "second cloud")
+    """Symmetric squared-distance Chamfer loss between two clouds.
+
+    ``a`` is ``(..., p, 3)`` and ``b`` is ``(..., q, 3)`` with equal leading
+    (batch) axes; the result has the leading shape, a scalar for two single
+    clouds. ``a`` is the prediction: a ``b`` that is not a Tensor is cast to
+    its dtype (an ``a`` that is not a Tensor is taken as float64).
+    """
+    ta = _as_points(a, np.float64, "first cloud")
+    tb = _as_points(b, ta.dtype, "second cloud")
     d = ag.pairwise_sqdist(ta, tb)
-    a_to_b = ag.mean_all(ag.min_over_axis(d, axis=1))
-    b_to_a = ag.mean_all(ag.min_over_axis(d, axis=0))
+    a_to_b = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1)
+    b_to_a = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1)
     return ag.add(a_to_b, b_to_a)
 
 
-def loss_nontransformer(recon, clean) -> Tensor:
-    """Whole-cloud reconstruction divergence (the non-patch objective)."""
-    return chamfer(recon, clean)
-
-
 def loss_local(pred_patches: Tensor, gt_patches) -> Tensor:
-    """Mean per-patch Chamfer loss over the masked patches."""
+    """Mean per-patch Chamfer loss over the (m, k, 3) masked patches.
+
+    One batched ``chamfer``; the per-patch values are summed in patch order,
+    so the result equals a Python loop over the patches bit for bit.
+    """
     gt = gt_patches.data if isinstance(gt_patches, Tensor) else np.asarray(gt_patches)
-    if pred_patches.data.shape != gt.shape:
+    if pred_patches.data.ndim != 3 or pred_patches.data.shape != gt.shape:
         raise ValueError(
             f"patch shape mismatch: predicted {pred_patches.data.shape} vs target {gt.shape}")
-    m = pred_patches.data.shape[0]
-    total = None
-    for i in range(m):
-        cd = chamfer(_patch_row(pred_patches, i), gt[i])
-        total = cd if total is None else ag.add(total, cd)
-    return ag.scale(total, 1.0 / m)
-
-
-def _patch_row(patches: Tensor, i: int) -> Tensor:
-    """Row i of an (m, k, 3) tensor as a (k, 3) tensor."""
-    m, k, _ = patches.data.shape
-    flat = ag.reshape(patches, (m, k * 3))
-    row = ag.gather_rows(flat, [i])
-    return ag.reshape(row, (k, 3))
+    per_patch = chamfer(pred_patches, gt)
+    return ag.scale(ag.sum_in_order(per_patch), 1.0 / pred_patches.data.shape[0])
 
 
 def loss_global(pred_centers: Tensor, gt_centers) -> Tensor:
@@ -68,11 +61,6 @@ def loss_global(pred_centers: Tensor, gt_centers) -> Tensor:
         raise ValueError(
             f"center shape mismatch: predicted {pred_centers.data.shape} vs target {gt.shape}")
     return chamfer(pred_centers, gt)
-
-
-def loss_whole(pred_cloud, clean) -> Tensor:
-    """Direct whole-cloud Chamfer loss (the non-decomposed objective variant)."""
-    return chamfer(pred_cloud, clean)
 
 
 @dataclass(frozen=True)

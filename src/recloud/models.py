@@ -4,6 +4,12 @@ encoder/decoder, positional embeddings, and the reconstruction heads.
 Every component is built from the autograd primitives, takes an explicit
 construction RNG (so initialization is reproducible), and runs on a single
 sample (no batch axis); the trainer accumulates gradients across samples.
+
+Each model owns one dtype, the ``precision`` of its parameters. Geometry
+(``PatchSet``, point clouds) stays float64; ``_as_tensor`` casts it to the
+model dtype where it enters the model, and that is the only cast: every
+primitive keeps its operands' dtype, and the losses cast their targets to
+the prediction's dtype.
 """
 from __future__ import annotations
 
@@ -234,9 +240,11 @@ class FoldDecoder(Module):
     def __call__(self, features: Tensor) -> Tensor:
         if features.data.ndim == 1:
             features = ag.reshape(features, (1, features.shape[0]))
-        m = features.shape[0]
+        m, d = features.shape
         k = self.points_per_patch
-        rep = ag.gather_rows(features, np.repeat(np.arange(m), k))   # (m*k, d)
+        # broadcast each row over its k seeds; add's backward sums them back
+        rep = ag.add(ag.reshape(features, (m, 1, d)), Tensor(np.zeros((m, k, d), self.dtype)))
+        rep = ag.reshape(rep, (m * k, d))                            # (m*k, d)
         seeds = Tensor(np.tile(self.grid, (m, 1)))                   # (m*k, 2)
         x = ag.concat([seeds, rep], axis=1)
         pts = run_mlp(self.layers, x)                                # (m*k, 3)

@@ -25,7 +25,7 @@ from .corruption import (ALL_FAMILIES, AffineFamilySpec, MaskPlan, mask_fixed_cl
 from .data import DatasetManifest, load_split
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
-from .losses import LossReport, chamfer, loss_all, loss_global, loss_local, loss_whole
+from .losses import LossReport, chamfer, loss_all, loss_global, loss_local
 from .models import (CloudAutoencoder, PatchAutoencoder, PointNetEncoderConfig,
                      TransformerConfig)
 
@@ -347,7 +347,7 @@ def sample_loss(model, sample, cfg: TrainConfig) -> tuple[Tensor, LossReport]:
 
     encoded = model.encode_visible(sample.visible_patches)
     if cfg.objective == "whole":
-        total = loss_whole(model.predict_whole(encoded), sample.target_whole)
+        total = chamfer(model.predict_whole(encoded), sample.target_whole)
         value = float(total.data)
         return total, LossReport(total=value, local=0.0, global_=0.0, weight=0.0)
 

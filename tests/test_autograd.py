@@ -24,6 +24,12 @@ class TestForwardValues:
         x = t(np.random.default_rng(0).standard_normal((5, 4, 3)))
         assert ag.max_pool_over_axis(x, axis=1).shape == (5, 3)
 
+    def test_gelu_keeps_float32(self):
+        x = Tensor(np.linspace(-3.0, 3.0, 12, dtype=np.float32), requires_grad=True)
+        y = ag.gelu(x)
+        backward(ag.sum_all(y))
+        assert y.dtype == np.float32 and x.grad.dtype == np.float32
+
     def test_shape_mismatch_reports_both(self):
         with pytest.raises(ValueError, match=r"\(2, 3\).*\(4, 5\)"):
             ag.matmul(t(np.zeros((2, 3))), t(np.zeros((4, 5))))
@@ -84,7 +90,8 @@ def fd_cases():
     m2 = Tensor(r(3, 5))
     m3 = Tensor(r(2, 5, 3))
     cat_other = Tensor(r(2, 3))
-    consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other)
+    b3 = Tensor(r(2, 4, 3))
+    consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other, b3=b3)
 
     return [
         case("add_broadcast", lambda x: ag.sum_all(ag.mul(ag.add(x, consts["b2"]),
@@ -122,6 +129,12 @@ def fd_cases():
              r(3, 2)),
         case("pairwise_sqdist", lambda x: ag.mean_all(ag.pairwise_sqdist(x, consts["b2"])),
              r(5, 3)),
+        case("pairwise_sqdist_batched", lambda x: ag.add(
+            ag.mean_all(ag.pairwise_sqdist(x, consts["b3"])),
+            ag.mean_all(ag.mul(ag.pairwise_sqdist(consts["b3"], x),
+                               ag.pairwise_sqdist(consts["b3"], x)))), r(2, 5, 3)),
+        case("sum_in_order", lambda x: ag.sum_all(ag.mul(ag.sum_in_order(x),
+                                                         ag.sum_in_order(x))), r(5, 3)),
         case("chamfer_composite", lambda x: ag.add(
             ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=1)),
             ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=0))),
@@ -150,6 +163,29 @@ def test_every_primitive_many_shapes():
         x = t(rng.standard_normal((rows, cols)))
         err = finite_difference_check(lambda v: ag.sum_all(op(v)), x)
         assert err < TOL, f"trial {trial}: {err}"
+
+
+class TestBatchedPairwise:
+    def test_each_batch_entry_equals_unbatched(self):
+        rng = np.random.default_rng(11)
+        a, b = rng.standard_normal((3, 5, 3)), rng.standard_normal((3, 4, 3))
+        batched = ag.pairwise_sqdist(t(a), t(b)).data
+        for i in range(3):
+            np.testing.assert_array_equal(batched[i], ag.pairwise_sqdist(t(a[i]), t(b[i])).data)
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(ValueError, match=r"\(2, 5, 3\).*\(3, 4, 3\)"):
+            ag.pairwise_sqdist(t(np.zeros((2, 5, 3))), t(np.zeros((3, 4, 3))))
+        with pytest.raises(ValueError, match="pairwise_sqdist"):
+            ag.pairwise_sqdist(t(np.zeros((5, 3))), t(np.zeros((2, 4, 3))))
+
+    def test_sum_in_order_is_a_left_fold(self):
+        # large and small terms: the sum depends on the order of additions
+        x = t(np.array([1e16, 1.0, -1e16, 1.0, 3.0]))
+        folded = 0.0
+        for v in x.data:
+            folded = folded + v
+        assert float(ag.sum_in_order(x).data) == folded == 4.0
 
 
 class TestPoolTieBreaking:

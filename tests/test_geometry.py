@@ -157,6 +157,59 @@ class TestKnn:
         with pytest.raises(ValueError, match="non-decreasing"):
             Neighborhood(0, np.array([1, 2]), np.array([1.0, 0.0]))
 
+    def test_neighborhood_invariants_enforced_per_row(self):
+        good_d = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
+        Neighborhood(-1, np.array([[0, 1, 2], [2, 1, 0]]), good_d)
+        with pytest.raises(ValueError, match="distinct"):
+            Neighborhood(-1, np.array([[0, 1, 2], [3, 1, 3]]), good_d)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            Neighborhood(-1, np.array([[0, 1, 2], [2, 1, 0]]),
+                         np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.5]]))
+
+
+class TestBatchedKnn:
+    @staticmethod
+    def check_rows(pts, queries, k):
+        hood = knn(pts, queries, k)
+        assert hood.indices.shape == hood.sq_distances.shape == (len(queries), k)
+        for row, q in zip(hood.indices, queries):
+            assert row.tolist() == knn_oracle(pts, q, k)
+
+    def test_rows_match_oracle(self):
+        rng = np.random.default_rng(30)
+        for _ in range(20):
+            w = int(rng.integers(1, 40))
+            pts = random_cloud(rng, w)
+            queries = np.concatenate([pts[rng.integers(w, size=3)], random_cloud(rng, 4)])
+            self.check_rows(pts, queries, int(rng.integers(1, w + 1)))
+
+    def test_rows_match_oracle_with_duplicate_points(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            base = random_cloud(rng, int(rng.integers(1, 8)))
+            pts = base[rng.integers(len(base), size=int(rng.integers(2, 30)))]
+            self.check_rows(pts, pts[:5], int(rng.integers(1, len(pts) + 1)))
+
+    def test_rows_match_oracle_on_integer_grid(self):
+        # many points share each distance from a grid query
+        axis = np.arange(-2.0, 3.0)
+        pts = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        queries = np.concatenate([pts[::7], [[0.5, 0.5, 0.5], [0.0, 0.0, 0.5]]])
+        for k in (1, 6, 7, 19, 27, 50, len(pts)):
+            self.check_rows(pts, queries, k)
+
+    def test_single_query_shapes(self):
+        pts = random_cloud(np.random.default_rng(32), 10)
+        assert knn(pts, pts[3], 4).indices.shape == (4,)
+        assert knn(pts, pts[3:4], 4).indices.shape == (1, 4)
+        assert knn(pts, pts[3], 4).indices.tolist() == knn(pts, pts[3:4], 4).indices[0].tolist()
+
+    def test_bad_query_shape_rejected(self):
+        pts = random_cloud(np.random.default_rng(33), 10)
+        for bad in (np.zeros(2), np.zeros((4, 2)), np.zeros((2, 2, 3)), 0.0):
+            with pytest.raises(ValueError, match="query"):
+                knn(pts, bad, 3)
+
 
 class TestPatchify:
     def test_single_patch_whole_cloud(self):

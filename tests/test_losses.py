@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from recloud import autograd as ag
 from recloud.autograd import Tensor, backward, finite_difference_check
-from recloud.losses import (LossReport, chamfer, loss_all, loss_global, loss_local,
-                            loss_nontransformer, loss_whole)
+from recloud.losses import LossReport, chamfer, loss_all, loss_global, loss_local
 
 from oracles import chamfer_oracle
 
@@ -72,14 +72,11 @@ class TestChamfer:
 
 
 class TestLossNonTransformer:
+    """The whole-cloud (PointNet) objective is ``chamfer`` itself."""
+
     def test_perfect_reconstruction(self):
         pts = np.random.default_rng(5).standard_normal((15, 3))
-        assert float(loss_nontransformer(pts, pts).data) == 0.0
-
-    def test_equals_chamfer(self):
-        rng = np.random.default_rng(6)
-        a, b = rng.standard_normal((9, 3)), rng.standard_normal((11, 3))
-        assert float(loss_nontransformer(a, b).data) == float(chamfer(a, b).data)
+        assert float(chamfer(pts, pts).data) == 0.0
 
 
 class TestLossLocal:
@@ -114,6 +111,57 @@ class TestLossLocal:
         gt = rng.standard_normal((3, 4, 3))
         err = finite_difference_check(lambda v: loss_local(v, gt), pred)
         assert err < 1e-3
+
+
+def looped_loss_local(pred: np.ndarray, gt: np.ndarray):
+    """Reference: one ``chamfer`` per patch, added in patch order.
+
+    Returns the loss value and the gradient with respect to ``pred``.
+    """
+    rows = [Tensor(p.copy(), requires_grad=True) for p in pred]
+    total = chamfer(rows[0], gt[0])
+    for row, target in zip(rows[1:], gt[1:]):
+        total = ag.add(total, chamfer(row, target))
+    total = ag.scale(total, 1.0 / len(rows))
+    backward(total)
+    return total.data, np.stack([row.grad for row in rows])
+
+
+class TestBatchedChamfer:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_loss_local_equals_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        m, k = int(rng.integers(1, 12)), int(rng.integers(1, 10))
+        # small-integer coordinates: many exact nearest-neighbor ties per patch
+        pred = rng.integers(-2, 3, size=(m, k, 3)).astype(np.float64)
+        gt = rng.integers(-2, 3, size=(m, k, 3)).astype(np.float64)
+        want_value, want_grad = looped_loss_local(pred, gt)
+        x = Tensor(pred, requires_grad=True)
+        got = loss_local(x, gt)
+        backward(got)
+        assert got.data.tobytes() == want_value.tobytes()
+        assert x.grad.tobytes() == want_grad.tobytes()
+
+    def test_batched_chamfer_per_entry(self):
+        rng = np.random.default_rng(20)
+        a, b = rng.standard_normal((4, 6, 3)), rng.standard_normal((4, 9, 3))
+        got = chamfer(a, b).data
+        assert got.shape == (4,)
+        for i in range(4):
+            assert got[i] == float(chamfer(a[i], b[i]).data)
+            assert got[i] == pytest.approx(chamfer_oracle(a[i], b[i]), rel=1e-9)
+
+    def test_mismatched_leading_axes_rejected(self):
+        with pytest.raises(ValueError, match="pairwise_sqdist"):
+            chamfer(np.zeros((2, 4, 3)), np.zeros((3, 4, 3)))
+
+    def test_target_takes_prediction_dtype(self):
+        pred = Tensor(np.zeros((2, 4, 3), dtype=np.float32), requires_grad=True)
+        gt = np.ones((2, 4, 3))
+        assert chamfer(pred, gt).dtype == np.float32
+        assert loss_local(pred, gt).dtype == np.float32
+        assert loss_global(Tensor(np.zeros((5, 3), dtype=np.float32)), np.ones((5, 3))).dtype \
+            == np.float32
 
 
 class TestLossGlobal:
@@ -162,14 +210,11 @@ class TestLossAll:
 
 
 class TestLossWhole:
+    """The transformer's direct whole-cloud objective is ``chamfer`` itself."""
+
     def test_perfect(self):
         pts = np.random.default_rng(15).standard_normal((20, 3))
-        assert float(loss_whole(pts, pts).data) == 0.0
-
-    def test_equals_chamfer(self):
-        rng = np.random.default_rng(16)
-        a, b = rng.standard_normal((10, 3)), rng.standard_normal((10, 3))
-        assert float(loss_whole(a, b).data) == float(chamfer(a, b).data)
+        assert float(chamfer(Tensor(pts, requires_grad=True), pts).data) == 0.0
 
 
 @settings(max_examples=60, deadline=None)

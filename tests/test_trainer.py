@@ -5,7 +5,7 @@ import pytest
 
 from recloud.autograd import Tensor, backward
 from recloud.corruption import sample_affine
-from recloud.data import SynthSpec, synth_generate
+from recloud.data import SynthSpec, load_split, synth_generate
 from recloud.geometry import affine_apply
 from recloud.layers import Parameter
 from recloud.losses import chamfer
@@ -285,6 +285,55 @@ class TestPrecisionContract:
         cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision=precision,
                        epochs=2)
         assert self._dtypes(pretrain(dataset, cfg)) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("encoder", ["pointnet", "transformer"])
+    def test_single_sample_graph_is_float32(self, dataset, encoder):
+        # no node of the forward graph, and no gradient, widens to float64
+        cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision="single")
+        model = build_model(cfg)
+        clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        sample = prepare_sample(clouds[0], cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, 0))
+        total, _ = sample_loss(model, sample, cfg)
+        backward(total)
+        seen, stack, dtypes = set(), [total], set()
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                dtypes.add(node.data.dtype)
+                stack.extend(node._parents)
+        assert dtypes == {np.dtype(np.float32)}
+        assert {p.grad.dtype for p in model.parameters() if p.grad is not None} \
+            == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("encoder,grad_tol", [("transformer", 1e-5), ("pointnet", None)])
+    def test_single_matches_double_with_same_weights(self, dataset, encoder, grad_tol):
+        # float32 losses within 1e-6 relative of float64; transformer gradients
+        # within 1e-5 by global L2 norm. PointNet gradients are not gated: at
+        # init the FC decoder's points cluster, so float32 nearest-neighbor
+        # near-ties route Chamfer gradients to other points.
+        runs = {}
+        for precision in ("single", "double"):
+            cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision=precision)
+            runs[precision] = (cfg, build_model(cfg))
+        for narrow, wide in zip(runs["single"][1].parameters(), runs["double"][1].parameters()):
+            wide.data = narrow.data.astype(np.float64)
+        cfg = runs["single"][0]
+        clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        for i, x in enumerate(clouds):
+            out = {}
+            for precision, (cfg, model) in runs.items():
+                sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, i))
+                model.zero_grad()
+                total, _ = sample_loss(model, sample, cfg)
+                backward(total)
+                grads = [p.grad.astype(np.float64).ravel() for p in model.parameters()
+                         if p.grad is not None]
+                out[precision] = (float(total.data), np.concatenate(grads))
+            (loss32, grad32), (loss64, grad64) = out["single"], out["double"]
+            assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+            if grad_tol is not None:
+                assert np.linalg.norm(grad32 - grad64) <= grad_tol * np.linalg.norm(grad64)
 
     def test_single_resume_from_float64_checkpoint(self, dataset):
         # checkpoints of single runs once held float64 params and moments;
