@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import AffineTransform, as_cloud
+from .geometry import AffineTransform, _sqdist_to, as_cloud
 
 ALL_FAMILIES = ("rotate", "translate", "reflect", "shear", "scale")
 # application order: a point is scaled first, translated last
@@ -204,13 +204,14 @@ def _split_budget(budget: int, num_clusters: int, rng: np.random.Generator) -> l
 def _drop_clusters(points: np.ndarray, ratio: float, sizes: list[int],
                    rng: np.random.Generator) -> tuple[MaskPlan, np.ndarray]:
     pts = as_cloud(points)
+    cols = np.ascontiguousarray(pts.T)
     surviving = np.arange(pts.shape[0], dtype=np.int64)
     dropped: list[np.ndarray] = []
     centers: list[int] = []
     for size in sizes:
         center = int(surviving[rng.integers(len(surviving))])
         centers.append(center)
-        sq = np.sum((pts[surviving] - pts[center]) ** 2, axis=1)
+        sq = _sqdist_to(cols[:, surviving], pts[center])
         order = np.argsort(sq, kind="stable")[:size]
         dropped.append(surviving[order])
         keep = np.ones(len(surviving), dtype=bool)
@@ -256,9 +257,11 @@ def mask_view_occlusion(points: np.ndarray, ratio: float,
     """Mask points occluded along a random view direction.
 
     Points are binned on a plane orthogonal to the view; each bin keeps its
-    nearest-to-camera point. The grid resolution is searched so the
-    surviving count approaches (1 - ratio) * w, then the count is made
-    exact by nearest-depth ordering.
+    nearest-to-camera point (ties by lowest index), so a grid leaves exactly
+    as many points visible as it has occupied bins. The grid resolution is
+    searched by that count, from one bin per side upwards, for the count
+    nearest (1 - ratio) * w (the first such grid wins); then the count is
+    made exact by nearest-depth ordering.
     """
     pts = as_cloud(points)
     w = pts.shape[0]
@@ -279,43 +282,31 @@ def mask_view_occlusion(points: np.ndarray, ratio: float,
     span = proj.max(axis=0) - lo
     span[span == 0] = 1.0
 
-    def frontmost(grid: int) -> np.ndarray:
+    def bins(grid: int) -> np.ndarray:
         cell = np.minimum((proj - lo) / span * grid, grid - 1).astype(np.int64)
-        bin_id = cell[:, 0] * grid + cell[:, 1]
-        visible = np.zeros(w, dtype=bool)
-        # per bin keep the minimum-depth point, ties by lowest index
-        order = np.lexsort((np.arange(w), depth))
-        seen: set[int] = set()
-        for i in order:
-            b = int(bin_id[i])
-            if b not in seen:
-                seen.add(b)
-                visible[i] = True
-        return visible
+        return cell[:, 0] * grid + cell[:, 1]
 
-    best_vis = frontmost(1)
-    best_err = abs(int(best_vis.sum()) - target_visible)
+    best_grid, best_err = 1, abs(1 - target_visible)
     for grid in range(2, int(np.ceil(np.sqrt(w))) + 2):
-        vis = frontmost(grid)
-        err = abs(int(vis.sum()) - target_visible)
+        err = abs(np.count_nonzero(np.bincount(bins(grid))) - target_visible)
         if err < best_err:
-            best_vis, best_err = vis, err
+            best_grid, best_err = grid, err
         if err == 0:
             break
 
-    visible = best_vis
-    n_vis = int(visible.sum())
     depth_order = np.lexsort((np.arange(w), depth))  # ascending depth, index ties
+    # the first point of each bin in depth order is its frontmost
+    _, first = np.unique(bins(best_grid)[depth_order], return_index=True)
+    visible = np.zeros(w, dtype=bool)
+    visible[depth_order[first]] = True
+    n_vis = len(first)
     if n_vis > target_visible:
         # occlude the farthest currently-visible points
-        extra = n_vis - target_visible
-        vis_far_first = [i for i in depth_order[::-1] if visible[i]]
-        visible[vis_far_first[:extra]] = False
+        far_first = depth_order[::-1]
+        visible[far_first[visible[far_first]][:n_vis - target_visible]] = False
     elif n_vis < target_visible:
         # reveal the nearest currently-masked points
-        missing = target_visible - n_vis
-        hid_near_first = [i for i in depth_order if not visible[i]]
-        visible[hid_near_first[:missing]] = True
+        visible[depth_order[~visible[depth_order]][:target_visible - n_vis]] = True
 
     masked = np.flatnonzero(~visible).astype(np.int64)
     # no k-NN clusters here: one pseudo-cluster, center -1 (no drawn center)

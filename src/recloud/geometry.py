@@ -94,6 +94,25 @@ def affine_apply(points: np.ndarray, transform: AffineTransform) -> np.ndarray:
     return out
 
 
+def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Squared distances from the points of ``cols``, a ``(3, w)`` copy of a
+    cloud, to one ``(3,)`` query, giving ``(w,)``, or to ``(n, 3)`` queries,
+    giving ``(n, w)``.
+
+    Computed as ``(dx*dx + dy*dy) + dz*dz``: the additions
+    ``np.sum((pts - q) ** 2, axis=-1)`` makes over its 3-long axis, so the
+    result is the same bit for bit, without the strided ``(..., w, 3)``
+    temporaries.
+    """
+    q = q[..., None]
+    dx = cols[0] - q[..., 0, :]
+    out = dx * dx
+    for c in (1, 2):
+        dc = cols[c] - q[..., c, :]
+        out += dc * dc
+    return out
+
+
 def farthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """Select ``n`` point indices by farthest-point sampling.
 
@@ -109,18 +128,18 @@ def farthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator) 
     if n > w:
         raise ValueError(f"sample count {n} exceeds cloud size {w}")
 
+    cols = np.ascontiguousarray(pts.T)
     selected = np.empty(n, dtype=np.int64)
     selected[0] = int(rng.integers(w))
     # min squared distance from each point to the selected set; selected
     # entries are forced to -1 so argmax never revisits them (matters for
     # clouds with duplicate points).
-    min_sq = np.sum((pts - pts[selected[0]]) ** 2, axis=1)
+    min_sq = _sqdist_to(cols, pts[selected[0]])
     min_sq[selected[0]] = -1.0
     for i in range(1, n):
         nxt = int(np.argmax(min_sq))  # argmax takes the first max: lowest index
         selected[i] = nxt
-        sq = np.sum((pts - pts[nxt]) ** 2, axis=1)
-        np.minimum(min_sq, sq, out=min_sq)
+        np.minimum(min_sq, _sqdist_to(cols, pts[nxt]), out=min_sq)
         min_sq[nxt] = -1.0
     return selected
 
@@ -130,11 +149,9 @@ class Neighborhood:
     """Result of a k-NN query: indices sorted by ascending squared distance.
 
     ``indices`` and ``sq_distances`` are ``(k,)`` for one query and
-    ``(n, k)`` for n queries, one row per query. ``query_index`` is
-    bookkeeping for a single query that is itself a cloud point (-1 if not).
+    ``(n, k)`` for n queries, one row per query.
     """
 
-    query_index: int
     indices: np.ndarray
     sq_distances: np.ndarray
 
@@ -151,7 +168,7 @@ class Neighborhood:
         object.__setattr__(self, "sq_distances", d)
 
 
-def knn(points: np.ndarray, query: np.ndarray, k: int, query_index: int = -1) -> Neighborhood:
+def knn(points: np.ndarray, query: np.ndarray, k: int) -> Neighborhood:
     """The ``k`` nearest points to each query by squared Euclidean distance.
 
     ``query`` is one ``(3,)`` point, giving ``(k,)`` rows, or ``(n, 3)``
@@ -167,7 +184,7 @@ def knn(points: np.ndarray, query: np.ndarray, k: int, query_index: int = -1) ->
     q = np.asarray(query, dtype=np.float64)
     if q.shape[-1:] != (3,) or q.ndim > 2:
         raise ValueError(f"query must have shape (3,) or (n, 3), got {q.shape}")
-    sq = np.sum((pts - q.reshape(-1, 1, 3)) ** 2, axis=2)  # (n, w)
+    sq = _sqdist_to(np.ascontiguousarray(pts.T), q.reshape(-1, 3))  # (n, w)
     # all points closer than the k-th distance, plus the lowest-index ones at it
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     below, at_kth = sq < kth, sq == kth
@@ -180,7 +197,7 @@ def knn(points: np.ndarray, query: np.ndarray, k: int, query_index: int = -1) ->
     dist = np.take_along_axis(sq, idx, axis=1)
     if q.ndim == 1:
         idx, dist = idx[0], dist[0]
-    return Neighborhood(query_index=query_index, indices=idx, sq_distances=dist)
+    return Neighborhood(indices=idx, sq_distances=dist)
 
 
 @dataclass(frozen=True)

@@ -250,14 +250,6 @@ class AdamW:
                 w -= update
 
 
-def adamw_step(params: list[Parameter], lr: float, beta1: float = 0.9, beta2: float = 0.999,
-               eps: float = 1e-8, weight_decay: float = 0.05, step_count: int = 1) -> None:
-    """One optimizer step as a standalone call (moments read from the params)."""
-    opt = AdamW(params, beta1, beta2, eps, weight_decay)
-    opt.step_count = step_count - 1
-    opt.step(lr)
-
-
 # ---------------------------------------------------------------------------
 # per-sample corruption + loss (the single-step pipeline, replayable in tests)
 

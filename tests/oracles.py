@@ -53,3 +53,58 @@ def replay_cluster_mask(points: np.ndarray, centers: tuple[int, ...],
         dropped += take
         surviving = [i for i in surviving if i not in take]
     return sorted(dropped)
+
+
+def view_occlusion_oracle(points: np.ndarray, ratio: float,
+                          rng: np.random.Generator) -> list[int]:
+    """Masked indices of a view-occlusion mask, one grid at a time: the view
+    is drawn from ``rng`` as the library draws it, each grid's frontmost
+    points are found by walking the points in (depth, index) order and
+    keeping the first of each bin, and the grid whose visible count is
+    nearest the target (the first on ties, stopping at an exact hit) is
+    fixed up point by point in depth order."""
+    w = len(points)
+    budget = int(np.floor(ratio * w))
+    target = w - budget
+    view = rng.standard_normal(3)
+    view /= np.linalg.norm(view)
+    helper = np.array([1.0, 0.0, 0.0]) if abs(view[0]) < 0.9 else np.array([0.0, 1.0, 0.0])
+    u1 = np.cross(view, helper)
+    u1 /= np.linalg.norm(u1)
+    u2 = np.cross(view, u1)
+    depth = points @ view
+    proj = np.stack([points @ u1, points @ u2], axis=1)
+    lo = proj.min(axis=0)
+    span = proj.max(axis=0) - lo
+    span[span == 0] = 1.0
+    order = sorted(range(w), key=lambda i: (depth[i], i))
+
+    def frontmost(grid: int) -> list[bool]:
+        cell = np.minimum((proj - lo) / span * grid, grid - 1).astype(np.int64)
+        visible, seen = [False] * w, set()
+        for i in order:
+            b = int(cell[i, 0]) * grid + int(cell[i, 1])
+            if b not in seen:
+                seen.add(b)
+                visible[i] = True
+        return visible
+
+    best = frontmost(1)
+    best_err = abs(sum(best) - target)
+    for grid in range(2, int(np.ceil(np.sqrt(w))) + 2):
+        vis = frontmost(grid)
+        err = abs(sum(vis) - target)
+        if err < best_err:
+            best, best_err = vis, err
+        if err == 0:
+            break
+    extra = sum(best) - target
+    for i in reversed(order):  # occlude the farthest visible points
+        if extra > 0 and best[i]:
+            best[i] = False
+            extra -= 1
+    for i in order:  # reveal the nearest hidden points
+        if extra < 0 and not best[i]:
+            best[i] = True
+            extra += 1
+    return [i for i in range(w) if not best[i]]

@@ -200,6 +200,95 @@ class TestPoolTieBreaking:
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
+def dense_pairwise_grads(a, b, g):
+    """The dense pairwise_sqdist backward: every entry of ``g``, summed over
+    the strided axis."""
+    weighted = 2.0 * g[..., None] * (a[..., :, None, :] - b[..., None, :, :])
+    return weighted.sum(axis=-2), -weighted.sum(axis=-3)
+
+
+class TestSparsePairwiseBackward:
+    @staticmethod
+    def check(a, b, loss_of):
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        d = ag.pairwise_sqdist(ta, tb)
+        backward(loss_of(d))
+        ga, gb = dense_pairwise_grads(a, b, d.grad)
+        assert ta.grad.dtype == tb.grad.dtype == a.dtype
+        assert ta.grad.tobytes() == ga.tobytes() and tb.grad.tobytes() == gb.tobytes()
+
+    @staticmethod
+    def chamfer_of(d):
+        # the graph losses.chamfer builds: one nonzero per row and per column
+        fwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1)
+        bwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1)
+        return ag.sum_all(ag.add(fwd, bwd))
+
+    def test_chamfer_graphs_equal_dense_sum(self):
+        rng = np.random.default_rng(21)
+        shapes = [((), 1, 1), ((), 1, 17), ((), 23, 1), ((), 64, 40), ((), 300, 257),
+                  ((5,), 16, 12), ((2, 3), 9, 1), ((4,), 1, 6)]
+        for dtype in (np.float64, np.float32):
+            for lead, p, q in shapes:
+                for kind in ("random", "integer grid"):
+                    if kind == "random":
+                        a = rng.standard_normal(lead + (p, 3))
+                        b = rng.standard_normal(lead + (q, 3))
+                    else:  # exact nearest-neighbour ties and zero differences
+                        a = rng.integers(-2, 3, lead + (p, 3)).astype(float)
+                        b = rng.integers(-2, 3, lead + (q, 3)).astype(float)
+                    self.check(a.astype(dtype), b.astype(dtype), self.chamfer_of)
+
+    def test_dense_g_equals_dense_sum(self):
+        # g is another pairwise_sqdist output: (nearly) every entry nonzero
+        rng = np.random.default_rng(22)
+        for dtype in (np.float64, np.float32):
+            for lead, p, q in [((), 30, 20), ((3,), 7, 11), ((), 1, 5)]:
+                a, b = (rng.standard_normal(lead + (n, 3)).astype(dtype) for n in (p, q))
+                other = ag.pairwise_sqdist(Tensor(rng.standard_normal(lead + (p, 3)).astype(dtype)),
+                                           Tensor(rng.standard_normal(lead + (q, 3)).astype(dtype)))
+                self.check(a, b, lambda d: ag.sum_all(ag.mul(d, other)))
+
+    def test_constant_side_gets_no_grad(self):
+        # Chamfer's target is a constant; the other side's gradient is unchanged
+        rng = np.random.default_rng(24)
+        for lead, p, q in [((), 40, 30), ((3,), 5, 8)]:
+            a, b = rng.standard_normal(lead + (p, 3)), rng.standard_normal(lead + (q, 3))
+            for grad_a in (True, False):
+                ta, tb = Tensor(a, requires_grad=grad_a), Tensor(b, requires_grad=not grad_a)
+                d = ag.pairwise_sqdist(ta, tb)
+                backward(self.chamfer_of(d))
+                want = dense_pairwise_grads(a, b, d.grad)[0 if grad_a else 1]
+                live, const = (ta, tb) if grad_a else (tb, ta)
+                assert const.grad is None
+                assert live.grad.tobytes() == want.tobytes()
+
+
+class TestPoolPicksFirstExtremum:
+    def test_equals_numpy_arg_on_every_axis(self):
+        # ties, NaN and -0.0 next to 0.0: the pick must be np.argmin/np.argmax's
+        rng = np.random.default_rng(23)
+        for trial in range(60):
+            shape = tuple(int(n) for n in rng.integers(1, 6, int(rng.integers(1, 4))))
+            x = rng.integers(-2, 3, shape).astype(float)
+            x[rng.random(shape) < 0.2] = -0.0
+            if trial % 3 == 0:
+                x[rng.random(shape) < 0.1] = np.nan
+            for dtype in (np.float64, np.float32):
+                for axis in range(len(shape)):
+                    for pool, arg in ((ag.min_over_axis, np.argmin),
+                                      (ag.max_pool_over_axis, np.argmax)):
+                        xt = Tensor(x.astype(dtype), requires_grad=True)
+                        out = pool(xt, axis)
+                        backward(ag.sum_all(out))
+                        pick = np.expand_dims(arg(xt.data, axis=axis), axis)
+                        expected = np.zeros_like(xt.data)
+                        np.put_along_axis(expected, pick, 1.0, axis=axis)
+                        want = np.take_along_axis(xt.data, pick, axis=axis).squeeze(axis)
+                        assert out.data.tobytes() == want.tobytes()
+                        np.testing.assert_array_equal(xt.grad, expected)
+
+
 class TestDeterminism:
     def test_forward_bit_identical(self):
         def run():

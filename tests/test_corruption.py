@@ -9,7 +9,7 @@ from recloud.corruption import (ALL_FAMILIES, AffineFamilySpec, DegenerateMaskEr
 from recloud.geometry import affine_apply
 from recloud.losses import chamfer
 
-from oracles import replay_cluster_mask
+from oracles import replay_cluster_mask, view_occlusion_oracle
 
 
 def degenerate_spec():
@@ -200,6 +200,20 @@ class TestMaskViewOcclusion:
             plan, _ = mask_view_occlusion(cloud, 0.5, np.random.default_rng(seed))
             outcomes.add(int(plan.masked[0]))
         assert outcomes == {0, 1}  # both orientations occur across draws
+
+    def test_matches_per_point_oracle(self):
+        rng = np.random.default_rng(14)
+        base = rng.standard_normal((40, 3))
+        grid = np.stack(np.meshgrid(*[np.arange(5.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        clouds = [rng.standard_normal((int(w), 3)) for w in rng.integers(5, 200, 6)]
+        clouds += [np.concatenate([base, base[:25], base[:10]]),  # duplicate points
+                   grid, grid[:, [0, 1, 1]]]  # integer grid; a flat one stacks points
+        for cloud in clouds:
+            for ratio in (0.3, 0.6, 0.9):
+                for seed in range(4):
+                    plan, _ = mask_view_occlusion(cloud, ratio, np.random.default_rng(seed))
+                    expected = view_occlusion_oracle(cloud, ratio, np.random.default_rng(seed))
+                    assert plan.masked.tolist() == expected
 
 
 class TestMaskPatches:

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloud.geometry import (AffineTransform, Neighborhood, affine_apply, as_cloud,
-                              compose, denormalize_patches, farthest_point_sample, knn,
-                              normalize_patches, patchify)
+from recloud.geometry import (AffineTransform, Neighborhood, _sqdist_to, affine_apply,
+                              as_cloud, compose, denormalize_patches, farthest_point_sample,
+                              knn, normalize_patches, patchify)
 
 from oracles import fps_oracle, knn_oracle
 
@@ -71,6 +71,20 @@ class TestAffineApply:
             two_step = affine_apply(affine_apply(pts, t1), t2)
             one_step = affine_apply(pts, compose(t2, t1))
             np.testing.assert_allclose(one_step, two_step, rtol=1e-9, atol=1e-12)
+
+
+class TestSqdistTo:
+    def test_equals_summed_squares_bit_for_bit(self):
+        rng = np.random.default_rng(2)
+        for trial in range(40):
+            pts = random_cloud(rng, int(rng.integers(1, 500))) * rng.uniform(0.01, 100.0)
+            cols = np.ascontiguousarray(pts.T)
+            one = rng.standard_normal(3)
+            many = rng.standard_normal((int(rng.integers(1, 9)), 3))
+            for q in (one, many, pts[0], pts[:3]):
+                want = np.sum((pts - q[..., None, :]) ** 2, axis=-1)
+                got = _sqdist_to(cols, q)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestFarthestPointSample:
@@ -153,17 +167,17 @@ class TestKnn:
 
     def test_neighborhood_invariants_enforced(self):
         with pytest.raises(ValueError, match="distinct"):
-            Neighborhood(0, np.array([1, 1]), np.array([0.0, 1.0]))
+            Neighborhood(np.array([1, 1]), np.array([0.0, 1.0]))
         with pytest.raises(ValueError, match="non-decreasing"):
-            Neighborhood(0, np.array([1, 2]), np.array([1.0, 0.0]))
+            Neighborhood(np.array([1, 2]), np.array([1.0, 0.0]))
 
     def test_neighborhood_invariants_enforced_per_row(self):
         good_d = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
-        Neighborhood(-1, np.array([[0, 1, 2], [2, 1, 0]]), good_d)
+        Neighborhood(np.array([[0, 1, 2], [2, 1, 0]]), good_d)
         with pytest.raises(ValueError, match="distinct"):
-            Neighborhood(-1, np.array([[0, 1, 2], [3, 1, 3]]), good_d)
+            Neighborhood(np.array([[0, 1, 2], [3, 1, 3]]), good_d)
         with pytest.raises(ValueError, match="non-decreasing"):
-            Neighborhood(-1, np.array([[0, 1, 2], [2, 1, 0]]),
+            Neighborhood(np.array([[0, 1, 2], [2, 1, 0]]),
                          np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.5]]))
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,23 @@ class TestBatchedChamfer:
         assert loss_local(pred, gt).dtype == np.float32
         assert loss_global(Tensor(np.zeros((5, 3), dtype=np.float32)), np.ones((5, 3))).dtype \
             == np.float32
+
+
+class TestChamferMemory:
+    def test_graph_holds_no_pairwise_differences(self):
+        # the (p, q, 3) differences are a forward temporary, not graph state
+        rng = np.random.default_rng(30)
+        a = Tensor(rng.standard_normal((400, 3)), requires_grad=True)
+        b = Tensor(rng.standard_normal((400, 3)), requires_grad=True)
+        tracemalloc.start()
+        try:
+            loss = chamfer(a, b)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 400 * 400 * 3 * 8, f"graph holds {held} bytes"
+        backward(loss)
+        assert a.grad.shape == b.grad.shape == (400, 3)
 
 
 class TestLossGlobal:

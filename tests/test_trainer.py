@@ -9,10 +9,10 @@ from recloud.data import SynthSpec, load_split, synth_generate
 from recloud.geometry import affine_apply
 from recloud.layers import Parameter
 from recloud.losses import chamfer
-from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, adamw_step,
-                             build_model, cosine_lr, load_checkpoint, parse_config_text,
-                             prepare_sample, pretrain, restore, sample_loss, sample_rng,
-                             save_checkpoint, scheduled_lr, snapshot)
+from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, build_model,
+                             cosine_lr, load_checkpoint, parse_config_text, prepare_sample,
+                             pretrain, restore, sample_loss, sample_rng, save_checkpoint,
+                             scheduled_lr, snapshot)
 
 
 def tiny_cfg(**overrides):
@@ -95,18 +95,18 @@ class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = self._param()
         before = p.data.copy()
-        adamw_step([p], lr=0.1, weight_decay=0.0)
+        AdamW([p], weight_decay=0.0).step(0.1)
         np.testing.assert_array_equal(p.data, before)
 
     def test_zero_grad_with_decay_scales(self):
         p = self._param(2.0)
-        adamw_step([p], lr=0.1, weight_decay=0.5)
+        AdamW([p], weight_decay=0.5).step(0.1)
         np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.5), rtol=1e-15)
 
     def test_unit_grad_first_step_magnitude(self):
         p = self._param(0.0)
         p.tensor.grad = np.ones(4)
-        adamw_step([p], lr=0.01, weight_decay=0.0)
+        AdamW([p], weight_decay=0.0).step(0.01)
         # bias-corrected first step moves by ~lr
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
 
