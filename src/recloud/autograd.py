@@ -8,6 +8,11 @@ calls (callers zero gradients between optimizer steps).
 
 Verification mode runs in float64; :func:`finite_difference_check` compares
 analytic gradients against central differences.
+
+``losses.chamfer`` is one node built outside this module: row-blocked
+distances by ``geometry._sqdist_to``, first-index (first-NaN) minima, and
+the sparse backward :func:`_add_pair_grads` that :func:`pairwise_sqdist`
+shares.
 """
 from __future__ import annotations
 
@@ -15,6 +20,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
+
+from .geometry import _sqdist_to
 
 # Python floats, not numpy scalars: under NEP 50 a ``np.float64`` scalar
 # promotes a float32 array to float64.
@@ -48,9 +55,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0])
-
     def zero_grad(self) -> None:
         self.grad = None
 
@@ -61,23 +65,13 @@ class Tensor:
     def __add__(self, other):
         return add(self, other if isinstance(other, Tensor) else Tensor(other))
 
-    def __sub__(self, other):
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        return add(self, scale(other, -1.0))
-
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             return scale(self, float(other))
         return mul(self, other)
 
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
     def __neg__(self):
         return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -391,48 +385,50 @@ def pairwise_sqdist(a: Tensor, b: Tensor) -> Tensor:
     """All squared Euclidean distances between the rows of ``a`` and ``b``.
 
     ``a`` is ``(..., p, d)`` and ``b`` is ``(..., q, d)`` with equal leading
-    (batch) axes; the result is ``(..., p, q)``.
-
-    The forward fills the ``(..., p, q, d)`` differences one coordinate at a
-    time (faster than one broadcast subtract) and sums their squares by
-    einsum. The order in which einsum adds the ``d`` products depends on the
-    dtype and on numpy's SIMD kernels, so a component-wise sum would tie the
-    result to one build; the einsum stays. The differences are not kept.
-
-    The backward visits only the nonzero entries of ``g`` (Chamfer's ``g``
-    has one per row and one per column). Each term is
-    ``(2 * g[i, j]) * (a[i] - b[j])``; a row of ``a`` adds its terms in
-    ascending column order and a column of ``b`` in ascending row order,
-    the order of a dense sum over the strided axis. So the gradients equal
-    the dense ``2 * g[..., None] * diff`` summed over that axis bit for bit,
-    except that an all-zero sum is +0.0 and that a dense sum would turn an
-    infinite difference times a zero entry of ``g`` into NaN.
+    (batch) axes; the result is ``(..., p, q)``, computed by
+    ``geometry._sqdist_to`` (overflow to inf stays silent). The backward
+    visits only the nonzero entries of ``g`` (see :func:`_add_pair_grads`).
     """
     sa, sb = a.data.shape, b.data.shape
     if len(sa) < 2 or len(sa) != len(sb) or sa[:-2] != sb[:-2] or sa[-1] != sb[-1]:
         raise ValueError(f"pairwise_sqdist expects (..., p, d) and (..., q, d), got {_shapes(a, b)}")
-    p, q, d = sa[-2], sb[-2], sa[-1]
-    diff = np.empty(sa[:-1] + (q, d), dtype=np.result_type(a.data, b.data))
-    for c in range(d):
-        np.subtract(a.data[..., :, None, c], b.data[..., None, :, c], out=diff[..., c])
-    out_data = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = _sqdist_to(np.ascontiguousarray(np.swapaxes(b.data, -1, -2)), a.data)
 
     def bw(g: np.ndarray) -> None:
-        nz = np.flatnonzero(g != 0)  # ascending (batch, row, column)
-        rows, j = np.divmod(nz, q)  # row of the flattened a, column within its batch
-        cols = rows // p * q + j  # row of the flattened b
-        a2, b2 = a.data.reshape(-1, d), b.data.reshape(-1, d)
-        terms = 2.0 * g.reshape(-1)[nz, None] * (a2[rows] - b2[cols])
-        if a._needs:
-            ga = np.zeros(a2.shape, dtype=terms.dtype)
-            np.add.at(ga, rows, terms)
-            _accumulate(a, ga.reshape(sa))
-        if b._needs:  # Chamfer's target is a constant
-            gb = np.zeros(b2.shape, dtype=terms.dtype)
-            np.add.at(gb, cols, terms)
-            _accumulate(b, -gb.reshape(sb))
+        nz = np.flatnonzero(g != 0)
+        _add_pair_grads(a, b, nz, g.reshape(-1)[nz])
 
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
+
+
+def _add_pair_grads(a: Tensor, b: Tensor, flat: np.ndarray, w: np.ndarray) -> None:
+    """Accumulate the gradients of ``sum(w * |a[i] - b[j]|^2)`` over the
+    entries ``flat`` of a ``(..., p, q)`` distance array into ``a`` and ``b``.
+
+    ``flat`` must ascend (batch, row, column), as ``np.flatnonzero`` gives.
+    Each term is ``(2 * w) * (a[i] - b[j])``; a row of ``a`` adds its terms in
+    ascending column order and a column of ``b`` in ascending row order,
+    the order of a dense sum over the strided axis. So the gradients equal
+    the dense ``2 * g[..., None] * diff`` summed over that axis bit for bit,
+    except that an all-zero sum is +0.0 and that a dense sum would turn an
+    infinite difference times a zero entry of ``g`` into NaN. A side that
+    needs no gradient (Chamfer's target) is skipped.
+    """
+    sa, sb = a.data.shape, b.data.shape
+    p, q, d = sa[-2], sb[-2], sa[-1]
+    rows, j = np.divmod(flat, q)  # row of the flattened a, column within its batch
+    cols = rows // p * q + j  # row of the flattened b
+    a2, b2 = a.data.reshape(-1, d), b.data.reshape(-1, d)
+    terms = 2.0 * w[:, None] * (a2[rows] - b2[cols])
+    if a._needs:
+        ga = np.zeros(a2.shape, dtype=terms.dtype)
+        np.add.at(ga, rows, terms)
+        _accumulate(a, ga.reshape(sa))
+    if b._needs:
+        gb = np.zeros(b2.shape, dtype=terms.dtype)
+        np.add.at(gb, cols, terms)
+        _accumulate(b, -gb.reshape(sb))
 
 
 # ---------------------------------------------------------------------------

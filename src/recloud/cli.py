@@ -15,15 +15,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import (DegenerateMaskError, mask_fixed_clusters, mask_patches,
-                         mask_random_clusters, mask_view_occlusion, sample_affine)
+from .corruption import DegenerateMaskError, mask_patches, sample_affine
 from .data import (DatasetManifest, SynthSpec, normalize_unit_sphere, read_cloud,
                    resample, synth_generate, write_cloud)
 from .evaluation import (EpisodeSpec, extract_features, fewshot_eval, fewshot_report,
                          linear_probe, probe_with_sweep, reconstruct_export)
 from .geometry import affine_apply, normalize_patches, patchify
 from .trainer import (Checkpoint, DivergenceError, TrainConfig, load_checkpoint,
-                      parse_config_text, pretrain, save_checkpoint)
+                      parse_config_text, prepare_cloud_sample, pretrain, sample_rng,
+                      save_checkpoint)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -128,27 +128,22 @@ def _cmd_corrupt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(np.random.SeedSequence([args.seed, 2, 0, 0]))
-    transform = sample_affine(cfg.affine_spec(), rng)
-    corrupted = affine_apply(pts, transform)
-
-    meta: dict = {"transform": transform.matrix.tolist(),
-                  "provenance": list(transform.provenance)}
-    if args.mask == "none":
-        visible = corrupted
-    elif args.mask == "random":
-        plan, visible = mask_random_clusters(corrupted, cfg.mask_ratio, rng, cfg.max_clusters)
-    elif args.mask == "fixed":
-        plan, visible = mask_fixed_clusters(corrupted, cfg.mask_ratio, cfg.cluster_size, rng)
-    elif args.mask == "view":
-        plan, visible = mask_view_occlusion(corrupted, cfg.mask_ratio, rng)
-    else:  # patch
+    rng = sample_rng(args.seed, 0, 0)
+    if args.mask == "patch":
+        transform = sample_affine(cfg.affine_spec(), rng)
+        corrupted = affine_apply(pts, transform)
         patches = normalize_patches(patchify(corrupted, cfg.num_patches, cfg.patch_size, rng))
         plan = mask_patches(cfg.num_patches, cfg.mask_ratio, rng)
         vis_abs = (patches.patches[plan.visible]
                    + patches.centers[plan.visible][:, None, :])
         visible = vis_abs.reshape(-1, 3)
-    if args.mask != "none":
+    else:
+        sample = prepare_cloud_sample(pts, cfg, cfg.affine_spec(), rng)
+        transform, plan, visible = sample.transform, sample.plan, sample.visible
+
+    meta: dict = {"transform": transform.matrix.tolist(),
+                  "provenance": list(transform.provenance)}
+    if plan is not None:
         meta["masked"] = plan.masked.tolist()
         meta["cluster_sizes"] = list(plan.cluster_sizes)
 

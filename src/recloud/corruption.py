@@ -198,7 +198,7 @@ def _split_budget(budget: int, num_clusters: int, rng: np.random.Generator) -> l
         return [budget]
     cuts = np.sort(rng.choice(budget - 1, size=num_clusters - 1, replace=False) + 1)
     edges = np.concatenate([[0], cuts, [budget]])
-    return list(np.diff(edges).astype(int))
+    return np.diff(edges).tolist()  # Python ints: plan.json serialises them
 
 
 def _drop_clusters(points: np.ndarray, ratio: float, sizes: list[int],

@@ -95,21 +95,27 @@ def affine_apply(points: np.ndarray, transform: AffineTransform) -> np.ndarray:
 
 
 def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Squared distances from the points of ``cols``, a ``(3, w)`` copy of a
-    cloud, to one ``(3,)`` query, giving ``(w,)``, or to ``(n, 3)`` queries,
-    giving ``(n, w)``.
+    """Squared distances from the points of ``cols``, a ``(..., d, w)``
+    transposed copy of a cloud, to one ``(d,)`` query, giving ``(w,)``, or
+    to ``(..., n, d)`` queries, giving ``(..., n, w)`` (equal leading axes).
 
-    Computed as ``(dx*dx + dy*dy) + dz*dz``: the additions
+    The one squared-distance kernel of the package (FPS, k-NN, cluster
+    masks, ``pairwise_sqdist`` and Chamfer). Computed as
+    ``(dx*dx + dy*dy) + dz*dz``: the additions
     ``np.sum((pts - q) ** 2, axis=-1)`` makes over its 3-long axis, so the
     result is the same bit for bit, without the strided ``(..., w, 3)``
     temporaries.
     """
+    if q.ndim > 1:
+        cols = cols[..., None, :, :]
     q = q[..., None]
-    dx = cols[0] - q[..., 0, :]
-    out = dx * dx
-    for c in (1, 2):
-        dc = cols[c] - q[..., c, :]
-        out += dc * dc
+    out = cols[..., 0, :] - q[..., 0, :]
+    out *= out
+    dc = np.empty_like(out)
+    for c in range(1, cols.shape[-2]):
+        np.subtract(cols[..., c, :], q[..., c, :], out=dc)
+        dc *= dc
+        out += dc
     return out
 
 

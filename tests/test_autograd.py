@@ -3,6 +3,9 @@ import pytest
 
 from recloud import autograd as ag
 from recloud.autograd import Tensor, backward, finite_difference_check
+from recloud.losses import chamfer
+
+from oracles import sqdist
 
 TOL = 1e-3
 
@@ -91,7 +94,9 @@ def fd_cases():
     m3 = Tensor(r(2, 5, 3))
     cat_other = Tensor(r(2, 3))
     b3 = Tensor(r(2, 4, 3))
-    consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other, b3=b3)
+    # Chamfer operands that require grad: the node then builds both sides
+    c2, c3 = Tensor(r(4, 3), requires_grad=True), Tensor(r(2, 4, 3), requires_grad=True)
+    consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other, b3=b3, c2=c2, c3=c3)
 
     return [
         case("add_broadcast", lambda x: ag.sum_all(ag.mul(ag.add(x, consts["b2"]),
@@ -139,6 +144,12 @@ def fd_cases():
             ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=1)),
             ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=0))),
              r(6, 3)),
+        case("chamfer", lambda x: ag.add(chamfer(x, consts["c2"]),
+                                         ag.mul(chamfer(consts["c2"], x), chamfer(consts["c2"], x))),
+             r(6, 3)),
+        case("chamfer_batched", lambda x: ag.add(
+            ag.sum_all(chamfer(x, consts["c3"])),
+            ag.sum_all(ag.mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
     ]
 
 
@@ -262,6 +273,116 @@ class TestSparsePairwiseBackward:
                 live, const = (ta, tb) if grad_a else (tb, ta)
                 assert const.grad is None
                 assert live.grad.tobytes() == want.tobytes()
+
+
+def composed_chamfer(ta, tb):
+    """The graph ``losses.chamfer`` replaces with one node."""
+    d = ag.pairwise_sqdist(ta, tb)
+    return ag.add(ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1),
+                  ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1))
+
+
+def chamfer_clouds(rng, lead, p, q, kind):
+    a, b = rng.standard_normal(lead + (p, 3)), rng.standard_normal(lead + (q, 3))
+    if kind == "integer grid":  # exact nearest-neighbour ties
+        a, b = rng.integers(-2, 3, a.shape).astype(float), rng.integers(-2, 3, b.shape).astype(float)
+    elif kind == "duplicates":  # repeated points on both sides, shared between them
+        b[..., 1::2, :] = b[..., :q // 2, :]
+        a[..., ::3, :] = b[..., :1, :]
+    elif kind == "nan":
+        a.reshape(-1)[rng.integers(a.size, size=2)] = np.nan
+        b.reshape(-1)[rng.integers(b.size)] = np.nan
+    return a, b
+
+
+KINDS = ("random", "integer grid", "duplicates", "nan")
+# p > 128 spans several row blocks, so the running column minimum is exercised
+SHAPES = [((), 1, 1), ((), 1, 40), ((), 40, 1), ((), 64, 64), ((), 300, 257),
+          ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5)]
+
+
+class TestChamferNode:
+    @staticmethod
+    def run(loss_of, a, b, weights):
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
+        value = loss_of(ta, tb)
+        backward(ag.sum_all(ag.mul(value, Tensor(weights))))
+        return value.data, ta.grad, tb.grad
+
+    def test_equals_composition_bit_for_bit(self):
+        rng = np.random.default_rng(41)
+        for dtype in (np.float64, np.float32):
+            for lead, p, q in SHAPES:
+                for kind in KINDS:
+                    a, b = (x.astype(dtype) for x in chamfer_clouds(rng, lead, p, q, kind))
+                    for weights in (rng.standard_normal(lead), np.zeros(lead)):
+                        weights = weights.astype(dtype)
+                        got = self.run(chamfer, a, b, weights)
+                        want = self.run(composed_chamfer, a, b, weights)
+                        assert got[0].dtype == want[0].dtype == dtype
+                        for x, y in zip(got, want):
+                            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), \
+                                (dtype, lead, p, q, kind)
+
+    @staticmethod
+    def first_picks(a, b):
+        """Row and column minima and their first-index picks by brute force:
+        the first NaN of a row or column, else its first minimum."""
+        d = np.array([[sqdist(x, y) for y in b] for x in a])
+
+        def pick(line):
+            nan = np.flatnonzero(np.isnan(line))
+            if len(nan):
+                return int(nan[0])
+            best = 0
+            for j, v in enumerate(line):
+                if v < line[best]:
+                    best = j
+            return best
+
+        rows = [pick(line) for line in d]
+        cols = [pick(line) for line in d.T]
+        return d, rows, cols
+
+    def test_picks_equal_first_index_brute_force(self):
+        # float64: oracles.sqdist adds (dx*dx + dy*dy) + dz*dz, the kernel's order
+        rng = np.random.default_rng(42)
+        for lead, p, q in [((), 1, 1), ((), 1, 9), ((), 9, 1), ((), 30, 25), ((), 300, 40),
+                           ((3,), 140, 6)]:
+            for kind in KINDS:
+                a, b = chamfer_clouds(rng, lead, p, q, kind)
+                got, ga, gb = self.run(chamfer, a, b, np.ones(lead))
+                for k in np.ndindex(*lead):
+                    d, rows, cols = self.first_picks(a[k], b[k])
+                    row_min = np.array([d[i, j] for i, j in enumerate(rows)])
+                    col_min = np.array([d[i, j] for j, i in enumerate(cols)])
+                    want = row_min.mean() + col_min.mean()
+                    assert np.asarray(got[k]).tobytes() == np.float64(want).tobytes()
+                    # the gradient of the picks, in ascending (row, column) order
+                    weight = {}
+                    for i, j in enumerate(rows):
+                        weight[i, j] = weight.get((i, j), 0.0) + 1.0 / p
+                    for j, i in enumerate(cols):
+                        weight[i, j] = weight.get((i, j), 0.0) + 1.0 / q
+                    want_ga, want_gb = np.zeros((p, 3)), np.zeros((q, 3))
+                    for i, j in sorted(weight):
+                        term = 2.0 * weight[i, j] * (a[k][i] - b[k][j])
+                        want_ga[i] += term
+                        want_gb[j] += term
+                    np.testing.assert_array_equal(ga[k], want_ga)
+                    np.testing.assert_array_equal(gb[k], -want_gb)
+                    if kind != "nan":
+                        assert ga[k].tobytes() == want_ga.tobytes()
+                        assert gb[k].tobytes() == (-want_gb).tobytes()
+
+    def test_constant_side_gets_no_grad(self):
+        rng = np.random.default_rng(43)
+        a, b = rng.standard_normal((200, 3)), rng.standard_normal((150, 3))
+        ta, tb = Tensor(a, requires_grad=True), Tensor(b)
+        backward(chamfer(ta, tb))
+        both = Tensor(a, requires_grad=True)
+        backward(chamfer(both, Tensor(b, requires_grad=True)))
+        assert tb.grad is None and ta.grad.tobytes() == both.grad.tobytes()
 
 
 class TestPoolPicksFirstExtremum:

@@ -85,6 +85,12 @@ class TestSqdistTo:
                 want = np.sum((pts - q[..., None, :]) ** 2, axis=-1)
                 got = _sqdist_to(cols, q)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # leading batch axes: (2, 3, w) points against (2, n, 3) queries
+            batch = np.stack([pts, pts[::-1]])
+            queries = np.stack([many, many[::-1]])
+            want = np.sum((batch[:, None, :, :] - queries[:, :, None, :]) ** 2, axis=-1)
+            got = _sqdist_to(np.ascontiguousarray(np.swapaxes(batch, -1, -2)), queries)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestFarthestPointSample:

@@ -1,16 +1,19 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
+from recloud import cli
 from recloud.autograd import Tensor, backward
 from recloud.corruption import sample_affine
-from recloud.data import SynthSpec, load_split, synth_generate
+from recloud.data import SynthSpec, load_split, read_cloud, synth_generate, write_cloud
 from recloud.geometry import affine_apply
 from recloud.layers import Parameter
 from recloud.losses import chamfer
 from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, build_model,
-                             cosine_lr, load_checkpoint, parse_config_text, prepare_sample,
+                             cosine_lr, load_checkpoint, parse_config_text,
+                             prepare_cloud_sample, prepare_sample,
                              pretrain, restore, sample_loss, sample_rng, save_checkpoint,
                              scheduled_lr, snapshot)
 
@@ -192,6 +195,32 @@ class TestSampleStep:
         x = np.random.default_rng(2).standard_normal((64, 3))
         sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(3, 0, 0))
         np.testing.assert_array_equal(sample.target, x)
+
+
+class TestCorruptCommand:
+    """``recloud corrupt`` masks a cloud as the trainer does its first sample."""
+
+    @pytest.mark.parametrize("mask", ["none", "random", "fixed", "view"])
+    def test_writes_the_visible_points_of_prepare_cloud_sample(self, tmp_path, mask):
+        rng = np.random.default_rng(8)
+        write_cloud(tmp_path / "in.xyz", rng.standard_normal((120, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", mask, "--alpha", "0.4",
+                       "--cluster-size", "7", "--max-clusters", "5", "--seed", "13"])
+        assert rc == 0
+        cfg = TrainConfig(encoder="pointnet", mask_strategy=mask, mask_ratio=0.4,
+                          cluster_size=7, max_clusters=5, seed=13)
+        sample = prepare_cloud_sample(read_cloud(tmp_path / "in.xyz"), cfg, cfg.affine_spec(),
+                                      sample_rng(13, 0, 0))
+        write_cloud(tmp_path / "want.xyz", sample.visible)
+        got = (tmp_path / "out" / "corrupted.xyz").read_bytes()
+        assert got == (tmp_path / "want.xyz").read_bytes()
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert plan["transform"] == sample.transform.matrix.tolist()
+        if mask == "none":
+            assert sample.plan is None and "masked" not in plan
+        else:
+            assert plan["masked"] == sample.plan.masked.tolist()
 
 
 class TestPretrainLoop:
