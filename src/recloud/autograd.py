@@ -2,9 +2,17 @@
 
 Each primitive returns a new :class:`Tensor` recording its parents and a
 closure that routes the output gradient back to them. ``backward`` runs a
-topological sweep from a scalar loss; gradients accumulate, both across
-multiple uses of a tensor inside one graph and across repeated backward
-calls (callers zero gradients between optimizer steps).
+topological sweep from a scalar loss. Gradients accumulate across multiple
+uses of a tensor inside one graph. Only tensors with ``requires_grad`` (the
+leaves: parameters, inputs under test) keep their ``grad``, which also
+accumulates across backward calls (callers zero it between optimizer
+steps); any other ``grad`` is freed once passed on, so a second sweep over
+one graph adds exactly one more gradient.
+
+Where a shared tensor meets per-sample rows (:func:`linear`, the affine
+:func:`layer_norm`), axis 0 is the batch, and the shared tensor's gradient
+is added one sample at a time in batch order: the additions a loop of
+per-sample backward calls makes, so a batched step reproduces it bit for bit.
 
 Verification mode runs in float64; :func:`finite_difference_check` compares
 analytic gradients against central differences.
@@ -16,7 +24,7 @@ shares.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -43,9 +51,11 @@ class Tensor:
         self.data = arr
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward_fn = backward_fn
         self._needs = requires_grad or any(p._needs for p in parents)
+        # a result no gradient can reach records no graph, so a forward pass
+        # over constants frees each intermediate once it is used
+        self._parents = parents if self._needs else ()
+        self._backward_fn = backward_fn if self._needs else None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -75,12 +85,18 @@ class Tensor:
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # no grad is ever written in place, so ``g`` may be kept without a copy
     if not t._needs:
         return
-    if t.grad is None:
-        t.grad = g.astype(t.data.dtype, copy=True)
-    else:
-        t.grad = t.grad + g.astype(t.data.dtype, copy=False)
+    g = g.astype(t.data.dtype, copy=False)
+    t.grad = g if t.grad is None else t.grad + g
+
+
+def _accumulate_per_sample(t: Tensor, gs: Iterable[np.ndarray]) -> None:
+    """Add ``gs[0]``, ``gs[1]``, ... into ``t.grad`` in turn: the gradient of
+    a tensor shared by every sample, one sample at a time in batch order."""
+    for g in gs:
+        _accumulate(t, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -101,7 +117,9 @@ def backward(loss: Tensor) -> None:
     """Populate ``grad`` on every reachable tensor that needs one.
 
     ``loss`` must be a scalar (a single element). Gradients accumulate into
-    existing ``grad`` buffers, so zero them between optimizer steps.
+    the existing ``grad`` of every tensor with ``requires_grad``, so zero
+    them between optimizer steps; the ``grad`` of every other tensor is
+    dropped once its backward has run.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
@@ -127,6 +145,8 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward_fn is not None and node.grad is not None:
             node._backward_fn(node.grad)
+            if not node.requires_grad:
+                node.grad = None
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +202,40 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         _accumulate(b, np.swapaxes(a.data, -1, -2) @ g)
 
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` on the last axis of a ``(B, ..., d_in)`` batch.
+
+    The forward is one stacked product ``x.reshape(B, -1, d_in) @ w``, which
+    numpy runs as one gemm per sample, so every row equals the product of
+    its sample alone bit for bit. (A flattened ``(B*n, d_in) @ w`` does not:
+    BLAS takes another path for a one-row sample.) The backward skips ``x``
+    when it needs no gradient, and adds the per-sample ``x^T g`` and row
+    sums of ``g`` into ``w`` and ``b`` one sample at a time; each ``x^T g``
+    is made as it is added, so a large ``w`` never has B gradients alive.
+    """
+    xs, ws = x.data.shape, w.data.shape
+    if (x.data.ndim < 2 or w.data.ndim != 2 or xs[-1] != ws[0]
+            or (b is not None and b.data.shape != ws[1:])):
+        shapes = _shapes(x, w) if b is None else _shapes(x, w, b)
+        raise ValueError(f"linear expects (B, ..., d_in), (d_in, d_out) and (d_out,), got {shapes}")
+    x3 = x.data.reshape(xs[0], -1, ws[0])
+    out_data = x3 @ w.data
+    if b is not None:
+        out_data += b.data
+
+    def bw(g: np.ndarray) -> None:
+        g3 = g.reshape(out_data.shape)
+        if x._needs:
+            _accumulate(x, (g3 @ w.data.T).reshape(xs))
+        if w._needs:
+            _accumulate_per_sample(w, (xi.T @ gi for xi, gi in zip(x3, g3)))
+        if b is not None and b._needs:
+            _accumulate_per_sample(b, g3.sum(axis=1))
+
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor(out_data.reshape(xs[:-1] + ws[1:]), parents=parents, backward_fn=bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -256,21 +310,43 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor(y, parents=(a,), backward_fn=bw)
 
 
-def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along ``axis`` (no affine)."""
+def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Normalize to zero mean / unit variance along the last axis, then
+    ``y * gain + shift`` when both ``(d,)`` tensors are given.
+
+    With the affine, axis 0 of ``a`` is the batch: the gradients of ``gain``
+    and ``shift`` are added one sample at a time.
+    """
     x = a.data
-    mean = x.mean(axis=axis, keepdims=True)
+    affine = gain is not None
+    if affine != (shift is not None):
+        raise ValueError("layer_norm takes both gain and shift, or neither")
+    if affine and (x.ndim < 2 or gain.data.shape != x.shape[-1:] or shift.data.shape != x.shape[-1:]):
+        raise ValueError(f"layer_norm expects (B, ..., d) with (d,) gain and shift, "
+                         f"got {_shapes(a, gain, shift)}")
+    mean = x.mean(axis=-1, keepdims=True)
     centered = x - mean
-    var = (centered * centered).mean(axis=axis, keepdims=True)
+    var = (centered * centered).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = centered * inv
 
     def bw(g: np.ndarray) -> None:
-        g_mean = g.mean(axis=axis, keepdims=True)
-        gy_mean = (g * y).mean(axis=axis, keepdims=True)
-        _accumulate(a, inv * (g - g_mean - y * gy_mean))
+        if affine:
+            rows = (x.shape[0], -1, x.shape[-1])
+            if gain._needs:
+                _accumulate_per_sample(gain, (g * y).reshape(rows).sum(axis=1))
+            if shift._needs:
+                _accumulate_per_sample(shift, g.reshape(rows).sum(axis=1))
+            g = g * gain.data
+        if a._needs:
+            g_mean = g.mean(axis=-1, keepdims=True)
+            gy_mean = (g * y).mean(axis=-1, keepdims=True)
+            _accumulate(a, inv * (g - g_mean - y * gy_mean))
 
-    return Tensor(y, parents=(a,), backward_fn=bw)
+    if not affine:
+        return Tensor(y, parents=(a,), backward_fn=bw)
+    return Tensor(y * gain.data + shift.data, parents=(a, gain, shift), backward_fn=bw)
 
 
 def _pool(a: Tensor, axis: int, reduce: Callable) -> Tensor:
@@ -328,13 +404,14 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
-def sum_in_order(a: Tensor) -> Tensor:
-    """Sum over axis 0 adding entries first to last, the order of a Python
+def sum_in_order(a: Tensor, axis: int = 0) -> Tensor:
+    """Sum over ``axis`` adding entries first to last, the order of a Python
     loop of ``add`` (so a looped sum is reproduced bit for bit)."""
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, np.broadcast_to(g, a.data.shape))
+        _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
-    return Tensor(np.add.accumulate(a.data, axis=0)[-1], parents=(a,), backward_fn=bw)
+    out_data = np.add.accumulate(a.data, axis=axis).take(-1, axis=axis)
+    return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -346,37 +423,51 @@ def sum_all(a: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
+def _row_key(idx: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The index of rows ``idx`` along axis 0 for 1-D ``idx``; for ``(B, r)``
+    ``idx``, of rows ``idx[i]`` along axis 1 of batch entry ``i``."""
+    if idx.ndim == 1:
+        return (idx,)
+    return (np.arange(idx.shape[0])[:, None], idx)
+
+
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis 0; repeated indices accumulate in backward."""
+    """Select rows along axis 0 (1-D ``indices``), or per batch entry along
+    axis 1 (``(B, r)`` indices); repeated indices accumulate in backward."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ValueError(f"gather_rows expects 1-D indices, got shape {idx.shape}")
-    out_data = a.data[idx]
+    if idx.ndim not in (1, 2) or a.data.ndim < idx.ndim or a.data.shape[:idx.ndim - 1] != idx.shape[:-1]:
+        raise ValueError(f"gather_rows: indices of shape {idx.shape} do not fit {a.data.shape}")
+    key = _row_key(idx)
+    out_data = a.data[key]
 
     def bw(g: np.ndarray) -> None:
         full = np.zeros_like(a.data)
-        np.add.at(full, idx, g)
+        np.add.at(full, key, g)
         _accumulate(a, full)
 
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
 def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
-    """Place row j of ``a`` at ``indices[j]`` in a zero tensor of ``num_rows`` rows.
+    """Place row j of ``a`` at ``indices[j]`` in a zero tensor of ``num_rows``
+    rows; with ``(B, r)`` indices, row j of entry i at ``indices[i, j]`` of
+    entry i (axis 1).
 
-    Indices must be distinct.
+    Indices must be distinct (within each entry).
     """
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1 or idx.shape[0] != a.data.shape[0]:
+    if idx.ndim not in (1, 2) or a.data.shape[:idx.ndim] != idx.shape:
         raise ValueError(
             f"scatter_rows: need one index per row, got {idx.shape} for {a.data.shape}")
-    if len(np.unique(idx)) != len(idx):
+    if np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
         raise ValueError("scatter_rows indices must be distinct")
-    out_data = np.zeros((num_rows,) + a.data.shape[1:], dtype=a.data.dtype)
-    out_data[idx] = a.data
+    key = _row_key(idx)
+    shape = a.data.shape
+    out_data = np.zeros(shape[:idx.ndim - 1] + (num_rows,) + shape[idx.ndim:], dtype=a.data.dtype)
+    out_data[key] = a.data
 
     def bw(g: np.ndarray) -> None:
-        _accumulate(a, g[idx])
+        _accumulate(a, g[key])
 
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 

@@ -19,11 +19,9 @@ import numpy as np
 from .data import (DatasetManifest, normalize_unit_sphere, read_cloud, resample,
                    write_cloud)
 from .geometry import PatchSet, normalize_patches, patchify
-from .losses import LossReport
 from .models import CloudAutoencoder, PatchAutoencoder, pool_tokens
-from .trainer import (AdamW, Checkpoint, TrainConfig, build_model, prepare_sample,
-                      restore, sample_loss)
-from . import autograd as ag
+from .trainer import (MICRO_BATCH, AdamW, Checkpoint, TrainConfig, build_model,
+                      prepare_sample, restore)
 
 
 @dataclass
@@ -81,13 +79,17 @@ def _probe_rng(sample_id: str) -> np.random.Generator:
     return np.random.default_rng(zlib.crc32(sample_id.encode()))
 
 
-def _encoder_feature(model, cfg: TrainConfig, points: np.ndarray, sample_id: str) -> np.ndarray:
+def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
+                      sample_ids: list[str]) -> np.ndarray:
+    """One feature row per cloud, the clouds encoded as one batch."""
     if isinstance(model, CloudAutoencoder):
-        return model.encoder(points).data.astype(np.float64)
-    patches = patchify(points, cfg.num_patches, cfg.patch_size, _probe_rng(sample_id))
-    encoded = model.encode_all(normalize_patches(patches))
+        return model.encoder(np.stack(clouds)).data.astype(np.float64)
+    patches = PatchSet.stack([
+        normalize_patches(patchify(points, cfg.num_patches, cfg.patch_size, _probe_rng(sid)))
+        for points, sid in zip(clouds, sample_ids)])
+    encoded = model.encode_all(patches)
     pooled = np.concatenate([pool_tokens(encoded, "max").data,
-                             pool_tokens(encoded, "mean").data])
+                             pool_tokens(encoded, "mean").data], axis=1)
     return pooled.astype(np.float64)
 
 
@@ -106,23 +108,23 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     if not random_init:
         opt = AdamW(model.parameters())
         restore(model, opt, checkpoint)
+    model.freeze()
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
 
-    ids, labels, rows = [], [], []
-    for entry in manifest.split(split):
-        pts = read_cloud(manifest.resolve(entry))
-        pts = normalize_unit_sphere(resample(pts, cfg.num_points, _probe_rng(entry.path)))
-        rows.append(_encoder_feature(model, cfg, pts, entry.path))
-        ids.append(entry.path)
-        labels.append(entry.label)
-    if not ids:
+    entries = manifest.split(split)
+    if not entries:
         raise ValueError(f"manifest split {split!r} is empty")
-    dims = {len(r) for r in rows}
-    if len(dims) != 1:
-        raise ValueError(f"inconsistent feature dims {sorted(dims)}")
-    return FeatureTable(ids=ids, labels=labels, features=np.stack(rows),
-                        fingerprint=checkpoint.fingerprint)
+    ids = [entry.path for entry in entries]
+    rows = []
+    for lo in range(0, len(entries), MICRO_BATCH):
+        chunk = entries[lo:lo + MICRO_BATCH]
+        clouds = [normalize_unit_sphere(resample(read_cloud(manifest.resolve(entry)),
+                                                 cfg.num_points, _probe_rng(entry.path)))
+                  for entry in chunk]
+        rows.append(_encoder_features(model, cfg, clouds, [entry.path for entry in chunk]))
+    return FeatureTable(ids=ids, labels=[entry.label for entry in entries],
+                        features=np.concatenate(rows), fingerprint=checkpoint.fingerprint)
 
 
 # ---------------------------------------------------------------------------
@@ -291,26 +293,28 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     emit("clean", pts)
     if isinstance(model, CloudAutoencoder):
         emit("corrupted", sample.visible)
-        emit("reconstruction", model.reconstruct(sample.visible).data)
+        emit("reconstruction", model.reconstruct(sample.visible[None]).data[0])
         return files
 
     vis_abs = sample.visible_patches.patches + sample.visible_patches.centers[:, None, :]
     emit("corrupted", vis_abs.reshape(-1, 3))
-    encoded = model.encode_visible(sample.visible_patches)
+    # a batch of one
+    encoded = model.encode_visible(PatchSet.stack([sample.visible_patches]))
+    centers = sample.target_centers[None]
     if sample.plan is not None:
-        pred = model.predict_masked_patches(encoded, sample.target_centers, sample.plan)
+        pred = model.predict_masked_patches(encoded, centers, [sample.plan]).data[0]
         masked_centers = sample.target_centers[sample.plan.masked]
-        pred_abs = pred.data + masked_centers[:, None, :]
+        pred_abs = pred + masked_centers[:, None, :]
         clean_vis = (sample.target_patches[sample.plan.visible]
                      + sample.target_centers[sample.plan.visible][:, None, :])
     else:
-        pred = model.predict_all_patches(encoded, sample.target_centers)
-        pred_abs = pred.data + sample.target_centers[:, None, :]
+        pred = model.predict_all_patches(encoded, centers).data[0]
+        pred_abs = pred + sample.target_centers[:, None, :]
         clean_vis = np.zeros((0, 1, 3))
     emit("recon_masked", pred_abs.reshape(-1, 3) if pred_abs.size else pred_abs.reshape(0, 3))
     if clean_vis.size:
         emit("recon_visible", clean_vis.reshape(-1, 3))
-    emit("recon_centers", model.predict_centers(encoded).data)
+    emit("recon_centers", model.predict_centers(encoded).data[0])
     return files
 
 

@@ -213,6 +213,7 @@ class PatchSet:
     ``patches[i]`` holds the k nearest points (center included) to
     ``centers[i]``; ``indices[i]`` are their source-cloud indices. When
     ``normalized`` is true, patch coordinates are relative to their center.
+    A batch of sets (see :meth:`stack`) carries leading axes on every array.
     """
 
     centers: np.ndarray
@@ -223,20 +224,31 @@ class PatchSet:
     def __post_init__(self):
         c = np.asarray(self.centers, dtype=np.float64)
         p = np.asarray(self.patches, dtype=np.float64)
-        if c.ndim != 2 or c.shape[1] != 3:
-            raise ValueError(f"centers must be (n, 3), got {c.shape}")
-        if p.ndim != 3 or p.shape[0] != c.shape[0] or p.shape[2] != 3:
-            raise ValueError(f"patches must be (n, k, 3) matching centers, got {p.shape}")
+        if c.ndim < 2 or c.shape[-1] != 3:
+            raise ValueError(f"centers must be (..., n, 3), got {c.shape}")
+        if p.ndim != c.ndim + 1 or p.shape[:-2] != c.shape[:-1] or p.shape[-1] != 3:
+            raise ValueError(f"patches must be (..., n, k, 3) matching centers, got {p.shape}")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "patches", p)
 
     @property
     def num_patches(self) -> int:
-        return self.centers.shape[0]
+        return self.centers.shape[-2]
 
     @property
     def patch_size(self) -> int:
-        return self.patches.shape[1]
+        return self.patches.shape[-2]
+
+    @classmethod
+    def stack(cls, sets: list["PatchSet"]) -> "PatchSet":
+        """A batch of equally shaped sets along a new leading axis."""
+        if len({s.normalized for s in sets}) != 1:
+            raise ValueError("cannot stack normalized and unnormalized patch sets")
+        indices = (None if any(s.indices is None for s in sets)
+                   else np.stack([s.indices for s in sets]))
+        return cls(centers=np.stack([s.centers for s in sets]),
+                   patches=np.stack([s.patches for s in sets]),
+                   indices=indices, normalized=sets[0].normalized)
 
 
 def patchify(points: np.ndarray, num_patches: int, patch_size: int,
@@ -253,11 +265,11 @@ def normalize_patches(ps: PatchSet) -> PatchSet:
     """Shift each patch into its center's frame (subtract the center)."""
     if ps.normalized:
         raise ValueError("patch set is already normalized")
-    return replace(ps, patches=ps.patches - ps.centers[:, None, :], normalized=True)
+    return replace(ps, patches=ps.patches - ps.centers[..., None, :], normalized=True)
 
 
 def denormalize_patches(ps: PatchSet) -> PatchSet:
     """Restore absolute coordinates (add the center back)."""
     if not ps.normalized:
         raise ValueError("patch set is not normalized")
-    return replace(ps, patches=ps.patches + ps.centers[:, None, :], normalized=False)
+    return replace(ps, patches=ps.patches + ps.centers[..., None, :], normalized=False)

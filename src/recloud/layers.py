@@ -78,12 +78,18 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def freeze(self) -> None:
+        """Make every parameter a constant, for inference: a forward pass
+        then records no graph (see ``autograd.Tensor``)."""
+        for p in self.parameters():
+            p.tensor = Tensor(p.data)
+
     def num_parameters(self) -> int:
         return sum(p.data.size for p in self.parameters())
 
 
 class Linear(Module):
-    """Affine map on the last axis of a 2-D input: y = x W + b."""
+    """Affine map on the last axis of a ``(B, ..., d_in)`` batch: y = x W + b."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
                  dtype=np.float32, init_std: float = 0.02, zero_init: bool = False):
@@ -95,7 +101,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.matmul(x, self.weight.tensor), self.bias.tensor)
+        return ag.linear(x, self.weight.tensor, self.bias.tensor)
 
 
 class LayerNorm(Module):
@@ -104,7 +110,7 @@ class LayerNorm(Module):
         self.shift = Parameter(np.zeros(dim, dtype=dtype))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.add(ag.mul(ag.layer_norm(x), self.gain.tensor), self.shift.tensor)
+        return ag.layer_norm(x, self.gain.tensor, self.shift.tensor)
 
 
 class FeedForward(Module):
@@ -119,6 +125,8 @@ class FeedForward(Module):
 
 
 class SelfAttention(Module):
+    """Multi-head self-attention over the tokens of a ``(B, n, d)`` batch."""
+
     def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
         if dim % heads:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
@@ -129,20 +137,19 @@ class SelfAttention(Module):
         self.v = Linear(dim, dim, rng, dtype)
         self.proj = Linear(dim, dim, rng, dtype)
 
-    def _split(self, x: Tensor, n: int) -> Tensor:
-        # (n, d) -> (heads, n, head_dim)
-        return ag.transpose(ag.reshape(x, (n, self.heads, self.head_dim)), (1, 0, 2))
+    def _split(self, x: Tensor) -> Tensor:
+        # (B, n, d) -> (B, heads, n, head_dim)
+        b, n, _ = x.shape
+        return ag.transpose(ag.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
 
     def __call__(self, x: Tensor) -> Tensor:
-        n, dim = x.shape
-        q = self._split(self.q(x), n)
-        k = self._split(self.k(x), n)
-        v = self._split(self.v(x), n)
-        logits = ag.scale(ag.matmul(q, ag.transpose(k, (0, 2, 1))), self.head_dim ** -0.5)
+        q = self._split(self.q(x))
+        k = self._split(self.k(x))
+        v = self._split(self.v(x))
+        logits = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), self.head_dim ** -0.5)
         attn = ag.softmax(logits, axis=-1)
-        out = ag.matmul(attn, v)  # (heads, n, head_dim)
-        out = ag.reshape(ag.transpose(out, (1, 0, 2)), (n, dim))
-        return self.proj(out)
+        out = ag.matmul(attn, v)  # (B, heads, n, head_dim)
+        return self.proj(ag.reshape(ag.transpose(out, (0, 2, 1, 3)), x.shape))
 
 
 class TransformerBlock(Module):

@@ -2,8 +2,11 @@
 encoder/decoder, positional embeddings, and the reconstruction heads.
 
 Every component is built from the autograd primitives, takes an explicit
-construction RNG (so initialization is reproducible), and runs on a single
-sample (no batch axis); the trainer accumulates gradients across samples.
+construction RNG (so initialization is reproducible), and runs batch-first:
+axis 0 of every input and output is the sample. No operation mixes samples,
+and the shared weights receive their gradients one sample at a time (see
+``autograd``), so a batch computes exactly what a loop over its samples
+would, bit for bit.
 
 Each model owns one dtype, the ``precision`` of its parameters. Geometry
 (``PatchSet``, point clouds) stays float64; ``_as_tensor`` casts it to the
@@ -85,14 +88,15 @@ class PointNetEncoder(Module):
         self.layers = mlp_chain(config.widths, rng, dtype)
 
     def __call__(self, points) -> Tensor:
-        x = _as_tensor(points, self.dtype)  # (w, 3)
-        feat = run_mlp(self.layers, x)      # (w, d)
-        return ag.max_pool_over_axis(feat, axis=0)  # (d,)
+        x = _as_tensor(points, self.dtype)  # (B, w, 3)
+        feat = run_mlp(self.layers, x)      # (B, w, d)
+        return ag.max_pool_over_axis(feat, axis=1)  # (B, d)
 
 
 class TokenEmbedder(Module):
     """Per-patch PointNet: shared MLP on coordinates, max pool across the k
-    neighbors. Input patches must be center-normalized."""
+    neighbors; ``(B, n, k, 3)`` patches to ``(B, n, d)`` tokens. Input patches
+    must be center-normalized."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
         self.dtype = dtype
@@ -101,11 +105,11 @@ class TokenEmbedder(Module):
     def __call__(self, patches) -> Tensor:
         if isinstance(patches, PatchSet):
             raise TypeError("pass PatchSet.patches after normalization, not the PatchSet")
-        x = _as_tensor(patches, self.dtype)
-        n, k, _ = x.shape
-        flat = ag.reshape(x, (n * k, 3))
-        feat = ag.reshape(run_mlp(self.layers, flat), (n, k, -1))
-        return ag.max_pool_over_axis(feat, axis=1)  # (n, d)
+        x = _as_tensor(patches, self.dtype)  # (B, n, k, 3)
+        b, n, k, _ = x.shape
+        flat = ag.reshape(x, (b, n * k, 3))
+        feat = ag.reshape(run_mlp(self.layers, flat), (b, n, k, -1))
+        return ag.max_pool_over_axis(feat, axis=2)  # (B, n, d)
 
 
 def embed_tokens(embedder: TokenEmbedder, patches: PatchSet) -> Tensor:
@@ -155,6 +159,7 @@ class PatchDecoder(Module):
     Visible positions carry encoded tokens, masked positions carry the
     duplicated learnable mask token; its own positional embedding is added
     per block. Returns the masked rows in ascending masked-index order.
+    ``plans`` holds one mask plan per batch entry, all with the same counts.
     """
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
@@ -165,28 +170,31 @@ class PatchDecoder(Module):
         self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng, dtype)
                        for _ in range(depth)]
 
-    def assemble(self, encoded: Tensor, plan: MaskPlan) -> Tensor:
-        n = plan.total_count
-        if encoded.shape[0] != len(plan.visible):
+    def assemble(self, encoded: Tensor, plans: list[MaskPlan]) -> Tensor:
+        visible = np.stack([p.visible for p in plans])
+        masked = np.stack([p.masked for p in plans])
+        b, v, _ = encoded.shape
+        if visible.shape != (b, v):
             raise ValueError(
-                f"plan has {len(plan.visible)} visible positions but got "
-                f"{encoded.shape[0]} encoded tokens")
-        vis = ag.scatter_rows(encoded, plan.visible, n)
-        m = plan.masked_count
+                f"plans have {visible.shape} visible positions but got "
+                f"{(b, v)} encoded tokens")
+        n = plans[0].total_count
+        vis = ag.scatter_rows(encoded, visible, n)
+        m = masked.shape[1]
         if m == 0:
             return vis
-        ones = Tensor(np.ones((m, 1), dtype=self.dtype))
-        dup = ag.matmul(ones, self.mask_token.tensor)  # (m, d), one stored vector
-        return ag.add(vis, ag.scatter_rows(dup, plan.masked, n))
+        ones = Tensor(np.ones((b, m, 1), dtype=self.dtype))
+        dup = ag.linear(ones, self.mask_token.tensor)  # (B, m, d), one stored vector
+        return ag.add(vis, ag.scatter_rows(dup, masked, n))
 
-    def __call__(self, encoded: Tensor, pe_all: Tensor, plan: MaskPlan) -> Tensor:
-        if pe_all.shape[0] != plan.total_count:
-            raise ValueError(
-                f"decoder PE covers {pe_all.shape[0]} positions, plan has {plan.total_count}")
-        x = self.assemble(encoded, plan)
+    def __call__(self, encoded: Tensor, pe_all: Tensor, plans: list[MaskPlan]) -> Tensor:
+        n = plans[0].total_count
+        if pe_all.shape[1] != n:
+            raise ValueError(f"decoder PE covers {pe_all.shape[1]} positions, plan has {n}")
+        x = self.assemble(encoded, plans)
         for block in self.blocks:
             x = block(ag.add(x, pe_all))
-        return ag.gather_rows(x, plan.masked)
+        return ag.gather_rows(x, np.stack([p.masked for p in plans]))
 
     def decode_all(self, encoded: Tensor, pe_all: Tensor) -> Tensor:
         """Run the decoder with no masked slots and return every position
@@ -198,7 +206,8 @@ class PatchDecoder(Module):
 
 
 class FCDecoder(Module):
-    """Fully connected head: feature vector to an (out_points, 3) cloud."""
+    """Fully connected head: ``(B, d)`` feature vectors to ``(B, out_points, 3)``
+    clouds."""
 
     def __init__(self, in_dim: int, out_points: int, hidden: int,
                  rng: np.random.Generator, dtype=np.float32):
@@ -207,10 +216,9 @@ class FCDecoder(Module):
         self.layers = mlp_chain((in_dim, hidden, 3 * out_points), rng, dtype)
 
     def __call__(self, feature: Tensor) -> Tensor:
-        if feature.data.ndim == 1:
-            feature = ag.reshape(feature, (1, feature.shape[0]))
-        flat = run_mlp(self.layers, feature)  # (1, 3w)
-        return ag.reshape(flat, (self.out_points, 3))
+        b, d = feature.shape
+        flat = run_mlp(self.layers, ag.reshape(feature, (b, 1, d)))  # (B, 1, 3w)
+        return ag.reshape(flat, (b, self.out_points, 3))
 
 
 def folding_grid(k: int) -> np.ndarray:
@@ -228,7 +236,8 @@ def folding_grid(k: int) -> np.ndarray:
 
 class FoldDecoder(Module):
     """Folding head: deform a canonical 2-D grid conditioned on each feature
-    row through one shared MLP pass."""
+    row through one shared MLP pass; ``(B, m, d)`` rows to ``(B, m, k, 3)``,
+    or one ``(B, d)`` row per sample to ``(B, k, 3)``."""
 
     def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
                  rng: np.random.Generator, dtype=np.float32):
@@ -238,21 +247,23 @@ class FoldDecoder(Module):
         self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng, dtype)
 
     def __call__(self, features: Tensor) -> Tensor:
-        if features.data.ndim == 1:
-            features = ag.reshape(features, (1, features.shape[0]))
-        m, d = features.shape
         k = self.points_per_patch
+        if features.data.ndim == 2:
+            b, d = features.shape
+            return ag.reshape(self(ag.reshape(features, (b, 1, d))), (b, k, 3))
+        b, m, d = features.shape
         # broadcast each row over its k seeds; add's backward sums them back
-        rep = ag.add(ag.reshape(features, (m, 1, d)), Tensor(np.zeros((m, k, d), self.dtype)))
-        rep = ag.reshape(rep, (m * k, d))                            # (m*k, d)
-        seeds = Tensor(np.tile(self.grid, (m, 1)))                   # (m*k, 2)
-        x = ag.concat([seeds, rep], axis=1)
-        pts = run_mlp(self.layers, x)                                # (m*k, 3)
-        return ag.reshape(pts, (m, k, 3))
+        rep = ag.add(ag.reshape(features, (b, m, 1, d)), Tensor(np.zeros((k, 1), self.dtype)))
+        rep = ag.reshape(rep, (b, m * k, d))                                # (B, m*k, d)
+        seeds = Tensor(np.broadcast_to(np.tile(self.grid, (m, 1)), (b, m * k, 2)))
+        x = ag.concat([seeds, rep], axis=2)
+        pts = run_mlp(self.layers, x)                                       # (B, m*k, 3)
+        return ag.reshape(pts, (b, m, k, 3))
 
 
 class PatchFCHead(Module):
-    """Per-token fully connected head: each d-vector to a (k, 3) patch."""
+    """Per-token fully connected head: each d-vector of ``(B, m, d)`` to a
+    (k, 3) patch."""
 
     def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
                  rng: np.random.Generator, dtype=np.float32):
@@ -260,17 +271,17 @@ class PatchFCHead(Module):
         self.layers = mlp_chain((feat_dim, hidden, 3 * points_per_patch), rng, dtype)
 
     def __call__(self, features: Tensor) -> Tensor:
-        m = features.shape[0]
-        flat = run_mlp(self.layers, features)  # (m, 3k)
-        return ag.reshape(flat, (m, self.points_per_patch, 3))
+        b, m, _ = features.shape
+        flat = run_mlp(self.layers, features)  # (B, m, 3k)
+        return ag.reshape(flat, (b, m, self.points_per_patch, 3))
 
 
 def pool_tokens(encoded: Tensor, kind: str = "max") -> Tensor:
-    """Merge token rows into a single feature vector."""
+    """Merge the ``(B, n, d)`` token rows into one ``(B, d)`` feature each."""
     if kind == "max":
-        return ag.max_pool_over_axis(encoded, axis=0)
+        return ag.max_pool_over_axis(encoded, axis=1)
     if kind == "mean":
-        return ag.mean_pool_over_axis(encoded, axis=0)
+        return ag.mean_pool_over_axis(encoded, axis=1)
     raise ValueError(f"unknown pooling {kind!r}")
 
 
@@ -287,15 +298,9 @@ class GlobalCenterHead(Module):
             self.head = FoldDecoder(dim, num_centers, fold_hidden, rng, dtype)
         else:
             raise ValueError(f"unknown center decoder {decoder!r}")
-        self._is_fold = decoder == "fold"
-        self.num_centers = num_centers
 
     def __call__(self, encoded: Tensor) -> Tensor:
-        pooled = pool_tokens(encoded, self.pool)
-        out = self.head(pooled)
-        if self._is_fold:
-            out = ag.reshape(out, (self.num_centers, 3))
-        return out
+        return self.head(pool_tokens(encoded, self.pool))
 
 
 class CloudAutoencoder(Module):
@@ -309,7 +314,6 @@ class CloudAutoencoder(Module):
                  decoder: str = "fc", fc_hidden: int = 256, fold_hidden: int = 64,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         rng = rng if rng is not None else np.random.default_rng(0)
-        self.num_points = num_points
         self.dtype = dtype
         self.encoder = PointNetEncoder(encoder_config, rng, dtype)
         if decoder == "fc":
@@ -318,14 +322,10 @@ class CloudAutoencoder(Module):
             self.decoder = FoldDecoder(encoder_config.feature_dim, num_points, fold_hidden, rng, dtype)
         else:
             raise ValueError(f"unknown decoder {decoder!r}")
-        self._is_fold = decoder == "fold"
 
     def reconstruct(self, visible_points) -> Tensor:
-        feature = self.encoder(visible_points)
-        out = self.decoder(feature)
-        if self._is_fold:
-            out = ag.reshape(out, (self.num_points, 3))
-        return out
+        """``(B, num_points, 3)`` clouds from ``(B, w, 3)`` visible points."""
+        return self.decoder(self.encoder(visible_points))
 
 
 class PatchAutoencoder(Module):
@@ -365,24 +365,25 @@ class PatchAutoencoder(Module):
                            if whole_points is not None else None)
 
     def encode_visible(self, visible_patches: PatchSet) -> Tensor:
-        """Encoded tokens of the visible (normalized) patches."""
+        """``(B, v, d)`` encoded tokens of a batch of visible (normalized)
+        patch sets (``PatchSet.stack``)."""
         tokens = embed_tokens(self.token_embed, visible_patches)
         pe = self.pos_embed_encoder(visible_patches.centers)
         return self.encoder(tokens, pe)
 
     def decode_masked(self, encoded: Tensor, target_centers: np.ndarray,
-                      plan: MaskPlan) -> Tensor:
+                      plans: list[MaskPlan]) -> Tensor:
         """Decoded mask tokens guided by the reconstruction-target centers."""
         pe_all = self.pos_embed_decoder(target_centers)
-        return self.patch_decoder(encoded, pe_all, plan)
+        return self.patch_decoder(encoded, pe_all, plans)
 
     def predict_masked_patches(self, encoded: Tensor, target_centers: np.ndarray,
-                               plan: MaskPlan) -> Tensor:
-        """(m, k, 3) normalized patch predictions at the masked positions."""
-        return self.local_head(self.decode_masked(encoded, target_centers, plan))
+                               plans: list[MaskPlan]) -> Tensor:
+        """(B, m, k, 3) normalized patch predictions at the masked positions."""
+        return self.local_head(self.decode_masked(encoded, target_centers, plans))
 
     def predict_all_patches(self, encoded: Tensor, target_centers: np.ndarray) -> Tensor:
-        """(n, k, 3) predictions for every patch (no-masking mode)."""
+        """(B, n, k, 3) predictions for every patch (no-masking mode)."""
         pe_all = self.pos_embed_decoder(target_centers)
         decoded = self.patch_decoder.decode_all(encoded, pe_all)
         return self.local_head(decoded)

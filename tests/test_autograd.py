@@ -71,6 +71,31 @@ class TestBackwardBasics:
         backward(ag.sum_all(x))
         np.testing.assert_allclose(x.grad, [2.0])
 
+    def test_repeated_backward_adds_one_gradient_per_call(self):
+        # intermediate grads are freed after each sweep, so a second sweep
+        # over the same graph adds exactly one more gradient
+        x = t([1.0, 2.0])
+        y = ag.sum_all(ag.mul(ag.scale(x, 3.0), x))
+        backward(y)
+        np.testing.assert_array_equal(x.grad, [6.0, 12.0])
+        backward(y)
+        np.testing.assert_array_equal(x.grad, [12.0, 24.0])
+
+    def test_only_requires_grad_tensors_keep_grad(self):
+        x = t([1.0, 2.0])
+        hidden = ag.scale(x, 2.0)
+        kept = ag.scale(x, 3.0)
+        kept.requires_grad = True
+        backward(ag.sum_all(ag.mul(hidden, kept)))
+        assert hidden.grad is None
+        np.testing.assert_array_equal(kept.grad, hidden.data)
+
+    def test_constant_result_records_no_graph(self):
+        # nothing can send a gradient back through constants, so their
+        # intermediates are not kept alive by the result
+        y = ag.gelu(ag.add(t([1.0, 2.0], requires_grad=False), t([3.0, 4.0], requires_grad=False)))
+        assert y._parents == () and y._backward_fn is None
+
     def test_linear_function_fd_is_exact(self):
         # central differences are exact for affine functions
         x = t(np.random.default_rng(1).standard_normal(5))
@@ -97,8 +122,29 @@ def fd_cases():
     # Chamfer operands that require grad: the node then builds both sides
     c2, c3 = Tensor(r(4, 3), requires_grad=True), Tensor(r(2, 4, 3), requires_grad=True)
     consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other, b3=b3, c2=c2, c3=c3)
+    # a batch of 2 samples x 3 rows of width 4, mapped to width 5; the weights
+    # require grad, so the backward builds every gradient
+    lx, lw, lb = (Tensor(r(*shape), requires_grad=True) for shape in ((2, 3, 4), (4, 5), (5,)))
+    ln_gain, ln_shift = Tensor(r(4), requires_grad=True), Tensor(r(4), requires_grad=True)
+    w_ln, w_scatter = Tensor(r(2, 3, 4)), Tensor(r(2, 5, 2))
+
+    def sq(y):  # a quadratic reducer: every gradient depends on every input
+        return ag.sum_all(ag.mul(y, y))
 
     return [
+        case("linear_x", lambda x: sq(ag.linear(x, lw, lb)), r(2, 3, 4)),
+        case("linear_w", lambda w: sq(ag.linear(lx, w, lb)), r(4, 5)),
+        case("linear_b", lambda b: sq(ag.linear(lx, lw, b)), r(5)),
+        case("linear_no_bias", lambda w: sq(ag.linear(lx, w)), r(4, 5)),
+        case("layer_norm_affine_x", lambda x: ag.sum_all(
+            ag.mul(ag.layer_norm(x, ln_gain, ln_shift), w_ln)), r(2, 3, 4)),
+        case("layer_norm_gain", lambda g: sq(ag.layer_norm(lx, g, ln_shift)), r(4)),
+        case("layer_norm_shift", lambda b: sq(ag.layer_norm(lx, ln_gain, b)), r(4)),
+        case("gather_batched", lambda x: sq(ag.gather_rows(x, [[0, 2, 2], [1, 0, 3]])),
+             r(2, 4, 3)),
+        case("scatter_batched", lambda x: ag.sum_all(ag.mul(
+            ag.scatter_rows(x, [[4, 1, 0], [2, 3, 1]], 5), w_scatter)), r(2, 3, 2)),
+        case("sum_in_order_axis1", lambda x: sq(ag.sum_in_order(x, axis=1)), r(2, 5, 3)),
         case("add_broadcast", lambda x: ag.sum_all(ag.mul(ag.add(x, consts["b2"]),
                                                           ag.add(x, consts["b2"]))), r(4, 3)),
         case("add_bias_row", lambda x: ag.sum_all(ag.mul(ag.add(consts["b2"], x),
@@ -163,7 +209,7 @@ def test_every_primitive_many_shapes():
     # 100 random shape/seed draws across the unary primitives
     rng = np.random.default_rng(7)
     unary = [ag.relu, ag.gelu, lambda x: ag.softmax(x, axis=-1),
-             lambda x: ag.layer_norm(x, axis=-1),
+             lambda x: ag.layer_norm(x),
              lambda x: ag.max_pool_over_axis(x, axis=0),
              lambda x: ag.min_over_axis(x, axis=0),
              lambda x: ag.mean_pool_over_axis(x, axis=0)]
@@ -223,6 +269,7 @@ class TestSparsePairwiseBackward:
     def check(a, b, loss_of):
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         d = ag.pairwise_sqdist(ta, tb)
+        d.requires_grad = True  # keep the non-leaf grad the assertions read
         backward(loss_of(d))
         ga, gb = dense_pairwise_grads(a, b, d.grad)
         assert ta.grad.dtype == tb.grad.dtype == a.dtype
@@ -268,6 +315,7 @@ class TestSparsePairwiseBackward:
             for grad_a in (True, False):
                 ta, tb = Tensor(a, requires_grad=grad_a), Tensor(b, requires_grad=not grad_a)
                 d = ag.pairwise_sqdist(ta, tb)
+                d.requires_grad = True  # keep the non-leaf grad the assertions read
                 backward(self.chamfer_of(d))
                 want = dense_pairwise_grads(a, b, d.grad)[0 if grad_a else 1]
                 live, const = (ta, tb) if grad_a else (tb, ta)
@@ -296,9 +344,10 @@ def chamfer_clouds(rng, lead, p, q, kind):
 
 
 KINDS = ("random", "integer grid", "duplicates", "nan")
-# p > 128 spans several row blocks, so the running column minimum is exercised
+# p > 128 spans several row blocks, so the running column minimum is exercised;
+# the batch of three 1024-point targets takes blocks of fewer rows
 SHAPES = [((), 1, 1), ((), 1, 40), ((), 40, 1), ((), 64, 64), ((), 300, 257),
-          ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5)]
+          ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5), ((3,), 200, 1024)]
 
 
 class TestChamferNode:
@@ -423,3 +472,62 @@ class TestDeterminism:
     def test_scatter_requires_distinct_indices(self):
         with pytest.raises(ValueError, match="distinct"):
             ag.scatter_rows(t(np.zeros((2, 3))), [1, 1], 4)
+
+
+class TestBatchAxis:
+    """A batched node equals its per-sample computation bit for bit, with the
+    shared tensors' gradients added one sample at a time."""
+
+    # (batch, rows, d_in, d_out): model shapes, with the one-row FC head and
+    # the fold head's three-wide last layer
+    SHAPES = [(4, 26, 128, 128), (4, 1, 128, 256), (3, 1216, 64, 3), (2, 26, 512, 128),
+              (4, 832, 3, 128)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_linear_equals_per_sample_gemms(self, dtype):
+        rng = np.random.default_rng(51)
+        for b, n, d_in, d_out in self.SHAPES:
+            x, w, bias, g = (rng.standard_normal(s).astype(dtype)
+                             for s in ((b, n, d_in), (d_in, d_out), (d_out,), (b, n, d_out)))
+            tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, bias))
+            out = ag.linear(tx, tw, tb)
+            backward(ag.sum_all(ag.mul(out, Tensor(g))))
+            want_w = want_b = None
+            for i in range(b):
+                assert out.data[i].tobytes() == (x[i] @ w + bias).tobytes()
+                assert tx.grad[i].tobytes() == (g[i] @ w.T).tobytes()
+                gw, gb = x[i].T @ g[i], g[i].sum(axis=0)
+                want_w = gw if want_w is None else want_w + gw
+                want_b = gb if want_b is None else want_b + gb
+            assert tw.grad.tobytes() == want_w.tobytes()
+            assert tb.grad.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_layer_norm_equals_per_sample_composition(self, dtype):
+        rng = np.random.default_rng(52)
+        x, g = rng.standard_normal((4, 26, 128)).astype(dtype), rng.standard_normal((4, 26, 128))
+        gain, shift = (rng.standard_normal(128).astype(dtype) for _ in range(2))
+        tx, tg, ts = (Tensor(a, requires_grad=True) for a in (x, gain, shift))
+        out = ag.layer_norm(tx, tg, ts)
+        backward(ag.sum_all(ag.mul(out, Tensor(g.astype(dtype)))))
+        rg, rs = Tensor(gain, requires_grad=True), Tensor(shift, requires_grad=True)
+        for i in range(4):
+            row = Tensor(x[i], requires_grad=True)
+            want = ag.add(ag.mul(ag.layer_norm(row), rg), rs)
+            backward(ag.sum_all(ag.mul(want, Tensor(g[i].astype(dtype)))))
+            assert out.data[i].tobytes() == want.data.tobytes()
+            assert tx.grad[i].tobytes() == row.grad.tobytes()
+        assert tg.grad.tobytes() == rg.grad.tobytes()
+        assert ts.grad.tobytes() == rs.grad.tobytes()
+
+    def test_batched_rows_equal_per_entry_rows(self):
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal((3, 6, 2))
+        idx = np.array([rng.permutation(6)[:4] for _ in range(3)])
+        gathered = ag.gather_rows(t(x), idx).data
+        scattered = ag.scatter_rows(t(x[:, :4]), idx, 6).data
+        for i in range(3):
+            np.testing.assert_array_equal(gathered[i], ag.gather_rows(t(x[i]), idx[i]).data)
+            np.testing.assert_array_equal(scattered[i], ag.scatter_rows(t(x[i, :4]), idx[i], 6).data)
+        with pytest.raises(ValueError, match="distinct"):
+            ag.scatter_rows(t(x[:, :2]), [[0, 1], [3, 3], [1, 2]], 6)

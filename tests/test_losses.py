@@ -209,12 +209,12 @@ class TestLossAll:
     def test_weight_zero_reduces_to_local(self):
         local = Tensor(np.asarray(0.7))
         global_ = Tensor(np.asarray(123.0))
-        total, report = loss_all(local, global_, 0.0)
+        total, (report,) = loss_all(local, global_, 0.0)
         assert float(total.data) == 0.7
         assert report.total == report.local == 0.7
 
     def test_simple_sum(self):
-        total, report = loss_all(Tensor(np.asarray(0.2)), Tensor(np.asarray(0.3)), 1.0)
+        total, (report,) = loss_all(Tensor(np.asarray(0.2)), Tensor(np.asarray(0.3)), 1.0)
         assert float(total.data) == pytest.approx(0.5, abs=1e-15)
         assert report.total == pytest.approx(0.5, abs=1e-15)
 
@@ -222,7 +222,7 @@ class TestLossAll:
         rng = np.random.default_rng(14)
         for _ in range(100):
             l, g, w = rng.random(), rng.random(), rng.random() * 3
-            total, report = loss_all(Tensor(np.asarray(l)), Tensor(np.asarray(g)), w)
+            total, (report,) = loss_all(Tensor(np.asarray(l)), Tensor(np.asarray(g)), w)
             assert report.total == report.local + report.weight * report.global_
             assert float(total.data) == report.total
 

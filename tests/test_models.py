@@ -4,7 +4,7 @@ import pytest
 from recloud import autograd as ag
 from recloud.autograd import Tensor, backward
 from recloud.corruption import mask_patches
-from recloud.geometry import normalize_patches, patchify
+from recloud.geometry import PatchSet, normalize_patches, patchify
 from recloud.layers import LayerNorm, Linear, SelfAttention, TransformerBlock
 from recloud.models import (CloudAutoencoder, FCDecoder, FoldDecoder, GlobalCenterHead,
                             PatchAutoencoder, PatchDecoder, PatchFCHead,
@@ -36,21 +36,33 @@ class TestPointNetEncoder:
         enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
         pts = np.random.default_rng(1).standard_normal((40, 3))
         perm = np.random.default_rng(2).permutation(40)
-        a = enc(pts).data
-        b = enc(pts[perm]).data
+        a = enc(pts[None]).data
+        b = enc(pts[perm][None]).data
         np.testing.assert_array_equal(a, b)
 
     def test_single_point_equals_mlp(self):
         enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
-        pt = np.array([[0.3, -0.2, 0.9]])
+        pt = np.array([[[0.3, -0.2, 0.9]]])
         from recloud.layers import run_mlp
-        direct = run_mlp(enc.layers, Tensor(pt.astype(np.float32))).data[0]
+        direct = run_mlp(enc.layers, Tensor(pt.astype(np.float32))).data[:, 0]
         np.testing.assert_array_equal(enc(pt).data, direct)
 
     def test_output_dim_independent_of_count(self):
         enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
         for w in (1, 5, 64):
-            assert enc(np.zeros((w, 3))).shape == (8,)
+            assert enc(np.zeros((1, w, 3))).shape == (1, 8)
+
+
+class TestFreeze:
+    def test_frozen_forward_is_equal_and_records_no_graph(self):
+        enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
+        pts = np.random.default_rng(3).standard_normal((2, 40, 3))
+        want = enc(pts)
+        assert want._parents
+        enc.freeze()
+        got = enc(pts)
+        assert got._parents == () and got.data.tobytes() == want.data.tobytes()
+        assert all(not p.tensor.requires_grad for p in enc.parameters())
 
 
 class TestTokenEmbedder:
@@ -63,18 +75,18 @@ class TestTokenEmbedder:
         ps = self._patches()
         shuffled = ps.patches.copy()
         shuffled[1] = shuffled[1][::-1]
-        np.testing.assert_array_equal(emb(ps.patches).data, emb(shuffled).data)
+        np.testing.assert_array_equal(emb(ps.patches[None]).data, emb(shuffled[None]).data)
 
     def test_shape(self):
         emb = TokenEmbedder(16, 32, rng_())
         ps = self._patches(n=5, k=7)
-        assert embed_tokens(emb, ps).shape == (5, 16)
+        assert embed_tokens(emb, PatchSet.stack([ps])).shape == (1, 5, 16)
 
     def test_identical_patches_identical_tokens(self):
         emb = TokenEmbedder(16, 32, rng_())
         patch = np.random.default_rng(4).standard_normal((1, 6, 3))
         two = np.concatenate([patch, patch], axis=0)
-        tokens = emb(two).data
+        tokens = emb(two[None]).data[0]
         np.testing.assert_array_equal(tokens[0], tokens[1])
 
     def test_unnormalized_rejected(self):
@@ -88,8 +100,8 @@ class TestTokenEmbedder:
 class TestPositionalEmbed:
     def test_zero_init_final_layer(self):
         pe = PositionalEmbed(16, 32, rng_())
-        out = pe(np.random.default_rng(6).standard_normal((5, 3)))
-        np.testing.assert_array_equal(out.data, np.zeros((5, 16)))
+        out = pe(np.random.default_rng(6).standard_normal((1, 5, 3)))
+        np.testing.assert_array_equal(out.data, np.zeros((1, 5, 16)))
 
     def test_separate_instances_diverge_after_update(self):
         rng = np.random.default_rng(7)
@@ -97,25 +109,25 @@ class TestPositionalEmbed:
         b = PositionalEmbed(8, 16, rng)
         # independent update of one instance only
         a.fc2.weight.data = a.fc2.weight.data + 0.1
-        centers = np.random.default_rng(8).standard_normal((4, 3))
+        centers = np.random.default_rng(8).standard_normal((1, 4, 3))
         assert not np.array_equal(a(centers).data, b(centers).data)
 
     def test_shape(self):
         pe = PositionalEmbed(16, 32, rng_())
-        assert pe(np.zeros((9, 3))).shape == (9, 16)
+        assert pe(np.zeros((1, 9, 3))).shape == (1, 9, 16)
 
 
 class TestTransformerEncoder:
     def test_shape_preserved(self):
         enc = TransformerEncoder(16, 3, 4, 2, rng_())
-        x = Tensor(np.random.default_rng(9).standard_normal((6, 16)).astype(np.float32))
-        pe = Tensor(np.zeros((6, 16), dtype=np.float32))
-        assert enc(x, pe).shape == (6, 16)
+        x = Tensor(np.random.default_rng(9).standard_normal((1, 6, 16)).astype(np.float32))
+        pe = Tensor(np.zeros((1, 6, 16), dtype=np.float32))
+        assert enc(x, pe).shape == (1, 6, 16)
 
     def test_depth_zero_is_identity(self):
         enc = TransformerEncoder(16, 0, 4, 2, rng_())
-        x = Tensor(np.random.default_rng(10).standard_normal((6, 16)))
-        pe = Tensor(np.random.default_rng(11).standard_normal((6, 16)))
+        x = Tensor(np.random.default_rng(10).standard_normal((1, 6, 16)))
+        pe = Tensor(np.random.default_rng(11).standard_normal((1, 6, 16)))
         assert enc(x, pe) is x
 
     def test_permutation_equivariance(self):
@@ -125,8 +137,8 @@ class TestTransformerEncoder:
         x = rng.standard_normal((7, 16))
         pe = rng.standard_normal((7, 16))
         perm = rng.permutation(7)
-        out = enc(Tensor(x), Tensor(pe)).data
-        out_perm = enc(Tensor(x[perm]), Tensor(pe[perm])).data
+        out = enc(Tensor(x[None]), Tensor(pe[None])).data[0]
+        out_perm = enc(Tensor(x[perm][None]), Tensor(pe[perm][None])).data[0]
         np.testing.assert_allclose(out_perm, out[perm], atol=1e-12)
 
 
@@ -135,20 +147,20 @@ class TestPatchDecoder:
         dec = PatchDecoder(8, 0, 2, 2, rng_())
         plan = mask_patches(6, 0.6, np.random.default_rng(13))
         encoded = Tensor(np.random.default_rng(14)
-                         .standard_normal((len(plan.visible), 8)).astype(np.float32))
-        seq = dec.assemble(encoded, plan).data
+                         .standard_normal((1, len(plan.visible), 8)).astype(np.float32))
+        seq = dec.assemble(encoded, [plan]).data[0]
         for idx in plan.masked:
             np.testing.assert_array_equal(seq[idx], dec.mask_token.data[0])
         for row, idx in enumerate(plan.visible):
-            np.testing.assert_array_equal(seq[idx], encoded.data[row])
+            np.testing.assert_array_equal(seq[idx], encoded.data[0, row])
 
     def test_single_visible_token(self):
         dec = PatchDecoder(8, 1, 2, 2, rng_())
         plan = mask_patches(5, 0.8, np.random.default_rng(15))
         assert len(plan.visible) == 1
-        encoded = Tensor(np.zeros((1, 8), dtype=np.float32))
-        pe = Tensor(np.zeros((5, 8), dtype=np.float32))
-        assert dec(encoded, pe, plan).shape == (4, 8)
+        encoded = Tensor(np.zeros((1, 1, 8), dtype=np.float32))
+        pe = Tensor(np.zeros((1, 5, 8), dtype=np.float32))
+        assert dec(encoded, pe, [plan]).shape == (1, 4, 8)
 
     def test_output_order_is_ascending_masked_index(self):
         # with no blocks the output rows are exactly the assembled rows at
@@ -157,46 +169,46 @@ class TestPatchDecoder:
         plan = mask_patches(7, 0.5, np.random.default_rng(16))
         assert np.all(np.diff(plan.masked) > 0)
         encoded = Tensor(np.random.default_rng(17)
-                         .standard_normal((len(plan.visible), 8)).astype(np.float32))
-        pe = Tensor(np.zeros((7, 8), dtype=np.float32))
-        out = dec(encoded, pe, plan).data
-        seq = dec.assemble(encoded, plan).data
+                         .standard_normal((1, len(plan.visible), 8)).astype(np.float32))
+        pe = Tensor(np.zeros((1, 7, 8), dtype=np.float32))
+        out = dec(encoded, pe, [plan]).data[0]
+        seq = dec.assemble(encoded, [plan]).data[0]
         np.testing.assert_array_equal(out, seq[plan.masked])
 
     def test_inconsistent_plan_rejected(self):
         dec = PatchDecoder(8, 1, 2, 2, rng_())
         plan = mask_patches(6, 0.5, np.random.default_rng(18))
-        bad = Tensor(np.zeros((2, 8), dtype=np.float32))  # plan has 3 visible
+        bad = Tensor(np.zeros((1, 2, 8), dtype=np.float32))  # plan has 3 visible
         with pytest.raises(ValueError, match="visible"):
-            dec(bad, Tensor(np.zeros((6, 8), dtype=np.float32)), plan)
+            dec(bad, Tensor(np.zeros((1, 6, 8), dtype=np.float32)), [plan])
 
 
 class TestHeads:
     def test_fc_decoder_shapes(self):
         head = FCDecoder(16, 32, 64, rng_())
-        assert head(Tensor(np.zeros(16, dtype=np.float32))).shape == (32, 3)
+        assert head(Tensor(np.zeros((1, 16), dtype=np.float32))).shape == (1, 32, 3)
 
     def test_fc_decoder_nondegenerate(self):
         head = FCDecoder(16, 32, 64, rng_())
         rng = np.random.default_rng(19)
-        a = head(Tensor(rng.standard_normal(16).astype(np.float32))).data
-        b = head(Tensor(rng.standard_normal(16).astype(np.float32))).data
+        a = head(Tensor(rng.standard_normal((1, 16)).astype(np.float32))).data
+        b = head(Tensor(rng.standard_normal((1, 16)).astype(np.float32))).data
         assert not np.array_equal(a, b)
 
     def test_fold_decoder_shapes(self):
         head = FoldDecoder(16, 9, 32, rng_())
-        feats = Tensor(np.random.default_rng(20).standard_normal((5, 16)).astype(np.float32))
-        assert head(feats).shape == (5, 9, 3)
+        feats = Tensor(np.random.default_rng(20).standard_normal((1, 5, 16)).astype(np.float32))
+        assert head(feats).shape == (1, 5, 9, 3)
 
     def test_fold_identical_features_identical_patches(self):
         head = FoldDecoder(16, 8, 32, rng_())
         row = np.random.default_rng(21).standard_normal((1, 16)).astype(np.float32)
-        out = head(Tensor(np.concatenate([row, row]))).data
+        out = head(Tensor(np.concatenate([row, row])[None])).data[0]
         np.testing.assert_array_equal(out[0], out[1])
 
     def test_fold_grid_k1(self):
         head = FoldDecoder(16, 1, 32, rng_())
-        assert head(Tensor(np.zeros((3, 16), dtype=np.float32))).shape == (3, 1, 3)
+        assert head(Tensor(np.zeros((1, 3, 16), dtype=np.float32))).shape == (1, 3, 1, 3)
 
     def test_folding_grid_properties(self):
         for k in (1, 2, 9, 10, 16, 37):
@@ -207,15 +219,15 @@ class TestHeads:
     def test_center_head_shapes_and_pooling_invariance(self):
         head = GlobalCenterHead(16, 12, rng_())
         rng = np.random.default_rng(22)
-        enc = rng.standard_normal((5, 16)).astype(np.float32)
+        enc = rng.standard_normal((1, 5, 16)).astype(np.float32)
         out = head(Tensor(enc)).data
-        assert out.shape == (12, 3)
+        assert out.shape == (1, 12, 3)
         perm = rng.permutation(5)
-        np.testing.assert_array_equal(head(Tensor(enc[perm])).data, out)
+        np.testing.assert_array_equal(head(Tensor(enc[:, perm])).data, out)
 
     def test_center_head_single_token_pools_to_itself(self):
         from recloud.models import pool_tokens
-        enc = Tensor(np.random.default_rng(23).standard_normal((1, 16)))
+        enc = Tensor(np.random.default_rng(23).standard_normal((1, 1, 16)))
         np.testing.assert_array_equal(pool_tokens(enc, "max").data, enc.data[0])
         np.testing.assert_array_equal(pool_tokens(enc, "mean").data, enc.data[0])
 
@@ -274,10 +286,10 @@ class TestGradientFlow:
         from recloud.geometry import PatchSet
         vis = PatchSet(centers=ps.centers[plan.visible], patches=ps.patches[plan.visible],
                        indices=None, normalized=True)
-        encoded = model.encode_visible(vis)
-        pred = model.predict_masked_patches(encoded, ps.centers, plan)
-        local = loss_local(pred, ps.patches[plan.masked])
-        global_ = loss_global(model.predict_centers(encoded), ps.centers)
+        encoded = model.encode_visible(PatchSet.stack([vis]))
+        pred = model.predict_masked_patches(encoded, ps.centers[None], [plan])
+        local = loss_local(pred, ps.patches[plan.masked][None])
+        global_ = loss_global(model.predict_centers(encoded), ps.centers[None])
         total, _ = loss_all(local, global_, 1.0)
         backward(total)
         missing = [name for name, p in model.named_parameters() if p.grad is None]

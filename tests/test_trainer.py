@@ -57,6 +57,16 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="mask strategy"):
             TrainConfig(encoder="pointnet", mask_strategy="patch")
 
+    @pytest.mark.parametrize("field,value", [
+        ("learning_rate", float("nan")), ("lr_min", float("inf")), ("global_weight", float("nan")),
+        ("mask_ratio", float("nan")), ("weight_decay", float("-inf")), ("beta1", float("nan")),
+        ("adam_eps", float("inf")), ("affine_reflect", float("nan")),
+        ("affine_rotate", "-inf:3.0"), ("affine_scale", "0.5:nan"), ("affine_shear", "nan:inf"),
+        ("affine_translate", "-0.2:inf")])
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            TrainConfig(**{field: value})
+
     def test_auto_mask_resolution(self):
         assert TrainConfig(encoder="pointnet").resolved().mask_strategy == "random"
         assert TrainConfig(encoder="transformer").resolved().mask_strategy == "patch"
@@ -142,7 +152,8 @@ class TestSampleStep:
         x = clouds[0]
         spec = cfg.affine_spec()
 
-        total, report = sample_loss(model, prepare_sample(x, cfg, spec, sample_rng(cfg.seed, 0, 0)), cfg)
+        total, (report,) = sample_loss(
+            model, [prepare_sample(x, cfg, spec, sample_rng(cfg.seed, 0, 0))], cfg)
 
         # manual replay with the same derived rng
         from recloud.corruption import mask_patches
@@ -161,20 +172,20 @@ class TestSampleStep:
         vis = PatchSet(centers=corrupted.centers[plan.visible],
                        patches=corr_n.patches[plan.visible],
                        indices=None, normalized=True)
-        encoded = model.encode_visible(vis)
-        local = loss_local(model.predict_masked_patches(encoded, clean.centers, plan),
-                           clean_n.patches[plan.masked])
-        global_ = loss_global(model.predict_centers(encoded), clean.centers)
+        encoded = model.encode_visible(PatchSet.stack([vis]))
+        local = loss_local(model.predict_masked_patches(encoded, clean.centers[None], [plan]),
+                           clean_n.patches[plan.masked][None])
+        global_ = loss_global(model.predict_centers(encoded), clean.centers[None])
         expected, _ = loss_all(local, global_, cfg.global_weight)
-        assert float(total.data) == float(expected.data)
-        assert report.total == float(expected.data)
+        assert total.data.tobytes() == expected.data.tobytes()
+        assert report.total == float(expected.data[0])
 
     def test_lambda_zero_keeps_center_head_grads_zero(self):
         cfg = tiny_cfg(global_weight=0.0)
         model = build_model(cfg)
         x = np.random.default_rng(0).standard_normal((64, 3))
-        total, _ = sample_loss(model, prepare_sample(x, cfg, cfg.affine_spec(),
-                                                     sample_rng(1, 0, 0)), cfg)
+        total, _ = sample_loss(model, [prepare_sample(x, cfg, cfg.affine_spec(),
+                                                      sample_rng(1, 0, 0))], cfg)
         backward(total)
         for name, p in model.named_parameters():
             if name.startswith("center_head"):
@@ -299,6 +310,84 @@ class TestPretrainLoop:
         assert exc.value.checkpoint is not None
 
 
+class TestNonFiniteCli:
+    """A non-finite config value is a bad configuration (exit 4), not a run."""
+
+    @pytest.mark.parametrize("args", [["--lr", "nan"], ["--lr", "inf"], ["--alpha", "nan"],
+                                      ["--global-weight=-inf"]])
+    def test_pretrain_exits_bad_config(self, dataset, tmp_path, args):
+        rc = cli.main(["pretrain", "--manifest", str(dataset), "--out", str(tmp_path / "run"),
+                       "--epochs", "1", "--num-points", "64", "--encoder", "pointnet"] + args)
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert not (tmp_path / "run" / "checkpoint.ckpt").exists()
+
+    def test_config_file_range_exits_bad_config(self, dataset, tmp_path):
+        (tmp_path / "c.cfg").write_text("affine_rotate = -inf:inf\n")
+        rc = cli.main(["pretrain", "--manifest", str(dataset), "--out", str(tmp_path / "run"),
+                       "--config", str(tmp_path / "c.cfg"), "--epochs", "1",
+                       "--num-points", "64"])
+        assert rc == cli.EXIT_BAD_CONFIG
+
+
+# Configs whose runs must not depend on the micro-batch size (1 is the
+# per-sample loop): every objective, both patch masks and both choices of
+# each head for the transformer; both decoders and all four point masks for
+# PointNet.
+MICRO_BATCH_CONFIGS = [
+    dict(mask_strategy="patch", objective="decomposed", local_decoder="fold", global_decoder="fc"),
+    dict(mask_strategy="patch", objective="whole", local_decoder="fc", global_decoder="fold"),
+    dict(mask_strategy="none", objective="local-only", local_decoder="fold", global_decoder="fold"),
+    dict(mask_strategy="none", objective="global-only", local_decoder="fc", global_decoder="fc"),
+    dict(mask_strategy="none", objective="decomposed", local_decoder="fc", global_decoder="fold"),
+    dict(mask_strategy="patch", objective="local-only", local_decoder="fc", global_decoder="fc",
+         precision="double"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fc", mask_strategy="random"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fold", mask_strategy="fixed",
+         cluster_size=5),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fc", mask_strategy="view",
+         precision="double"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fold", mask_strategy="none"),
+]
+
+
+class TestMicroBatches:
+    """One forward/backward per micro-batch changes no bit of a run."""
+
+    @staticmethod
+    def run(dataset, cfg, tmp_path, micro, monkeypatch):
+        import recloud.trainer as tr
+        monkeypatch.setattr(tr, "MICRO_BATCH", micro)
+        out = tmp_path / f"b{cfg.batch_size}-m{micro}"
+        out.mkdir()
+        save_checkpoint(pretrain(dataset, cfg, metrics_path=out / "metrics.csv"),
+                        out / "checkpoint.ckpt")
+        return (out / "checkpoint.ckpt").read_bytes(), (out / "metrics.csv").read_bytes()
+
+    @pytest.mark.parametrize("overrides", MICRO_BATCH_CONFIGS,
+                             ids=lambda o: "-".join(str(v) for v in o.values()))
+    def test_checkpoint_and_metrics_independent_of_micro_batch(self, dataset, tmp_path,
+                                                               monkeypatch, overrides):
+        for batch_size, micros in ((5, (4, 64)), (3, (4,))):
+            cfg = tiny_cfg(epochs=2, batch_size=batch_size, **overrides)
+            want = self.run(dataset, cfg, tmp_path, 1, monkeypatch)
+            for micro in micros:
+                assert self.run(dataset, cfg, tmp_path, micro, monkeypatch) == want, \
+                    (batch_size, micro)
+
+    @pytest.mark.parametrize("encoder", ["transformer", "pointnet"])
+    def test_features_independent_of_micro_batch(self, dataset, monkeypatch, encoder):
+        import recloud.evaluation as ev
+        cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", epochs=1)
+        ckpt = pretrain(dataset, cfg)
+        tables = {}
+        for micro in (1, 3, 64):
+            monkeypatch.setattr(ev, "MICRO_BATCH", micro)
+            tables[micro] = ev.extract_features(ckpt, dataset, "train")
+        for table in tables.values():
+            assert table.ids == tables[1].ids and table.labels == tables[1].labels
+            assert table.features.tobytes() == tables[1].features.tobytes()
+
+
 class TestPrecisionContract:
     """``precision`` fixes the dtype of parameters and both moment sets."""
 
@@ -322,7 +411,7 @@ class TestPrecisionContract:
         model = build_model(cfg)
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         sample = prepare_sample(clouds[0], cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, 0))
-        total, _ = sample_loss(model, sample, cfg)
+        total, _ = sample_loss(model, [sample], cfg)
         backward(total)
         seen, stack, dtypes = set(), [total], set()
         while stack:
@@ -354,11 +443,11 @@ class TestPrecisionContract:
             for precision, (cfg, model) in runs.items():
                 sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, i))
                 model.zero_grad()
-                total, _ = sample_loss(model, sample, cfg)
+                total, _ = sample_loss(model, [sample], cfg)
                 backward(total)
                 grads = [p.grad.astype(np.float64).ravel() for p in model.parameters()
                          if p.grad is not None]
-                out[precision] = (float(total.data), np.concatenate(grads))
+                out[precision] = (float(total.data[0]), np.concatenate(grads))
             (loss32, grad32), (loss64, grad64) = out["single"], out["double"]
             assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
             if grad_tol is not None:
