@@ -71,18 +71,6 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
-    # operator sugar over the module-level primitives
-    def __add__(self, other):
-        return add(self, other if isinstance(other, Tensor) else Tensor(other))
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
     # no grad is ever written in place, so ``g`` may be kept without a copy
@@ -394,16 +382,6 @@ def mean_pool_over_axis(a: Tensor, axis: int) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out_data = np.asarray(a.data.mean())
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, float(g) / n))
-
-    return Tensor(out_data, parents=(a,), backward_fn=bw)
-
-
 def sum_in_order(a: Tensor, axis: int = 0) -> Tensor:
     """Sum over ``axis`` adding entries first to last, the order of a Python
     loop of ``add`` (so a looped sum is reproduced bit for bit)."""
@@ -411,15 +389,6 @@ def sum_in_order(a: Tensor, axis: int = 0) -> Tensor:
         _accumulate(a, np.broadcast_to(np.expand_dims(g, axis), a.data.shape))
 
     out_data = np.add.accumulate(a.data, axis=axis).take(-1, axis=axis)
-    return Tensor(out_data, parents=(a,), backward_fn=bw)
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out_data = np.asarray(a.data.sum())
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, np.full_like(a.data, float(g)))
-
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 

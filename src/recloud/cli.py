@@ -15,15 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import DegenerateMaskError, mask_patches, sample_affine
-from .data import (DatasetManifest, SynthSpec, normalize_unit_sphere, read_cloud,
-                   resample, synth_generate, write_cloud)
+from .corruption import DegenerateMaskError
+from .data import SynthSpec, read_cloud, resample, synth_generate, write_cloud
 from .evaluation import (EpisodeSpec, extract_features, fewshot_eval, fewshot_report,
                          linear_probe, probe_with_sweep, reconstruct_export)
-from .geometry import affine_apply, normalize_patches, patchify
-from .trainer import (Checkpoint, DivergenceError, TrainConfig, load_checkpoint,
-                      parse_config_text, prepare_cloud_sample, pretrain, sample_rng,
-                      save_checkpoint)
+from .geometry import denormalize_patches
+from .trainer import (DivergenceError, TrainConfig, load_checkpoint, parse_config_text,
+                      prepare_sample, pretrain, sample_rng, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -128,18 +126,10 @@ def _cmd_corrupt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    rng = sample_rng(args.seed, 0, 0)
-    if args.mask == "patch":
-        transform = sample_affine(cfg.affine_spec(), rng)
-        corrupted = affine_apply(pts, transform)
-        patches = normalize_patches(patchify(corrupted, cfg.num_patches, cfg.patch_size, rng))
-        plan = mask_patches(cfg.num_patches, cfg.mask_ratio, rng)
-        vis_abs = (patches.patches[plan.visible]
-                   + patches.centers[plan.visible][:, None, :])
-        visible = vis_abs.reshape(-1, 3)
-    else:
-        sample = prepare_cloud_sample(pts, cfg, cfg.affine_spec(), rng)
-        transform, plan, visible = sample.transform, sample.plan, sample.visible
+    sample = prepare_sample(pts, cfg, cfg.affine_spec(), sample_rng(args.seed, 0, 0))
+    transform, plan = sample.transform, sample.plan
+    visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
+               if args.mask == "patch" else sample.visible)
 
     meta: dict = {"transform": transform.matrix.tolist(),
                   "provenance": list(transform.provenance)}

@@ -8,7 +8,7 @@ patches (index masking, for patch-token encoders).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,13 +63,6 @@ class AffineFamilySpec:
     def disabled(cls) -> "AffineFamilySpec":
         """No sub-families enabled: sampling yields the identity."""
         return cls(enabled=frozenset())
-
-    @classmethod
-    def single(cls, family: str) -> "AffineFamilySpec":
-        """Default magnitudes with only one sub-family enabled."""
-        if family not in ALL_FAMILIES:
-            raise ValueError(f"unknown affine sub-family {family!r}")
-        return cls(enabled=frozenset({family}))
 
 
 def _uniform(rng: np.random.Generator, r: Range) -> float:

@@ -8,7 +8,6 @@ at 32-bit float precision.
 """
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 

@@ -18,10 +18,9 @@ import numpy as np
 
 from .data import (DatasetManifest, normalize_unit_sphere, read_cloud, resample,
                    write_cloud)
-from .geometry import PatchSet, normalize_patches, patchify
-from .models import CloudAutoencoder, PatchAutoencoder, pool_tokens
-from .trainer import (MICRO_BATCH, AdamW, Checkpoint, TrainConfig, build_model,
-                      prepare_sample, restore)
+from .geometry import PatchSet, denormalize_patches, normalize_patches, patchify
+from .models import CloudAutoencoder, pool_tokens
+from .trainer import MICRO_BATCH, Checkpoint, TrainConfig, build_model, prepare_sample, restore
 
 
 @dataclass
@@ -59,19 +58,6 @@ class FeatureTable:
             lines.append(f"{sid},{label}," + ",".join(repr(float(v)) for v in row))
         Path(path).write_text("\n".join(lines) + "\n")
 
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "FeatureTable":
-        lines = Path(path).read_text().splitlines()
-        if not lines:
-            raise ValueError(f"{path}: empty feature table")
-        ids, labels, rows = [], [], []
-        for line in lines[1:]:
-            parts = line.split(",")
-            ids.append(parts[0])
-            labels.append(parts[1])
-            rows.append([float(v) for v in parts[2:]])
-        return cls(ids=ids, labels=labels, features=np.asarray(rows))
-
 
 def _probe_rng(sample_id: str) -> np.random.Generator:
     # FPS start depends only on the sample id, so features are stable
@@ -106,8 +92,7 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     cfg = checkpoint.config
     model = build_model(cfg)
     if not random_init:
-        opt = AdamW(model.parameters())
-        restore(model, opt, checkpoint)
+        restore(model, checkpoint)
     model.freeze()
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
@@ -273,7 +258,7 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     """
     cfg = checkpoint.config
     model = build_model(cfg)
-    restore(model, AdamW(model.parameters()), checkpoint)
+    restore(model, checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -296,8 +281,7 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
         emit("reconstruction", model.reconstruct(sample.visible[None]).data[0])
         return files
 
-    vis_abs = sample.visible_patches.patches + sample.visible_patches.centers[:, None, :]
-    emit("corrupted", vis_abs.reshape(-1, 3))
+    emit("corrupted", denormalize_patches(sample.visible_patches).patches.reshape(-1, 3))
     # a batch of one
     encoded = model.encode_visible(PatchSet.stack([sample.visible_patches]))
     centers = sample.target_centers[None]

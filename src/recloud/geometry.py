@@ -60,21 +60,9 @@ class AffineTransform:
     def translation(self) -> np.ndarray:
         return self.matrix[:, 3]
 
-    def homogeneous(self) -> np.ndarray:
-        """Full 4x4 matrix with the implied bottom row."""
-        h = np.eye(4)
-        h[:3, :] = self.matrix
-        return h
-
     def determinant(self) -> float:
         """Determinant of the linear block (orientation/volume factor)."""
         return float(np.linalg.det(self.linear))
-
-
-def compose(second: AffineTransform, first: AffineTransform) -> AffineTransform:
-    """Transform equivalent to applying ``first`` then ``second``."""
-    h = second.homogeneous() @ first.homogeneous()
-    return AffineTransform(h[:3, :], provenance=first.provenance + second.provenance)
 
 
 def affine_apply(points: np.ndarray, transform: AffineTransform) -> np.ndarray:

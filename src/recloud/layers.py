@@ -10,18 +10,18 @@ from .autograd import Tensor
 
 
 class Parameter:
-    """A trainable tensor plus its optimizer moment buffers.
+    """A trainable tensor.
 
-    The parameter owns the dtype of its values and of both moments: the
-    optimizer updates all three in place, and every array written in from
-    outside goes through :meth:`conform`.
+    The parameter owns the dtype of its values: layers draw their values in
+    float64, ``build_model`` casts each parameter once to the run's
+    precision, and every array written in from outside (a checkpoint's
+    values, or the optimizer moments restored beside them) goes through
+    :meth:`conform`. The optimizer moments live on ``trainer.AdamW``.
     """
 
     def __init__(self, data: np.ndarray, name: str = ""):
         self.tensor = Tensor(np.asarray(data), requires_grad=True)
         self.name = name
-        self.moment1 = np.zeros_like(self.tensor.data)
-        self.moment2 = np.zeros_like(self.tensor.data)
 
     @property
     def data(self) -> np.ndarray:
@@ -78,6 +78,11 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
+    def cast(self, dtype) -> None:
+        """Give every parameter ``dtype``; a model is cast once, when built."""
+        for p in self.parameters():
+            p.tensor = Tensor(p.data.astype(dtype, copy=False), requires_grad=True)
+
     def freeze(self) -> None:
         """Make every parameter a constant, for inference: a forward pass
         then records no graph (see ``autograd.Tensor``)."""
@@ -92,22 +97,19 @@ class Linear(Module):
     """Affine map on the last axis of a ``(B, ..., d_in)`` batch: y = x W + b."""
 
     def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
-                 dtype=np.float32, init_std: float = 0.02, zero_init: bool = False):
-        if zero_init:
-            w = np.zeros((in_dim, out_dim))
-        else:
-            w = rng.normal(0.0, init_std, size=(in_dim, out_dim))
-        self.weight = Parameter(w.astype(dtype))
-        self.bias = Parameter(np.zeros(out_dim, dtype=dtype))
+                 zero_init: bool = False):
+        self.weight = Parameter(np.zeros((in_dim, out_dim)) if zero_init
+                                else rng.normal(0.0, 0.02, size=(in_dim, out_dim)))
+        self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ag.linear(x, self.weight.tensor, self.bias.tensor)
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, dtype=np.float32):
-        self.gain = Parameter(np.ones(dim, dtype=dtype))
-        self.shift = Parameter(np.zeros(dim, dtype=dtype))
+    def __init__(self, dim: int):
+        self.gain = Parameter(np.ones(dim))
+        self.shift = Parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ag.layer_norm(x, self.gain.tensor, self.shift.tensor)
@@ -116,9 +118,9 @@ class LayerNorm(Module):
 class FeedForward(Module):
     """Transformer MLP: linear, GELU, linear."""
 
-    def __init__(self, dim: int, mult: int, rng: np.random.Generator, dtype=np.float32):
-        self.fc1 = Linear(dim, dim * mult, rng, dtype)
-        self.fc2 = Linear(dim * mult, dim, rng, dtype)
+    def __init__(self, dim: int, mult: int, rng: np.random.Generator):
+        self.fc1 = Linear(dim, dim * mult, rng)
+        self.fc2 = Linear(dim * mult, dim, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         return self.fc2(ag.gelu(self.fc1(x)))
@@ -127,15 +129,15 @@ class FeedForward(Module):
 class SelfAttention(Module):
     """Multi-head self-attention over the tokens of a ``(B, n, d)`` batch."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
         if dim % heads:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
         self.head_dim = dim // heads
-        self.q = Linear(dim, dim, rng, dtype)
-        self.k = Linear(dim, dim, rng, dtype)
-        self.v = Linear(dim, dim, rng, dtype)
-        self.proj = Linear(dim, dim, rng, dtype)
+        self.q = Linear(dim, dim, rng)
+        self.k = Linear(dim, dim, rng)
+        self.v = Linear(dim, dim, rng)
+        self.proj = Linear(dim, dim, rng)
 
     def _split(self, x: Tensor) -> Tensor:
         # (B, n, d) -> (B, heads, n, head_dim)
@@ -155,22 +157,20 @@ class SelfAttention(Module):
 class TransformerBlock(Module):
     """Pre-norm block: x + attn(ln(x)), then x + ffn(ln(x))."""
 
-    def __init__(self, dim: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.ln1 = LayerNorm(dim, dtype)
-        self.attn = SelfAttention(dim, heads, rng, dtype)
-        self.ln2 = LayerNorm(dim, dtype)
-        self.ffn = FeedForward(dim, ffn_mult, rng, dtype)
+    def __init__(self, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
+        self.ln1 = LayerNorm(dim)
+        self.attn = SelfAttention(dim, heads, rng)
+        self.ln2 = LayerNorm(dim)
+        self.ffn = FeedForward(dim, ffn_mult, rng)
 
     def __call__(self, x: Tensor) -> Tensor:
         x = ag.add(x, self.attn(self.ln1(x)))
         return ag.add(x, self.ffn(self.ln2(x)))
 
 
-def mlp_chain(widths: tuple[int, ...], rng: np.random.Generator,
-              dtype=np.float32) -> list[Linear]:
+def mlp_chain(widths: tuple[int, ...], rng: np.random.Generator) -> list[Linear]:
     """Linear layers for a ReLU MLP with the given widths."""
-    return [Linear(widths[i], widths[i + 1], rng, dtype) for i in range(len(widths) - 1)]
+    return [Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
 
 
 def run_mlp(layers: list[Linear], x: Tensor) -> Tensor:

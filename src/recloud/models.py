@@ -8,15 +8,18 @@ and the shared weights receive their gradients one sample at a time (see
 ``autograd``), so a batch computes exactly what a loop over its samples
 would, bit for bit.
 
-Each model owns one dtype, the ``precision`` of its parameters. Geometry
-(``PatchSet``, point clouds) stays float64; ``_as_tensor`` casts it to the
-model dtype where it enters the model, and that is the only cast: every
-primitive keeps its operands' dtype, and the losses cast their targets to
-the prediction's dtype.
+The two autoencoders are built from one resolved ``TrainConfig``. Layers
+draw their parameters in float64, and ``trainer.build_model`` casts each
+one once to the run's ``precision``; from then on the parameters own the
+model's dtype. Geometry (``PatchSet``, point clouds) stays float64;
+``_as_tensor`` casts it to the dtype of the layer it enters, and that is
+the only cast at run time: every primitive keeps its operands' dtype, the
+constants a layer makes take the dtype of its weights or its input, and the
+losses cast their targets to the prediction's dtype.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -26,70 +29,32 @@ from .corruption import MaskPlan
 from .geometry import PatchSet
 from .layers import Linear, Module, Parameter, TransformerBlock, mlp_chain, run_mlp
 
-
-@dataclass(frozen=True)
-class PointNetEncoderConfig:
-    """Widths of the shared per-point MLP; the last width is the feature dim."""
-
-    widths: tuple[int, ...] = (3, 64, 128, 64)
-
-    def __post_init__(self):
-        if len(self.widths) < 2 or self.widths[0] != 3:
-            raise ValueError(f"widths must start at 3 with at least one layer, got {self.widths}")
-        if any(w <= 0 for w in self.widths):
-            raise ValueError("widths must be positive")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.widths[-1]
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
 
 
-@dataclass(frozen=True)
-class TransformerConfig:
-    feature_dim: int = 64
-    encoder_depth: int = 4
-    decoder_depth: int = 2
-    num_heads: int = 4
-    ffn_mult: int = 4
-    num_patches: int = 16
-    patch_size: int = 16
-    mask_ratio: float = 0.6
-    pe_hidden: int = 128
-    token_hidden: int = 128
-    fc_hidden: int = 256
-    fold_hidden: int = 64
-
-    def __post_init__(self):
-        if self.decoder_depth >= self.encoder_depth:
-            raise ValueError(
-                f"decoder depth {self.decoder_depth} must be smaller than "
-                f"encoder depth {self.encoder_depth}")
-        if self.feature_dim % self.num_heads:
-            raise ValueError(f"feature dim {self.feature_dim} not divisible by "
-                             f"{self.num_heads} heads")
-        if not 0.0 < self.mask_ratio < 1.0:
-            raise ValueError(f"mask ratio must be in (0, 1), got {self.mask_ratio}")
-
-
-def _as_tensor(x, dtype) -> Tensor:
+def _as_tensor(x, like: Linear) -> Tensor:
+    """Model input as a tensor in the dtype of the layer it enters."""
     if isinstance(x, Tensor):
         return x
-    return Tensor(np.asarray(x, dtype=dtype))
+    return Tensor(np.asarray(x, dtype=like.weight.data.dtype))
 
 
 class PointNetEncoder(Module):
     """Shared per-point MLP followed by a max pool over all points (Eq.-4 style
-    global feature); permutation-invariant by construction."""
+    global feature); permutation-invariant by construction. ``widths`` runs
+    from 3 to the feature dim."""
 
-    def __init__(self, config: PointNetEncoderConfig, rng: np.random.Generator,
-                 dtype=np.float32):
-        self.config = config
-        self.dtype = dtype
-        self.layers = mlp_chain(config.widths, rng, dtype)
+    def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
+        if len(widths) < 2 or widths[0] != 3:
+            raise ValueError(f"widths must start at 3 with at least one layer, got {widths}")
+        if any(w <= 0 for w in widths):
+            raise ValueError("widths must be positive")
+        self.layers = mlp_chain(widths, rng)
 
     def __call__(self, points) -> Tensor:
-        x = _as_tensor(points, self.dtype)  # (B, w, 3)
-        feat = run_mlp(self.layers, x)      # (B, w, d)
+        x = _as_tensor(points, self.layers[0])  # (B, w, 3)
+        feat = run_mlp(self.layers, x)          # (B, w, d)
         return ag.max_pool_over_axis(feat, axis=1)  # (B, d)
 
 
@@ -98,14 +63,13 @@ class TokenEmbedder(Module):
     neighbors; ``(B, n, k, 3)`` patches to ``(B, n, d)`` tokens. Input patches
     must be center-normalized."""
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
-        self.dtype = dtype
-        self.layers = mlp_chain((3, hidden, dim), rng, dtype)
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+        self.layers = mlp_chain((3, hidden, dim), rng)
 
     def __call__(self, patches) -> Tensor:
         if isinstance(patches, PatchSet):
             raise TypeError("pass PatchSet.patches after normalization, not the PatchSet")
-        x = _as_tensor(patches, self.dtype)  # (B, n, k, 3)
+        x = _as_tensor(patches, self.layers[0])  # (B, n, k, 3)
         b, n, k, _ = x.shape
         flat = ag.reshape(x, (b, n * k, 3))
         feat = ag.reshape(run_mlp(self.layers, flat), (b, n, k, -1))
@@ -126,13 +90,12 @@ class PositionalEmbed(Module):
     encoder and decoder each own an independent instance.
     """
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float32):
-        self.dtype = dtype
-        self.fc1 = Linear(3, hidden, rng, dtype)
-        self.fc2 = Linear(hidden, dim, rng, dtype, zero_init=True)
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+        self.fc1 = Linear(3, hidden, rng)
+        self.fc2 = Linear(hidden, dim, rng, zero_init=True)
 
     def __call__(self, centers) -> Tensor:
-        x = _as_tensor(centers, self.dtype)
+        x = _as_tensor(centers, self.fc1)
         return self.fc2(ag.gelu(self.fc1(x)))
 
 
@@ -142,9 +105,8 @@ class TransformerEncoder(Module):
     tokens carry no absolute position themselves)."""
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng, dtype)
-                       for _ in range(depth)]
+                 rng: np.random.Generator):
+        self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng) for _ in range(depth)]
 
     def __call__(self, tokens: Tensor, pe: Tensor) -> Tensor:
         x = tokens
@@ -163,12 +125,9 @@ class PatchDecoder(Module):
     """
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator, dtype=np.float32):
-        self.dim = dim
-        self.dtype = dtype
-        self.mask_token = Parameter(rng.normal(0.0, 0.02, size=(1, dim)).astype(dtype))
-        self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng, dtype)
-                       for _ in range(depth)]
+                 rng: np.random.Generator):
+        self.mask_token = Parameter(rng.normal(0.0, 0.02, size=(1, dim)))
+        self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng) for _ in range(depth)]
 
     def assemble(self, encoded: Tensor, plans: list[MaskPlan]) -> Tensor:
         visible = np.stack([p.visible for p in plans])
@@ -183,7 +142,7 @@ class PatchDecoder(Module):
         m = masked.shape[1]
         if m == 0:
             return vis
-        ones = Tensor(np.ones((b, m, 1), dtype=self.dtype))
+        ones = Tensor(np.ones((b, m, 1), dtype=self.mask_token.data.dtype))
         dup = ag.linear(ones, self.mask_token.tensor)  # (B, m, d), one stored vector
         return ag.add(vis, ag.scatter_rows(dup, masked, n))
 
@@ -209,11 +168,9 @@ class FCDecoder(Module):
     """Fully connected head: ``(B, d)`` feature vectors to ``(B, out_points, 3)``
     clouds."""
 
-    def __init__(self, in_dim: int, out_points: int, hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
+    def __init__(self, in_dim: int, out_points: int, hidden: int, rng: np.random.Generator):
         self.out_points = out_points
-        self.dtype = dtype
-        self.layers = mlp_chain((in_dim, hidden, 3 * out_points), rng, dtype)
+        self.layers = mlp_chain((in_dim, hidden, 3 * out_points), rng)
 
     def __call__(self, feature: Tensor) -> Tensor:
         b, d = feature.shape
@@ -240,11 +197,10 @@ class FoldDecoder(Module):
     or one ``(B, d)`` row per sample to ``(B, k, 3)``."""
 
     def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         self.points_per_patch = points_per_patch
-        self.dtype = dtype
-        self.grid = folding_grid(points_per_patch).astype(dtype)
-        self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng, dtype)
+        self.grid = folding_grid(points_per_patch)
+        self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng)
 
     def __call__(self, features: Tensor) -> Tensor:
         k = self.points_per_patch
@@ -253,9 +209,10 @@ class FoldDecoder(Module):
             return ag.reshape(self(ag.reshape(features, (b, 1, d))), (b, k, 3))
         b, m, d = features.shape
         # broadcast each row over its k seeds; add's backward sums them back
-        rep = ag.add(ag.reshape(features, (b, m, 1, d)), Tensor(np.zeros((k, 1), self.dtype)))
+        rep = ag.add(ag.reshape(features, (b, m, 1, d)), Tensor(np.zeros((k, 1), features.dtype)))
         rep = ag.reshape(rep, (b, m * k, d))                                # (B, m*k, d)
-        seeds = Tensor(np.broadcast_to(np.tile(self.grid, (m, 1)), (b, m * k, 2)))
+        grid = self.grid.astype(features.dtype)
+        seeds = Tensor(np.broadcast_to(np.tile(grid, (m, 1)), (b, m * k, 2)))
         x = ag.concat([seeds, rep], axis=2)
         pts = run_mlp(self.layers, x)                                       # (B, m*k, 3)
         return ag.reshape(pts, (b, m, k, 3))
@@ -266,9 +223,9 @@ class PatchFCHead(Module):
     (k, 3) patch."""
 
     def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
-                 rng: np.random.Generator, dtype=np.float32):
+                 rng: np.random.Generator):
         self.points_per_patch = points_per_patch
-        self.layers = mlp_chain((feat_dim, hidden, 3 * points_per_patch), rng, dtype)
+        self.layers = mlp_chain((feat_dim, hidden, 3 * points_per_patch), rng)
 
     def __call__(self, features: Tensor) -> Tensor:
         b, m, _ = features.shape
@@ -286,21 +243,19 @@ def pool_tokens(encoded: Tensor, kind: str = "max") -> Tensor:
 
 
 class GlobalCenterHead(Module):
-    """Pool the visible encoded tokens and predict all n patch centers."""
+    """Max-pool the visible encoded tokens and predict all n patch centers."""
 
     def __init__(self, dim: int, num_centers: int, rng: np.random.Generator,
-                 decoder: str = "fc", fc_hidden: int = 256, fold_hidden: int = 64,
-                 pool: str = "max", dtype=np.float32):
-        self.pool = pool
+                 decoder: str = "fc", fc_hidden: int = 256, fold_hidden: int = 64):
         if decoder == "fc":
-            self.head = FCDecoder(dim, num_centers, fc_hidden, rng, dtype)
+            self.head = FCDecoder(dim, num_centers, fc_hidden, rng)
         elif decoder == "fold":
-            self.head = FoldDecoder(dim, num_centers, fold_hidden, rng, dtype)
+            self.head = FoldDecoder(dim, num_centers, fold_hidden, rng)
         else:
             raise ValueError(f"unknown center decoder {decoder!r}")
 
     def __call__(self, encoded: Tensor) -> Tensor:
-        return self.head(pool_tokens(encoded, self.pool))
+        return self.head(pool_tokens(encoded, "max"))
 
 
 class CloudAutoencoder(Module):
@@ -310,18 +265,15 @@ class CloudAutoencoder(Module):
     the decoder is either fully connected or folding-based.
     """
 
-    def __init__(self, encoder_config: PointNetEncoderConfig, num_points: int,
-                 decoder: str = "fc", fc_hidden: int = 256, fold_hidden: int = 64,
-                 rng: np.random.Generator | None = None, dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        self.dtype = dtype
-        self.encoder = PointNetEncoder(encoder_config, rng, dtype)
-        if decoder == "fc":
-            self.decoder = FCDecoder(encoder_config.feature_dim, num_points, fc_hidden, rng, dtype)
-        elif decoder == "fold":
-            self.decoder = FoldDecoder(encoder_config.feature_dim, num_points, fold_hidden, rng, dtype)
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
+        hidden = tuple(int(x) for x in cfg.pointnet_hidden.split(",") if x.strip())
+        self.encoder = PointNetEncoder((3,) + hidden + (cfg.feature_dim,), rng)
+        if cfg.decoder == "fc":
+            self.decoder = FCDecoder(cfg.feature_dim, cfg.num_points, cfg.fc_hidden, rng)
+        elif cfg.decoder == "fold":
+            self.decoder = FoldDecoder(cfg.feature_dim, cfg.num_points, cfg.fold_hidden, rng)
         else:
-            raise ValueError(f"unknown decoder {decoder!r}")
+            raise ValueError(f"unknown decoder {cfg.decoder!r}")
 
     def reconstruct(self, visible_points) -> Tensor:
         """``(B, num_points, 3)`` clouds from ``(B, w, 3)`` visible points."""
@@ -337,32 +289,30 @@ class PatchAutoencoder(Module):
     receive transformed and vanilla centers respectively.
     """
 
-    def __init__(self, config: TransformerConfig, rng: np.random.Generator | None = None,
-                 whole_points: int | None = None, local_decoder: str = "fold",
-                 global_decoder: str = "fc", dtype=np.float32):
-        rng = rng if rng is not None else np.random.default_rng(0)
-        c = config
-        self.config = c
-        self.dtype = dtype
-        self.token_embed = TokenEmbedder(c.feature_dim, c.token_hidden, rng, dtype)
-        self.pos_embed_encoder = PositionalEmbed(c.feature_dim, c.pe_hidden, rng, dtype)
-        self.pos_embed_decoder = PositionalEmbed(c.feature_dim, c.pe_hidden, rng, dtype)
-        self.encoder = TransformerEncoder(c.feature_dim, c.encoder_depth, c.num_heads,
-                                          c.ffn_mult, rng, dtype)
-        self.patch_decoder = PatchDecoder(c.feature_dim, c.decoder_depth, c.num_heads,
-                                          c.ffn_mult, rng, dtype)
-        if local_decoder == "fold":
-            self.local_head = FoldDecoder(c.feature_dim, c.patch_size, c.fold_hidden, rng, dtype)
-        elif local_decoder == "fc":
-            self.local_head = PatchFCHead(c.feature_dim, c.patch_size, c.fc_hidden, rng, dtype)
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
+        if cfg.decoder_depth >= cfg.encoder_depth:
+            raise ValueError(
+                f"decoder depth {cfg.decoder_depth} must be smaller than "
+                f"encoder depth {cfg.encoder_depth}")
+        if not 0.0 < cfg.mask_ratio < 1.0:
+            raise ValueError(f"mask ratio must be in (0, 1), got {cfg.mask_ratio}")
+        d, ffn = cfg.feature_dim, cfg.ffn_mult
+        self.token_embed = TokenEmbedder(d, cfg.token_hidden, rng)
+        self.pos_embed_encoder = PositionalEmbed(d, cfg.pe_hidden, rng)
+        self.pos_embed_decoder = PositionalEmbed(d, cfg.pe_hidden, rng)
+        self.encoder = TransformerEncoder(d, cfg.encoder_depth, cfg.num_heads, ffn, rng)
+        self.patch_decoder = PatchDecoder(d, cfg.decoder_depth, cfg.num_heads, ffn, rng)
+        if cfg.local_decoder == "fold":
+            self.local_head = FoldDecoder(d, cfg.patch_size, cfg.fold_hidden, rng)
+        elif cfg.local_decoder == "fc":
+            self.local_head = PatchFCHead(d, cfg.patch_size, cfg.fc_hidden, rng)
         else:
-            raise ValueError(f"unknown local decoder {local_decoder!r}")
-        self.center_head = GlobalCenterHead(c.feature_dim, c.num_patches, rng,
-                                            decoder=global_decoder, fc_hidden=c.fc_hidden,
-                                            fold_hidden=c.fold_hidden, dtype=dtype)
-        # head for the direct whole-cloud objective variant; built on demand
-        self.whole_head = (FCDecoder(c.feature_dim, whole_points, c.fc_hidden, rng, dtype)
-                           if whole_points is not None else None)
+            raise ValueError(f"unknown local decoder {cfg.local_decoder!r}")
+        self.center_head = GlobalCenterHead(d, cfg.num_patches, rng, decoder=cfg.global_decoder,
+                                            fc_hidden=cfg.fc_hidden, fold_hidden=cfg.fold_hidden)
+        # head for the direct whole-cloud objective variant
+        self.whole_head = (FCDecoder(d, cfg.num_points, cfg.fc_hidden, rng)
+                           if cfg.objective == "whole" else None)
 
     def encode_visible(self, visible_patches: PatchSet) -> Tensor:
         """``(B, v, d)`` encoded tokens of a batch of visible (normalized)

@@ -17,22 +17,21 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, backward
-from .corruption import (ALL_FAMILIES, AffineFamilySpec, MaskPlan, mask_fixed_clusters,
+from .corruption import (AffineFamilySpec, MaskPlan, mask_fixed_clusters,
                          mask_patches, mask_random_clusters, mask_view_occlusion,
                          sample_affine)
 from .data import DatasetManifest, load_split
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
 from .losses import LossReport, chamfer, loss_all, loss_global, loss_local, loss_reports
-from .models import (CloudAutoencoder, PatchAutoencoder, PointNetEncoderConfig,
-                     TransformerConfig)
+from .models import CloudAutoencoder, PatchAutoencoder
 
 POINT_MASKS = ("random", "fixed", "view", "none")
 PATCH_MASKS = ("patch", "none")
@@ -222,8 +221,11 @@ def scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments.
 
-    Moment buffers live on the parameters; the step count lives here and is
-    checkpointed so a resumed run continues bias correction exactly.
+    The optimizer owns its state: one pair of moment buffers per parameter,
+    zero-filled in the parameter's dtype when the optimizer is built, and
+    the step count. Both are checkpointed so a resumed run continues
+    exactly; a model used only for inference has no optimizer and holds no
+    moments.
 
     Every scalar is held as a Python float, which NumPy casts to the array's
     dtype under both value-based casting (NumPy 1) and NEP 50 (NumPy 2), and
@@ -234,6 +236,8 @@ class AdamW:
     def __init__(self, params: list[Parameter], beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.05):
         self.params = list(params)
+        self.moment1 = [np.zeros_like(p.data) for p in self.params]
+        self.moment2 = [np.zeros_like(p.data) for p in self.params]
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
@@ -250,21 +254,18 @@ class AdamW:
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        # overflow here only happens on an already-diverging run; the loop's
-        # non-finite-loss abort is the safety net
-        with np.errstate(over="ignore", invalid="ignore"):
-            for p in self.params:
-                w, m1, m2 = p.data, p.moment1, p.moment2
-                if self.weight_decay:
-                    w *= 1.0 - lr * self.weight_decay
-                g = np.zeros_like(w) if p.grad is None else p.grad.astype(w.dtype, copy=False)
-                m1 *= self.beta1
-                m1 += (1.0 - self.beta1) * g
-                m2 *= self.beta2
-                m2 += (1.0 - self.beta2) * (g * g)
-                update = lr * (m1 / bias1)
-                update /= np.sqrt(m2 / bias2) + self.eps
-                w -= update
+        for p, m1, m2 in zip(self.params, self.moment1, self.moment2):
+            w = p.data
+            if self.weight_decay:
+                w *= 1.0 - lr * self.weight_decay
+            g = np.zeros_like(w) if p.grad is None else p.grad.astype(w.dtype, copy=False)
+            m1 *= self.beta1
+            m1 += (1.0 - self.beta1) * g
+            m2 *= self.beta2
+            m2 += (1.0 - self.beta2) * (g * g)
+            update = lr * (m1 / bias1)
+            update /= np.sqrt(m2 / bias2) + self.eps
+            w -= update
 
 
 # ---------------------------------------------------------------------------
@@ -389,25 +390,13 @@ def prepare_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamilySpec,
 
 
 def build_model(cfg: TrainConfig):
-    """Construct the encoder clan's model from the config, deterministically."""
+    """Construct the encoder clan's model from the config, deterministically,
+    with every parameter in the config's dtype."""
     cfg = cfg.resolved()
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
-    if cfg.encoder == "pointnet":
-        hidden = tuple(int(x) for x in cfg.pointnet_hidden.split(",") if x.strip())
-        enc_cfg = PointNetEncoderConfig(widths=(3,) + hidden + (cfg.feature_dim,))
-        return CloudAutoencoder(enc_cfg, num_points=cfg.num_points, decoder=cfg.decoder,
-                                fc_hidden=cfg.fc_hidden, fold_hidden=cfg.fold_hidden,
-                                rng=rng, dtype=cfg.dtype)
-    tcfg = TransformerConfig(feature_dim=cfg.feature_dim, encoder_depth=cfg.encoder_depth,
-                             decoder_depth=cfg.decoder_depth, num_heads=cfg.num_heads,
-                             ffn_mult=cfg.ffn_mult, num_patches=cfg.num_patches,
-                             patch_size=cfg.patch_size, mask_ratio=cfg.mask_ratio,
-                             pe_hidden=cfg.pe_hidden, token_hidden=cfg.token_hidden,
-                             fc_hidden=cfg.fc_hidden, fold_hidden=cfg.fold_hidden)
-    whole = cfg.num_points if cfg.objective == "whole" else None
-    return PatchAutoencoder(tcfg, rng=rng, whole_points=whole,
-                            local_decoder=cfg.local_decoder,
-                            global_decoder=cfg.global_decoder, dtype=cfg.dtype)
+    model = (CloudAutoencoder if cfg.encoder == "pointnet" else PatchAutoencoder)(cfg, rng)
+    model.cast(cfg.dtype)
+    return model
 
 
 def sample_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
@@ -443,11 +432,12 @@ class Checkpoint:
 
 
 def snapshot(model, opt: AdamW, cfg: TrainConfig, epoch: int) -> Checkpoint:
+    """The run's state; ``opt`` must be the optimizer of ``model.parameters()``."""
     params, m1, m2 = {}, {}, {}
-    for name, p in model.named_parameters():
+    for (name, p), moment1, moment2 in zip(model.named_parameters(), opt.moment1, opt.moment2):
         params[name] = p.data.copy()
-        m1[name] = p.moment1.copy()
-        m2[name] = p.moment2.copy()
+        m1[name] = moment1.copy()
+        m2[name] = moment2.copy()
     return Checkpoint(config_text=cfg.to_text(), fingerprint=cfg.fingerprint(),
                       epoch=epoch, step=opt.step_count,
                       rng_state={"scheme": "stateless-derived", "seed": cfg.seed,
@@ -455,16 +445,20 @@ def snapshot(model, opt: AdamW, cfg: TrainConfig, epoch: int) -> Checkpoint:
                       params=params, moments1=m1, moments2=m2)
 
 
-def restore(model, opt: AdamW, ckpt: Checkpoint) -> None:
+def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
+    """Load the checkpoint's parameters into ``model``, and its moments and
+    step count into ``opt``, the optimizer of ``model.parameters()``, if given."""
     names = {name for name, _ in model.named_parameters()}
     if names != set(ckpt.params):
         missing = sorted(names ^ set(ckpt.params))
         raise ValueError(f"checkpoint does not match the model: mismatched names {missing[:5]}")
-    for name, p in model.named_parameters():
+    for i, (name, p) in enumerate(model.named_parameters()):
         p.data = ckpt.params[name]
-        p.moment1 = p.conform(ckpt.moments1[name])
-        p.moment2 = p.conform(ckpt.moments2[name])
-    opt.step_count = ckpt.step
+        if opt is not None:
+            opt.moment1[i] = p.conform(ckpt.moments1[name])
+            opt.moment2[i] = p.conform(ckpt.moments2[name])
+    if opt is not None:
+        opt.step_count = ckpt.step
 
 
 def _write_array(out: list[bytes], arr: np.ndarray) -> None:
@@ -596,7 +590,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     if resume is not None:
         if resume.fingerprint != cfg.fingerprint():
             raise ValueError("checkpoint config fingerprint does not match the requested config")
-        restore(model, opt, resume)
+        restore(model, resume, opt)
         start_epoch = resume.epoch
 
     spec = cfg.affine_spec()
@@ -611,21 +605,25 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
         for lo in range(0, len(order), cfg.batch_size):
             batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
             model.zero_grad()
-            for mlo in range(0, len(batch), MICRO_BATCH):
-                micro = batch[mlo:mlo + MICRO_BATCH]
-                samples = [prepare_sample(clouds[idx], cfg, spec, sample_rng(cfg.seed, epoch, idx))
-                           for idx in micro]
-                totals, micro_reports = sample_loss(model, samples, cfg)
-                for idx, report in zip(micro, micro_reports):
-                    if not np.isfinite(report.total):
-                        raise DivergenceError(
-                            f"non-finite loss at epoch {epoch + 1}, sample {idx}; "
-                            f"aborting with the checkpoint from epoch {last_finite.epoch}",
-                            last_finite)
-                    reports[idx] = report
-                backward(ag.scale(ag.sum_in_order(totals), 1.0 / len(batch)))
-                del totals  # free this graph before the next one is built
-            opt.step(lr)
+            # overflow happens only on a run that is diverging; the
+            # non-finite loss check below is the safety net
+            with np.errstate(over="ignore", invalid="ignore"):
+                for mlo in range(0, len(batch), MICRO_BATCH):
+                    micro = batch[mlo:mlo + MICRO_BATCH]
+                    samples = [prepare_sample(clouds[idx], cfg, spec,
+                                              sample_rng(cfg.seed, epoch, idx))
+                               for idx in micro]
+                    totals, micro_reports = sample_loss(model, samples, cfg)
+                    for idx, report in zip(micro, micro_reports):
+                        if not np.isfinite(report.total):
+                            raise DivergenceError(
+                                f"non-finite loss at epoch {epoch + 1}, sample {idx}; "
+                                f"aborting with the checkpoint from epoch {last_finite.epoch}",
+                                last_finite)
+                        reports[idx] = report
+                    backward(ag.scale(ag.sum_in_order(totals), 1.0 / len(batch)))
+                    del totals  # free this graph before the next one is built
+                opt.step(lr)
 
         # average in canonical sample order so the epoch metric does not
         # depend on the shuffle (float summation is order-sensitive)

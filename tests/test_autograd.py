@@ -14,6 +14,15 @@ def t(data, requires_grad=True):
     return Tensor(np.asarray(data, dtype=np.float64), requires_grad=requires_grad)
 
 
+def total(x):
+    """The sum of every entry of ``x``: a scalar loss made of graph nodes."""
+    return ag.sum_in_order(ag.reshape(x, (-1,)))
+
+
+def mean(x):
+    return ag.scale(total(x), 1.0 / x.data.size)
+
+
 class TestForwardValues:
     def test_relu(self):
         out = ag.relu(t([-1.0, 0.0, 2.0]))
@@ -30,7 +39,7 @@ class TestForwardValues:
     def test_gelu_keeps_float32(self):
         x = Tensor(np.linspace(-3.0, 3.0, 12, dtype=np.float32), requires_grad=True)
         y = ag.gelu(x)
-        backward(ag.sum_all(y))
+        backward(total(y))
         assert y.dtype == np.float32 and x.grad.dtype == np.float32
 
     def test_shape_mismatch_reports_both(self):
@@ -41,17 +50,17 @@ class TestForwardValues:
 class TestBackwardBasics:
     def test_sum_gradient_is_ones(self):
         x = t(np.arange(6.0).reshape(2, 3))
-        backward(ag.sum_all(x))
+        backward(total(x))
         np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
 
     def test_square_gradient(self):
         x = t([3.0])
-        backward(ag.sum_all(ag.mul(x, x)))
+        backward(total(ag.mul(x, x)))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_two_uses_accumulate(self):
         x = t([1.0, 2.0])
-        y = ag.add(ag.sum_all(x), ag.sum_all(ag.scale(x, 2.0)))
+        y = ag.add(total(x), total(ag.scale(x, 2.0)))
         backward(y)
         np.testing.assert_allclose(x.grad, [3.0, 3.0])
 
@@ -62,20 +71,20 @@ class TestBackwardBasics:
     def test_unreached_parameter_gets_no_grad(self):
         x = t([1.0])
         unused = t([5.0])
-        backward(ag.sum_all(ag.scale(x, 3.0)))
+        backward(total(ag.scale(x, 3.0)))
         assert unused.grad is None
 
     def test_grad_accumulates_across_calls(self):
         x = t([1.0])
-        backward(ag.sum_all(x))
-        backward(ag.sum_all(x))
+        backward(total(x))
+        backward(total(x))
         np.testing.assert_allclose(x.grad, [2.0])
 
     def test_repeated_backward_adds_one_gradient_per_call(self):
         # intermediate grads are freed after each sweep, so a second sweep
         # over the same graph adds exactly one more gradient
         x = t([1.0, 2.0])
-        y = ag.sum_all(ag.mul(ag.scale(x, 3.0), x))
+        y = total(ag.mul(ag.scale(x, 3.0), x))
         backward(y)
         np.testing.assert_array_equal(x.grad, [6.0, 12.0])
         backward(y)
@@ -86,7 +95,7 @@ class TestBackwardBasics:
         hidden = ag.scale(x, 2.0)
         kept = ag.scale(x, 3.0)
         kept.requires_grad = True
-        backward(ag.sum_all(ag.mul(hidden, kept)))
+        backward(total(ag.mul(hidden, kept)))
         assert hidden.grad is None
         np.testing.assert_array_equal(kept.grad, hidden.data)
 
@@ -99,7 +108,7 @@ class TestBackwardBasics:
     def test_linear_function_fd_is_exact(self):
         # central differences are exact for affine functions
         x = t(np.random.default_rng(1).standard_normal(5))
-        err = finite_difference_check(lambda v: ag.sum_all(ag.scale(v, 3.5)), x)
+        err = finite_difference_check(lambda v: total(ag.scale(v, 3.5)), x)
         assert err < 1e-9
 
 
@@ -129,73 +138,72 @@ def fd_cases():
     w_ln, w_scatter = Tensor(r(2, 3, 4)), Tensor(r(2, 5, 2))
 
     def sq(y):  # a quadratic reducer: every gradient depends on every input
-        return ag.sum_all(ag.mul(y, y))
+        return total(ag.mul(y, y))
 
     return [
         case("linear_x", lambda x: sq(ag.linear(x, lw, lb)), r(2, 3, 4)),
         case("linear_w", lambda w: sq(ag.linear(lx, w, lb)), r(4, 5)),
         case("linear_b", lambda b: sq(ag.linear(lx, lw, b)), r(5)),
         case("linear_no_bias", lambda w: sq(ag.linear(lx, w)), r(4, 5)),
-        case("layer_norm_affine_x", lambda x: ag.sum_all(
+        case("layer_norm_affine_x", lambda x: total(
             ag.mul(ag.layer_norm(x, ln_gain, ln_shift), w_ln)), r(2, 3, 4)),
         case("layer_norm_gain", lambda g: sq(ag.layer_norm(lx, g, ln_shift)), r(4)),
         case("layer_norm_shift", lambda b: sq(ag.layer_norm(lx, ln_gain, b)), r(4)),
         case("gather_batched", lambda x: sq(ag.gather_rows(x, [[0, 2, 2], [1, 0, 3]])),
              r(2, 4, 3)),
-        case("scatter_batched", lambda x: ag.sum_all(ag.mul(
+        case("scatter_batched", lambda x: total(ag.mul(
             ag.scatter_rows(x, [[4, 1, 0], [2, 3, 1]], 5), w_scatter)), r(2, 3, 2)),
         case("sum_in_order_axis1", lambda x: sq(ag.sum_in_order(x, axis=1)), r(2, 5, 3)),
-        case("add_broadcast", lambda x: ag.sum_all(ag.mul(ag.add(x, consts["b2"]),
+        case("add_broadcast", lambda x: total(ag.mul(ag.add(x, consts["b2"]),
                                                           ag.add(x, consts["b2"]))), r(4, 3)),
-        case("add_bias_row", lambda x: ag.sum_all(ag.mul(ag.add(consts["b2"], x),
+        case("add_bias_row", lambda x: total(ag.mul(ag.add(consts["b2"], x),
                                                          ag.add(consts["b2"], x))), r(3)),
-        case("mul", lambda x: ag.sum_all(ag.mul(x, consts["b2"])), r(4, 3)),
-        case("scale", lambda x: ag.sum_all(ag.scale(x, -2.5)), r(4, 3)),
-        case("matmul_2d", lambda x: ag.sum_all(ag.mul(ag.matmul(x, consts["m2"]),
+        case("mul", lambda x: total(ag.mul(x, consts["b2"])), r(4, 3)),
+        case("scale", lambda x: total(ag.scale(x, -2.5)), r(4, 3)),
+        case("matmul_2d", lambda x: total(ag.mul(ag.matmul(x, consts["m2"]),
                                                       ag.matmul(x, consts["m2"]))), r(4, 3)),
-        case("matmul_stacked", lambda x: ag.sum_all(ag.matmul(x, consts["m3"])), r(2, 4, 5)),
-        case("concat", lambda x: ag.sum_all(ag.mul(ag.concat([x, consts["cat_other"]], axis=0),
+        case("matmul_stacked", lambda x: total(ag.matmul(x, consts["m3"])), r(2, 4, 5)),
+        case("concat", lambda x: total(ag.mul(ag.concat([x, consts["cat_other"]], axis=0),
                                                    ag.concat([x, consts["cat_other"]], axis=0))),
              r(3, 3)),
-        case("reshape", lambda x: ag.sum_all(ag.mul(ag.reshape(x, (6, 2)),
+        case("reshape", lambda x: total(ag.mul(ag.reshape(x, (6, 2)),
                                                     ag.reshape(x, (6, 2)))), r(3, 4)),
-        case("transpose", lambda x: ag.sum_all(ag.mul(ag.transpose(x, (1, 2, 0)),
+        case("transpose", lambda x: total(ag.mul(ag.transpose(x, (1, 2, 0)),
                                                       ag.transpose(x, (1, 2, 0)))), r(2, 3, 4)),
-        case("relu", lambda x: ag.sum_all(ag.relu(x)), r(4, 4) + 0.05),
-        case("gelu", lambda x: ag.sum_all(ag.gelu(x)), r(4, 4)),
-        case("softmax", lambda x: ag.sum_all(ag.mul(ag.softmax(x, axis=-1), consts["b2"])),
+        case("relu", lambda x: total(ag.relu(x)), r(4, 4) + 0.05),
+        case("gelu", lambda x: total(ag.gelu(x)), r(4, 4)),
+        case("softmax", lambda x: total(ag.mul(ag.softmax(x, axis=-1), consts["b2"])),
              r(4, 3)),
-        case("layer_norm", lambda x: ag.sum_all(ag.mul(ag.layer_norm(x), consts["b2"])),
+        case("layer_norm", lambda x: total(ag.mul(ag.layer_norm(x), consts["b2"])),
              r(4, 3)),
-        case("max_pool", lambda x: ag.sum_all(ag.max_pool_over_axis(x, axis=1)), r(4, 5)),
-        case("min_over_axis", lambda x: ag.sum_all(ag.min_over_axis(x, axis=0)), r(4, 5)),
-        case("mean_pool", lambda x: ag.sum_all(ag.mul(ag.mean_pool_over_axis(x, axis=0),
+        case("max_pool", lambda x: total(ag.max_pool_over_axis(x, axis=1)), r(4, 5)),
+        case("min_over_axis", lambda x: total(ag.min_over_axis(x, axis=0)), r(4, 5)),
+        case("mean_pool", lambda x: total(ag.mul(ag.mean_pool_over_axis(x, axis=0),
                                                       ag.mean_pool_over_axis(x, axis=0))),
              r(4, 3)),
-        case("mean_all", lambda x: ag.mean_all(ag.mul(x, x)), r(4, 3)),
-        case("gather_repeated", lambda x: ag.sum_all(
+        case("gather_repeated", lambda x: total(
             ag.mul(ag.gather_rows(x, [0, 2, 2, 1]), ag.gather_rows(x, [0, 2, 2, 1]))), r(3, 4)),
-        case("scatter", lambda x: ag.sum_all(
+        case("scatter", lambda x: total(
             ag.mul(ag.scatter_rows(x, [4, 1, 0], 6), ag.scatter_rows(x, [4, 1, 0], 6))),
              r(3, 2)),
-        case("pairwise_sqdist", lambda x: ag.mean_all(ag.pairwise_sqdist(x, consts["b2"])),
+        case("pairwise_sqdist", lambda x: mean(ag.pairwise_sqdist(x, consts["b2"])),
              r(5, 3)),
         case("pairwise_sqdist_batched", lambda x: ag.add(
-            ag.mean_all(ag.pairwise_sqdist(x, consts["b3"])),
-            ag.mean_all(ag.mul(ag.pairwise_sqdist(consts["b3"], x),
+            mean(ag.pairwise_sqdist(x, consts["b3"])),
+            mean(ag.mul(ag.pairwise_sqdist(consts["b3"], x),
                                ag.pairwise_sqdist(consts["b3"], x)))), r(2, 5, 3)),
-        case("sum_in_order", lambda x: ag.sum_all(ag.mul(ag.sum_in_order(x),
+        case("sum_in_order", lambda x: total(ag.mul(ag.sum_in_order(x),
                                                          ag.sum_in_order(x))), r(5, 3)),
         case("chamfer_composite", lambda x: ag.add(
-            ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=1)),
-            ag.mean_all(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=0))),
+            mean(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=1)),
+            mean(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=0))),
              r(6, 3)),
         case("chamfer", lambda x: ag.add(chamfer(x, consts["c2"]),
                                          ag.mul(chamfer(consts["c2"], x), chamfer(consts["c2"], x))),
              r(6, 3)),
         case("chamfer_batched", lambda x: ag.add(
-            ag.sum_all(chamfer(x, consts["c3"])),
-            ag.sum_all(ag.mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
+            total(chamfer(x, consts["c3"])),
+            total(ag.mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
     ]
 
 
@@ -218,7 +226,7 @@ def test_every_primitive_many_shapes():
         rows = int(rng.integers(2, 6))
         cols = int(rng.integers(2, 6))
         x = t(rng.standard_normal((rows, cols)))
-        err = finite_difference_check(lambda v: ag.sum_all(op(v)), x)
+        err = finite_difference_check(lambda v: total(op(v)), x)
         assert err < TOL, f"trial {trial}: {err}"
 
 
@@ -248,12 +256,12 @@ class TestBatchedPairwise:
 class TestPoolTieBreaking:
     def test_max_pool_routes_to_first_argmax(self):
         x = t(np.array([[1.0, 1.0, 0.5]]))
-        backward(ag.sum_all(ag.max_pool_over_axis(x, axis=1)))
+        backward(total(ag.max_pool_over_axis(x, axis=1)))
         np.testing.assert_array_equal(x.grad, [[1.0, 0.0, 0.0]])
 
     def test_min_routes_to_first_argmin(self):
         x = t(np.array([[0.5, 0.1, 0.1]]))
-        backward(ag.sum_all(ag.min_over_axis(x, axis=1)))
+        backward(total(ag.min_over_axis(x, axis=1)))
         np.testing.assert_array_equal(x.grad, [[0.0, 1.0, 0.0]])
 
 
@@ -280,7 +288,7 @@ class TestSparsePairwiseBackward:
         # the graph losses.chamfer builds: one nonzero per row and per column
         fwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1)
         bwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1)
-        return ag.sum_all(ag.add(fwd, bwd))
+        return total(ag.add(fwd, bwd))
 
     def test_chamfer_graphs_equal_dense_sum(self):
         rng = np.random.default_rng(21)
@@ -305,7 +313,7 @@ class TestSparsePairwiseBackward:
                 a, b = (rng.standard_normal(lead + (n, 3)).astype(dtype) for n in (p, q))
                 other = ag.pairwise_sqdist(Tensor(rng.standard_normal(lead + (p, 3)).astype(dtype)),
                                            Tensor(rng.standard_normal(lead + (q, 3)).astype(dtype)))
-                self.check(a, b, lambda d: ag.sum_all(ag.mul(d, other)))
+                self.check(a, b, lambda d: total(ag.mul(d, other)))
 
     def test_constant_side_gets_no_grad(self):
         # Chamfer's target is a constant; the other side's gradient is unchanged
@@ -355,7 +363,7 @@ class TestChamferNode:
     def run(loss_of, a, b, weights):
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         value = loss_of(ta, tb)
-        backward(ag.sum_all(ag.mul(value, Tensor(weights))))
+        backward(total(ag.mul(value, Tensor(weights))))
         return value.data, ta.grad, tb.grad
 
     def test_equals_composition_bit_for_bit(self):
@@ -450,7 +458,7 @@ class TestPoolPicksFirstExtremum:
                                       (ag.max_pool_over_axis, np.argmax)):
                         xt = Tensor(x.astype(dtype), requires_grad=True)
                         out = pool(xt, axis)
-                        backward(ag.sum_all(out))
+                        backward(total(out))
                         pick = np.expand_dims(arg(xt.data, axis=axis), axis)
                         expected = np.zeros_like(xt.data)
                         np.put_along_axis(expected, pick, 1.0, axis=axis)
@@ -491,7 +499,7 @@ class TestBatchAxis:
                              for s in ((b, n, d_in), (d_in, d_out), (d_out,), (b, n, d_out)))
             tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, bias))
             out = ag.linear(tx, tw, tb)
-            backward(ag.sum_all(ag.mul(out, Tensor(g))))
+            backward(total(ag.mul(out, Tensor(g))))
             want_w = want_b = None
             for i in range(b):
                 assert out.data[i].tobytes() == (x[i] @ w + bias).tobytes()
@@ -509,12 +517,12 @@ class TestBatchAxis:
         gain, shift = (rng.standard_normal(128).astype(dtype) for _ in range(2))
         tx, tg, ts = (Tensor(a, requires_grad=True) for a in (x, gain, shift))
         out = ag.layer_norm(tx, tg, ts)
-        backward(ag.sum_all(ag.mul(out, Tensor(g.astype(dtype)))))
+        backward(total(ag.mul(out, Tensor(g.astype(dtype)))))
         rg, rs = Tensor(gain, requires_grad=True), Tensor(shift, requires_grad=True)
         for i in range(4):
             row = Tensor(x[i], requires_grad=True)
             want = ag.add(ag.mul(ag.layer_norm(row), rg), rs)
-            backward(ag.sum_all(ag.mul(want, Tensor(g[i].astype(dtype)))))
+            backward(total(ag.mul(want, Tensor(g[i].astype(dtype)))))
             assert out.data[i].tobytes() == want.data.tobytes()
             assert tx.grad[i].tobytes() == row.grad.tobytes()
         assert tg.grad.tobytes() == rg.grad.tobytes()

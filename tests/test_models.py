@@ -7,33 +7,41 @@ from recloud.corruption import mask_patches
 from recloud.geometry import PatchSet, normalize_patches, patchify
 from recloud.layers import LayerNorm, Linear, SelfAttention, TransformerBlock
 from recloud.models import (CloudAutoencoder, FCDecoder, FoldDecoder, GlobalCenterHead,
-                            PatchAutoencoder, PatchDecoder, PatchFCHead,
-                            PointNetEncoder, PointNetEncoderConfig, PositionalEmbed,
-                            TokenEmbedder, TransformerConfig, TransformerEncoder,
-                            embed_tokens, folding_grid)
+                            PatchAutoencoder, PatchDecoder, PatchFCHead, PointNetEncoder,
+                            PositionalEmbed, TokenEmbedder, TransformerEncoder, embed_tokens,
+                            folding_grid)
+from recloud.trainer import TrainConfig
 
 
 def rng_():
     return np.random.default_rng(0)
 
 
+def patch_cfg(**overrides):
+    """A small transformer config; the layers below are built in float64."""
+    base = dict(encoder="transformer", feature_dim=16, encoder_depth=2, decoder_depth=1,
+                num_heads=2, ffn_mult=2, num_patches=8, patch_size=8, pe_hidden=16,
+                token_hidden=16, fc_hidden=32, fold_hidden=16)
+    return TrainConfig(**{**base, **overrides}).resolved()
+
+
 class TestConfigs:
     def test_decoder_must_be_shallower(self):
         with pytest.raises(ValueError, match="smaller"):
-            TransformerConfig(encoder_depth=2, decoder_depth=2)
+            PatchAutoencoder(patch_cfg(encoder_depth=2, decoder_depth=2), rng_())
 
     def test_heads_divide_dim(self):
         with pytest.raises(ValueError, match="divisible"):
-            TransformerConfig(feature_dim=30, num_heads=4)
+            PatchAutoencoder(patch_cfg(feature_dim=30, num_heads=4), rng_())
 
     def test_pointnet_widths(self):
         with pytest.raises(ValueError):
-            PointNetEncoderConfig(widths=(4, 8))
+            PointNetEncoder((4, 8), rng_())
 
 
 class TestPointNetEncoder:
     def test_permutation_invariance_bitwise(self):
-        enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
+        enc = PointNetEncoder((3, 16, 8), rng_())
         pts = np.random.default_rng(1).standard_normal((40, 3))
         perm = np.random.default_rng(2).permutation(40)
         a = enc(pts[None]).data
@@ -41,21 +49,23 @@ class TestPointNetEncoder:
         np.testing.assert_array_equal(a, b)
 
     def test_single_point_equals_mlp(self):
-        enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
+        # the float64 input enters in the dtype of the encoder's weights
+        enc = PointNetEncoder((3, 16, 8), rng_())
+        enc.cast(np.float32)
         pt = np.array([[[0.3, -0.2, 0.9]]])
         from recloud.layers import run_mlp
         direct = run_mlp(enc.layers, Tensor(pt.astype(np.float32))).data[:, 0]
         np.testing.assert_array_equal(enc(pt).data, direct)
 
     def test_output_dim_independent_of_count(self):
-        enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
+        enc = PointNetEncoder((3, 16, 8), rng_())
         for w in (1, 5, 64):
             assert enc(np.zeros((1, w, 3))).shape == (1, 8)
 
 
 class TestFreeze:
     def test_frozen_forward_is_equal_and_records_no_graph(self):
-        enc = PointNetEncoder(PointNetEncoderConfig((3, 16, 8)), rng_())
+        enc = PointNetEncoder((3, 16, 8), rng_())
         pts = np.random.default_rng(3).standard_normal((2, 40, 3))
         want = enc(pts)
         assert want._parents
@@ -132,7 +142,7 @@ class TestTransformerEncoder:
 
     def test_permutation_equivariance(self):
         # float64 keeps the reordered reductions at round-off scale
-        enc = TransformerEncoder(16, 2, 4, 2, rng_(), dtype=np.float64)
+        enc = TransformerEncoder(16, 2, 4, 2, rng_())
         rng = np.random.default_rng(12)
         x = rng.standard_normal((7, 16))
         pe = rng.standard_normal((7, 16))
@@ -244,18 +254,16 @@ def block_count(d, mult):
 
 class TestParameterCounts:
     def test_pointnet_autoencoder(self):
-        cfg = PointNetEncoderConfig((3, 32, 64, 16))
-        model = CloudAutoencoder(cfg, num_points=50, decoder="fc", fc_hidden=128,
-                                 rng=rng_())
+        cfg = TrainConfig(encoder="pointnet", pointnet_hidden="32,64", feature_dim=16,
+                          num_points=50, decoder="fc", fc_hidden=128)
+        model = CloudAutoencoder(cfg, rng_())
         expected = (linear_count(3, 32) + linear_count(32, 64) + linear_count(64, 16)
                     + linear_count(16, 128) + linear_count(128, 150))
         assert model.num_parameters() == expected
 
     def test_patch_autoencoder(self):
-        tc = TransformerConfig(feature_dim=16, encoder_depth=2, decoder_depth=1,
-                               num_heads=2, ffn_mult=2, num_patches=8, patch_size=8,
-                               pe_hidden=32, token_hidden=32, fc_hidden=64, fold_hidden=32)
-        model = PatchAutoencoder(tc, rng=rng_())
+        cfg = patch_cfg(pe_hidden=32, token_hidden=32, fc_hidden=64, fold_hidden=32)
+        model = PatchAutoencoder(cfg, rng_())
         d = 16
         expected = (
             linear_count(3, 32) + linear_count(32, d)          # token embed
@@ -275,10 +283,7 @@ class TestParameterCounts:
 class TestGradientFlow:
     def test_every_parameter_reached_by_decomposed_loss(self):
         from recloud.losses import loss_all, loss_global, loss_local
-        tc = TransformerConfig(feature_dim=16, encoder_depth=2, decoder_depth=1,
-                               num_heads=2, ffn_mult=2, num_patches=8, patch_size=8,
-                               pe_hidden=16, token_hidden=16, fc_hidden=32, fold_hidden=16)
-        model = PatchAutoencoder(tc, rng=rng_(), dtype=np.float64)
+        model = PatchAutoencoder(patch_cfg(), rng_())
         rng = np.random.default_rng(24)
         pts = rng.standard_normal((64, 3))
         ps = normalize_patches(patchify(pts, 8, 8, rng))

@@ -8,12 +8,12 @@ from recloud import cli
 from recloud.autograd import Tensor, backward
 from recloud.corruption import sample_affine
 from recloud.data import SynthSpec, load_split, read_cloud, synth_generate, write_cloud
-from recloud.geometry import affine_apply
+from recloud.geometry import affine_apply, denormalize_patches
 from recloud.layers import Parameter
 from recloud.losses import chamfer
 from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, build_model,
                              cosine_lr, load_checkpoint, parse_config_text,
-                             prepare_cloud_sample, prepare_sample,
+                             prepare_sample,
                              pretrain, restore, sample_loss, sample_rng, save_checkpoint,
                              scheduled_lr, snapshot)
 
@@ -128,17 +128,18 @@ class TestAdamW:
         opt = AdamW([p], weight_decay=0.0)
         p.tensor.grad = np.full(4, 2.0)
         opt.step(0.01)
-        np.testing.assert_allclose(p.moment1, 0.2)
-        np.testing.assert_allclose(p.moment2, 0.004)
+        np.testing.assert_allclose(opt.moment1[0], 0.2)
+        np.testing.assert_allclose(opt.moment2[0], 0.004)
         assert opt.step_count == 1
 
     def test_float64_lr_keeps_float32(self):
         p = Parameter(np.full(4, 1.0, dtype=np.float32))
         p.tensor.grad = np.full(4, 0.5, dtype=np.float32)
-        AdamW([p], weight_decay=0.05).step(np.float64(0.01))
-        for arr in (p.data, p.moment1, p.moment2):
+        opt = AdamW([p], weight_decay=0.05)
+        opt.step(np.float64(0.01))
+        for arr in (p.data, opt.moment1[0], opt.moment2[0]):
             assert arr.dtype == np.float32
-        assert np.all(p.data != 1.0) and np.all(p.moment1 != 0.0)
+        assert np.all(p.data != 1.0) and np.all(opt.moment1[0] != 0.0)
 
 
 class TestSampleStep:
@@ -211,19 +212,25 @@ class TestSampleStep:
 class TestCorruptCommand:
     """``recloud corrupt`` masks a cloud as the trainer does its first sample."""
 
-    @pytest.mark.parametrize("mask", ["none", "random", "fixed", "view"])
+    @pytest.mark.parametrize("mask", ["none", "random", "fixed", "view", "patch"])
     def test_writes_the_visible_points_of_prepare_cloud_sample(self, tmp_path, mask):
         rng = np.random.default_rng(8)
         write_cloud(tmp_path / "in.xyz", rng.standard_normal((120, 3)))
         rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
                        str(tmp_path / "out"), "--mask", mask, "--alpha", "0.4",
-                       "--cluster-size", "7", "--max-clusters", "5", "--seed", "13"])
+                       "--cluster-size", "7", "--max-clusters", "5", "--patches", "8",
+                       "--patch-size", "8", "--seed", "13"])
         assert rc == 0
-        cfg = TrainConfig(encoder="pointnet", mask_strategy=mask, mask_ratio=0.4,
-                          cluster_size=7, max_clusters=5, seed=13)
-        sample = prepare_cloud_sample(read_cloud(tmp_path / "in.xyz"), cfg, cfg.affine_spec(),
-                                      sample_rng(13, 0, 0))
-        write_cloud(tmp_path / "want.xyz", sample.visible)
+        encoder = "transformer" if mask == "patch" else "pointnet"
+        cfg = TrainConfig(encoder=encoder, mask_strategy=mask, mask_ratio=0.4,
+                          cluster_size=7, max_clusters=5, num_patches=8, patch_size=8,
+                          seed=13)
+        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg, cfg.affine_spec(),
+                                sample_rng(13, 0, 0))
+        # the patch mask writes the visible patches in absolute coordinates
+        visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
+                   if mask == "patch" else sample.visible)
+        write_cloud(tmp_path / "want.xyz", visible)
         got = (tmp_path / "out" / "corrupted.xyz").read_bytes()
         assert got == (tmp_path / "want.xyz").read_bytes()
         plan = json.loads((tmp_path / "out" / "plan.json").read_text())
@@ -302,9 +309,11 @@ class TestPretrainLoop:
         # header, then the rows of epochs 3 and 4
         assert resumed_lines == [full_lines[0]] + full_lines[3:5]
 
-    def test_divergence_aborts_with_last_finite(self, dataset, tmp_path):
+    # 1e30 overflows the forward gemm in float32 after the first step
+    @pytest.mark.parametrize("lr", [1e6, 1e30])
+    def test_divergence_aborts_with_last_finite(self, dataset, tmp_path, lr):
         cfg = tiny_cfg(encoder="pointnet", pointnet_hidden="16", epochs=5,
-                       learning_rate=1e6)  # guaranteed blow-up
+                       learning_rate=lr)  # guaranteed blow-up
         with pytest.raises(DivergenceError) as exc:
             pretrain(dataset, cfg)
         assert exc.value.checkpoint is not None
@@ -327,6 +336,32 @@ class TestNonFiniteCli:
                        "--config", str(tmp_path / "c.cfg"), "--epochs", "1",
                        "--num-points", "64"])
         assert rc == cli.EXIT_BAD_CONFIG
+
+
+class TestModelConfigCli:
+    """A model the config cannot describe is a bad configuration (exit 4); a
+    mask that leaves no point visible is a degenerate mask (exit 5)."""
+
+    @pytest.mark.parametrize("lines,args,code", [
+        pytest.param("encoder_depth = 2\ndecoder_depth = 2\n", ["--encoder", "transformer"], 4,
+                     id="decoder-not-shallower"),
+        pytest.param("feature_dim = 30\nnum_heads = 4\n", ["--encoder", "transformer"], 4,
+                     id="heads-do-not-divide-dim"),
+        pytest.param("pointnet_hidden = 16,0\n", ["--encoder", "pointnet"], 4,
+                     id="zero-width"),
+        pytest.param("", ["--encoder", "transformer", "--alpha", "1.0"], 4,
+                     id="patch-mask-ratio-1"),
+        pytest.param("", ["--encoder", "transformer", "--alpha", "1.5", "--mask", "none"], 4,
+                     id="unmasked-ratio-1.5"),
+        pytest.param("", ["--encoder", "pointnet", "--alpha", "1.0", "--mask", "random"], 5,
+                     id="point-mask-ratio-1"),
+    ])
+    def test_pretrain_exit_code(self, dataset, tmp_path, lines, args, code):
+        (tmp_path / "c.cfg").write_text(lines)
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg"),
+                       "--epochs", "1", "--num-points", "64"] + args)
+        assert rc == code
 
 
 # Configs whose runs must not depend on the micro-batch size (1 is the
@@ -525,4 +560,4 @@ class TestCheckpointFile:
         ck = snapshot(model, AdamW(model.parameters()), cfg, epoch=0)
         other = build_model(tiny_cfg(encoder="pointnet", pointnet_hidden="16"))
         with pytest.raises(ValueError, match="does not match"):
-            restore(other, AdamW(other.parameters()), ck)
+            restore(other, ck, AdamW(other.parameters()))
