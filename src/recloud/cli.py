@@ -20,8 +20,8 @@ from .data import SynthSpec, read_cloud, resample, synth_generate, write_cloud
 from .evaluation import (EpisodeSpec, extract_features, fewshot_eval, fewshot_report,
                          linear_probe, probe_with_sweep, reconstruct_export)
 from .geometry import denormalize_patches
-from .trainer import (DivergenceError, TrainConfig, load_checkpoint, parse_config_text,
-                      prepare_sample, pretrain, sample_rng, save_checkpoint)
+from .trainer import (CHOICES, DivergenceError, TrainConfig, load_checkpoint,
+                      parse_config_text, prepare_sample, pretrain, sample_rng, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -252,19 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--batch-size", type=int, default=None)
     p.add_argument("--num-points", type=int, default=None)
-    p.add_argument("--encoder", choices=("pointnet", "transformer"), default=None)
-    p.add_argument("--affine-role", choices=("corruption", "augmentation"), default=None)
-    p.add_argument("--objective", choices=("decomposed", "whole", "local-only", "global-only"),
-                   default=None)
+    p.add_argument("--encoder", choices=CHOICES["encoder"], default=None)
+    p.add_argument("--affine-role", choices=CHOICES["affine_role"], default=None)
+    p.add_argument("--objective", choices=CHOICES["objective"], default=None)
     p.add_argument("--mask", choices=("random", "fixed", "view", "patch", "none"), default=None)
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--affine", choices=AFFINE_CHOICES, default=None)
     p.add_argument("--global-weight", type=float, default=None)
-    p.add_argument("--decoder", choices=("fc", "fold"), default=None,
+    p.add_argument("--decoder", choices=CHOICES["decoder"], default=None,
                    help="whole-cloud decoder head (global encoder)")
-    p.add_argument("--local-decoder", choices=("fc", "fold"), default=None)
-    p.add_argument("--global-decoder", choices=("fc", "fold"), default=None)
-    p.add_argument("--precision", choices=("single", "double"), default=None)
+    p.add_argument("--local-decoder", choices=CHOICES["local_decoder"], default=None)
+    p.add_argument("--global-decoder", choices=CHOICES["global_decoder"], default=None)
+    p.add_argument("--precision", choices=CHOICES["precision"], default=None)
     p.set_defaults(func=_cmd_pretrain)
 
     p = sub.add_parser("probe", help="linear SVM probe on frozen features")

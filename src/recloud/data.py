@@ -390,7 +390,8 @@ def load_split(manifest: DatasetManifest, split: str, num_points: int,
     clouds, labels, ids = [], [], []
     for i, entry in enumerate(manifest.split(split)):
         pts = read_cloud(manifest.resolve(entry))
-        rng = np.random.default_rng(np.random.SeedSequence([seed, i]))
+        # tag 4: a stream no other derivation from the run's seed uses
+        rng = np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
         pts = normalize_unit_sphere(resample(pts, num_points, rng))
         clouds.append(pts)
         labels.append(entry.label)

@@ -16,10 +16,11 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autograd as ag
 from .data import (DatasetManifest, normalize_unit_sphere, read_cloud, resample,
                    write_cloud)
 from .geometry import PatchSet, denormalize_patches, normalize_patches, patchify
-from .models import CloudAutoencoder, pool_tokens
+from .models import CloudAutoencoder
 from .trainer import MICRO_BATCH, Checkpoint, TrainConfig, build_model, prepare_sample, restore
 
 
@@ -74,8 +75,8 @@ def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
         normalize_patches(patchify(points, cfg.num_patches, cfg.patch_size, _probe_rng(sid)))
         for points, sid in zip(clouds, sample_ids)])
     encoded = model.encode_all(patches)
-    pooled = np.concatenate([pool_tokens(encoded, "max").data,
-                             pool_tokens(encoded, "mean").data], axis=1)
+    pooled = np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
+                             ag.mean_pool_over_axis(encoded, axis=1).data], axis=1)
     return pooled.astype(np.float64)
 
 
@@ -284,20 +285,14 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     emit("corrupted", denormalize_patches(sample.visible_patches).patches.reshape(-1, 3))
     # a batch of one
     encoded = model.encode_visible(PatchSet.stack([sample.visible_patches]))
-    centers = sample.target_centers[None]
-    if sample.plan is not None:
-        pred = model.predict_masked_patches(encoded, centers, [sample.plan]).data[0]
-        masked_centers = sample.target_centers[sample.plan.masked]
-        pred_abs = pred + masked_centers[:, None, :]
-        clean_vis = (sample.target_patches[sample.plan.visible]
-                     + sample.target_centers[sample.plan.visible][:, None, :])
-    else:
-        pred = model.predict_all_patches(encoded, centers).data[0]
-        pred_abs = pred + sample.target_centers[:, None, :]
-        clean_vis = np.zeros((0, 1, 3))
-    emit("recon_masked", pred_abs.reshape(-1, 3) if pred_abs.size else pred_abs.reshape(0, 3))
-    if clean_vis.size:
-        emit("recon_visible", clean_vis.reshape(-1, 3))
+    plan = sample.plan
+    pred = model.predict_patches(encoded, sample.target_centers[None],
+                                 None if plan is None else [plan]).data[0]
+    rows = np.arange(cfg.num_patches) if plan is None else plan.masked
+    emit("recon_masked", (pred + sample.target_centers[rows][:, None, :]).reshape(-1, 3))
+    if plan is not None:
+        emit("recon_visible", (sample.target_patches[plan.visible]
+                               + sample.target_centers[plan.visible][:, None, :]).reshape(-1, 3))
     emit("recon_centers", model.predict_centers(encoded).data[0])
     return files
 

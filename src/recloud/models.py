@@ -16,6 +16,13 @@ model's dtype. Geometry (``PatchSet``, point clouds) stays float64;
 the only cast at run time: every primitive keeps its operands' dtype, the
 constants a layer makes take the dtype of its weights or its input, and the
 losses cast their targets to the prediction's dtype.
+
+Every reconstruction head (``FCDecoder``, ``FoldDecoder``; ``point_head``
+builds one by kind) maps ``(B, ..., d)`` feature rows to ``(B, ..., k, 3)``
+point sets: one pooled row per sample for a whole cloud or the patch
+centers, one row per decoded token for local patches. The patch model makes
+every local prediction through ``PatchAutoencoder.predict_patches``, with
+mask plans for the masked patches or without them for all patches.
 """
 from __future__ import annotations
 
@@ -48,8 +55,6 @@ class PointNetEncoder(Module):
     def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
         if len(widths) < 2 or widths[0] != 3:
             raise ValueError(f"widths must start at 3 with at least one layer, got {widths}")
-        if any(w <= 0 for w in widths):
-            raise ValueError("widths must be positive")
         self.layers = mlp_chain(widths, rng)
 
     def __call__(self, points) -> Tensor:
@@ -60,27 +65,20 @@ class PointNetEncoder(Module):
 
 class TokenEmbedder(Module):
     """Per-patch PointNet: shared MLP on coordinates, max pool across the k
-    neighbors; ``(B, n, k, 3)`` patches to ``(B, n, d)`` tokens. Input patches
-    must be center-normalized."""
+    neighbors; a center-normalized ``PatchSet`` of ``(B, n, k, 3)`` patches
+    to ``(B, n, d)`` tokens."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
         self.layers = mlp_chain((3, hidden, dim), rng)
 
-    def __call__(self, patches) -> Tensor:
-        if isinstance(patches, PatchSet):
-            raise TypeError("pass PatchSet.patches after normalization, not the PatchSet")
-        x = _as_tensor(patches, self.layers[0])  # (B, n, k, 3)
+    def __call__(self, patches: PatchSet) -> Tensor:
+        if not patches.normalized:
+            raise ValueError("token embedding requires center-normalized patches")
+        x = _as_tensor(patches.patches, self.layers[0])  # (B, n, k, 3)
         b, n, k, _ = x.shape
         flat = ag.reshape(x, (b, n * k, 3))
         feat = ag.reshape(run_mlp(self.layers, flat), (b, n, k, -1))
         return ag.max_pool_over_axis(feat, axis=2)  # (B, n, d)
-
-
-def embed_tokens(embedder: TokenEmbedder, patches: PatchSet) -> Tensor:
-    """Tokenize a normalized patch set; rejects unnormalized input."""
-    if not patches.normalized:
-        raise ValueError("token embedding requires center-normalized patches")
-    return embedder(patches.patches)
 
 
 class PositionalEmbed(Module):
@@ -118,10 +116,12 @@ class TransformerEncoder(Module):
 class PatchDecoder(Module):
     """Transformer decoder over the full n-token sequence.
 
-    Visible positions carry encoded tokens, masked positions carry the
-    duplicated learnable mask token; its own positional embedding is added
-    per block. Returns the masked rows in ascending masked-index order.
-    ``plans`` holds one mask plan per batch entry, all with the same counts.
+    With ``plans`` (one mask plan per batch entry, all with the same counts)
+    visible positions carry the encoded tokens and masked positions the
+    duplicated learnable mask token, and the masked rows are returned in
+    ascending masked-index order. Without plans every position is encoded
+    and every row is returned. Its own positional embedding is added per
+    block.
     """
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
@@ -146,36 +146,28 @@ class PatchDecoder(Module):
         dup = ag.linear(ones, self.mask_token.tensor)  # (B, m, d), one stored vector
         return ag.add(vis, ag.scatter_rows(dup, masked, n))
 
-    def __call__(self, encoded: Tensor, pe_all: Tensor, plans: list[MaskPlan]) -> Tensor:
-        n = plans[0].total_count
-        if pe_all.shape[1] != n:
-            raise ValueError(f"decoder PE covers {pe_all.shape[1]} positions, plan has {n}")
-        x = self.assemble(encoded, plans)
+    def __call__(self, encoded: Tensor, pe_all: Tensor,
+                 plans: list[MaskPlan] | None = None) -> Tensor:
+        x = encoded if plans is None else self.assemble(encoded, plans)
+        if pe_all.shape[1] != x.shape[1]:
+            raise ValueError(f"decoder PE covers {pe_all.shape[1]} positions, "
+                             f"the sequence has {x.shape[1]}")
         for block in self.blocks:
             x = block(ag.add(x, pe_all))
-        return ag.gather_rows(x, np.stack([p.masked for p in plans]))
-
-    def decode_all(self, encoded: Tensor, pe_all: Tensor) -> Tensor:
-        """Run the decoder with no masked slots and return every position
-        (used when masking is disabled and all patches are reconstructed)."""
-        x = encoded
-        for block in self.blocks:
-            x = block(ag.add(x, pe_all))
-        return x
+        return x if plans is None else ag.gather_rows(x, np.stack([p.masked for p in plans]))
 
 
 class FCDecoder(Module):
-    """Fully connected head: ``(B, d)`` feature vectors to ``(B, out_points, 3)``
-    clouds."""
+    """Fully connected head: ``(B, ..., d)`` feature rows to ``(B, ..., k, 3)``
+    point sets, each row through the same two layers."""
 
-    def __init__(self, in_dim: int, out_points: int, hidden: int, rng: np.random.Generator):
-        self.out_points = out_points
-        self.layers = mlp_chain((in_dim, hidden, 3 * out_points), rng)
+    def __init__(self, in_dim: int, points: int, hidden: int, rng: np.random.Generator):
+        self.points = points
+        self.layers = mlp_chain((in_dim, hidden, 3 * points), rng)
 
-    def __call__(self, feature: Tensor) -> Tensor:
-        b, d = feature.shape
-        flat = run_mlp(self.layers, ag.reshape(feature, (b, 1, d)))  # (B, 1, 3w)
-        return ag.reshape(flat, (b, self.out_points, 3))
+    def __call__(self, features: Tensor) -> Tensor:
+        flat = run_mlp(self.layers, features)  # (B, ..., 3k)
+        return ag.reshape(flat, features.shape[:-1] + (self.points, 3))
 
 
 def folding_grid(k: int) -> np.ndarray:
@@ -192,22 +184,18 @@ def folding_grid(k: int) -> np.ndarray:
 
 
 class FoldDecoder(Module):
-    """Folding head: deform a canonical 2-D grid conditioned on each feature
-    row through one shared MLP pass; ``(B, m, d)`` rows to ``(B, m, k, 3)``,
-    or one ``(B, d)`` row per sample to ``(B, k, 3)``."""
+    """Folding head: deform a canonical 2-D grid of k seeds conditioned on
+    each feature row through one shared MLP pass; ``(B, ..., d)`` rows to
+    ``(B, ..., k, 3)`` point sets."""
 
-    def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
-                 rng: np.random.Generator):
-        self.points_per_patch = points_per_patch
-        self.grid = folding_grid(points_per_patch)
+    def __init__(self, feat_dim: int, points: int, hidden: int, rng: np.random.Generator):
+        self.points = points
+        self.grid = folding_grid(points)
         self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng)
 
     def __call__(self, features: Tensor) -> Tensor:
-        k = self.points_per_patch
-        if features.data.ndim == 2:
-            b, d = features.shape
-            return ag.reshape(self(ag.reshape(features, (b, 1, d))), (b, k, 3))
-        b, m, d = features.shape
+        k, lead, d = self.points, features.shape[:-1], features.shape[-1]
+        b, m = lead[0], int(np.prod(lead[1:], dtype=np.int64))
         # broadcast each row over its k seeds; add's backward sums them back
         rep = ag.add(ag.reshape(features, (b, m, 1, d)), Tensor(np.zeros((k, 1), features.dtype)))
         rep = ag.reshape(rep, (b, m * k, d))                                # (B, m*k, d)
@@ -215,47 +203,32 @@ class FoldDecoder(Module):
         seeds = Tensor(np.broadcast_to(np.tile(grid, (m, 1)), (b, m * k, 2)))
         x = ag.concat([seeds, rep], axis=2)
         pts = run_mlp(self.layers, x)                                       # (B, m*k, 3)
-        return ag.reshape(pts, (b, m, k, 3))
+        return ag.reshape(pts, lead + (k, 3))
 
 
-class PatchFCHead(Module):
-    """Per-token fully connected head: each d-vector of ``(B, m, d)`` to a
-    (k, 3) patch."""
-
-    def __init__(self, feat_dim: int, points_per_patch: int, hidden: int,
-                 rng: np.random.Generator):
-        self.points_per_patch = points_per_patch
-        self.layers = mlp_chain((feat_dim, hidden, 3 * points_per_patch), rng)
-
-    def __call__(self, features: Tensor) -> Tensor:
-        b, m, _ = features.shape
-        flat = run_mlp(self.layers, features)  # (B, m, 3k)
-        return ag.reshape(flat, (b, m, self.points_per_patch, 3))
+HEAD_KINDS = ("fc", "fold")
 
 
-def pool_tokens(encoded: Tensor, kind: str = "max") -> Tensor:
-    """Merge the ``(B, n, d)`` token rows into one ``(B, d)`` feature each."""
-    if kind == "max":
-        return ag.max_pool_over_axis(encoded, axis=1)
-    if kind == "mean":
-        return ag.mean_pool_over_axis(encoded, axis=1)
-    raise ValueError(f"unknown pooling {kind!r}")
+def point_head(kind: str, dim: int, points: int, cfg: TrainConfig,
+               rng: np.random.Generator) -> Module:
+    """The ``kind`` head (one of ``HEAD_KINDS``) from ``dim`` features to
+    ``points`` points per row, with the config's hidden width for that kind."""
+    if kind == "fc":
+        return FCDecoder(dim, points, cfg.fc_hidden, rng)
+    if kind == "fold":
+        return FoldDecoder(dim, points, cfg.fold_hidden, rng)
+    raise ValueError(f"unknown head kind {kind!r}")
 
 
 class GlobalCenterHead(Module):
-    """Max-pool the visible encoded tokens and predict all n patch centers."""
+    """Max-pool the visible encoded tokens and predict all n patch centers
+    with ``head``."""
 
-    def __init__(self, dim: int, num_centers: int, rng: np.random.Generator,
-                 decoder: str = "fc", fc_hidden: int = 256, fold_hidden: int = 64):
-        if decoder == "fc":
-            self.head = FCDecoder(dim, num_centers, fc_hidden, rng)
-        elif decoder == "fold":
-            self.head = FoldDecoder(dim, num_centers, fold_hidden, rng)
-        else:
-            raise ValueError(f"unknown center decoder {decoder!r}")
+    def __init__(self, head: Module):
+        self.head = head
 
     def __call__(self, encoded: Tensor) -> Tensor:
-        return self.head(pool_tokens(encoded, "max"))
+        return self.head(ag.max_pool_over_axis(encoded, axis=1))
 
 
 class CloudAutoencoder(Module):
@@ -266,14 +239,8 @@ class CloudAutoencoder(Module):
     """
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
-        hidden = tuple(int(x) for x in cfg.pointnet_hidden.split(",") if x.strip())
-        self.encoder = PointNetEncoder((3,) + hidden + (cfg.feature_dim,), rng)
-        if cfg.decoder == "fc":
-            self.decoder = FCDecoder(cfg.feature_dim, cfg.num_points, cfg.fc_hidden, rng)
-        elif cfg.decoder == "fold":
-            self.decoder = FoldDecoder(cfg.feature_dim, cfg.num_points, cfg.fold_hidden, rng)
-        else:
-            raise ValueError(f"unknown decoder {cfg.decoder!r}")
+        self.encoder = PointNetEncoder(cfg.pointnet_widths, rng)
+        self.decoder = point_head(cfg.decoder, cfg.feature_dim, cfg.num_points, cfg, rng)
 
     def reconstruct(self, visible_points) -> Tensor:
         """``(B, num_points, 3)`` clouds from ``(B, w, 3)`` visible points."""
@@ -302,14 +269,9 @@ class PatchAutoencoder(Module):
         self.pos_embed_decoder = PositionalEmbed(d, cfg.pe_hidden, rng)
         self.encoder = TransformerEncoder(d, cfg.encoder_depth, cfg.num_heads, ffn, rng)
         self.patch_decoder = PatchDecoder(d, cfg.decoder_depth, cfg.num_heads, ffn, rng)
-        if cfg.local_decoder == "fold":
-            self.local_head = FoldDecoder(d, cfg.patch_size, cfg.fold_hidden, rng)
-        elif cfg.local_decoder == "fc":
-            self.local_head = PatchFCHead(d, cfg.patch_size, cfg.fc_hidden, rng)
-        else:
-            raise ValueError(f"unknown local decoder {cfg.local_decoder!r}")
-        self.center_head = GlobalCenterHead(d, cfg.num_patches, rng, decoder=cfg.global_decoder,
-                                            fc_hidden=cfg.fc_hidden, fold_hidden=cfg.fold_hidden)
+        self.local_head = point_head(cfg.local_decoder, d, cfg.patch_size, cfg, rng)
+        self.center_head = GlobalCenterHead(
+            point_head(cfg.global_decoder, d, cfg.num_patches, cfg, rng))
         # head for the direct whole-cloud objective variant
         self.whole_head = (FCDecoder(d, cfg.num_points, cfg.fc_hidden, rng)
                            if cfg.objective == "whole" else None)
@@ -317,26 +279,18 @@ class PatchAutoencoder(Module):
     def encode_visible(self, visible_patches: PatchSet) -> Tensor:
         """``(B, v, d)`` encoded tokens of a batch of visible (normalized)
         patch sets (``PatchSet.stack``)."""
-        tokens = embed_tokens(self.token_embed, visible_patches)
+        tokens = self.token_embed(visible_patches)
         pe = self.pos_embed_encoder(visible_patches.centers)
         return self.encoder(tokens, pe)
 
-    def decode_masked(self, encoded: Tensor, target_centers: np.ndarray,
-                      plans: list[MaskPlan]) -> Tensor:
-        """Decoded mask tokens guided by the reconstruction-target centers."""
-        pe_all = self.pos_embed_decoder(target_centers)
-        return self.patch_decoder(encoded, pe_all, plans)
-
-    def predict_masked_patches(self, encoded: Tensor, target_centers: np.ndarray,
-                               plans: list[MaskPlan]) -> Tensor:
-        """(B, m, k, 3) normalized patch predictions at the masked positions."""
-        return self.local_head(self.decode_masked(encoded, target_centers, plans))
-
-    def predict_all_patches(self, encoded: Tensor, target_centers: np.ndarray) -> Tensor:
-        """(B, n, k, 3) predictions for every patch (no-masking mode)."""
-        pe_all = self.pos_embed_decoder(target_centers)
-        decoded = self.patch_decoder.decode_all(encoded, pe_all)
-        return self.local_head(decoded)
+    def predict_patches(self, encoded: Tensor, centers: np.ndarray,
+                        plans: list[MaskPlan] | None = None) -> Tensor:
+        """Normalized patch predictions, the decoder guided by the ``(B, n, 3)``
+        reconstruction-target centers: ``(B, m, k, 3)`` at the plans' masked
+        positions in ascending order, or ``(B, n, k, 3)`` for every patch
+        when there are no plans (no masking)."""
+        pe_all = self.pos_embed_decoder(centers)
+        return self.local_head(self.patch_decoder(encoded, pe_all, plans))
 
     def predict_centers(self, encoded: Tensor) -> Tensor:
         return self.center_head(encoded)
@@ -344,7 +298,7 @@ class PatchAutoencoder(Module):
     def predict_whole(self, encoded: Tensor) -> Tensor:
         if self.whole_head is None:
             raise ValueError("model was built without a whole-cloud head")
-        return self.whole_head(pool_tokens(encoded, "max"))
+        return self.whole_head(ag.max_pool_over_axis(encoded, axis=1))
 
     def encode_all(self, patches: PatchSet) -> Tensor:
         """Encoded tokens for a full (unmasked, uncorrupted) patch set;

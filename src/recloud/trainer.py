@@ -12,6 +12,7 @@ and one backward each; every result equals a per-sample loop bit for bit
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -31,7 +32,7 @@ from .data import DatasetManifest, load_split
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
 from .losses import LossReport, chamfer, loss_all, loss_global, loss_local, loss_reports
-from .models import CloudAutoencoder, PatchAutoencoder
+from .models import HEAD_KINDS, CloudAutoencoder, PatchAutoencoder
 
 POINT_MASKS = ("random", "fixed", "view", "none")
 PATCH_MASKS = ("patch", "none")
@@ -46,6 +47,14 @@ MICRO_BATCH = 4
 
 # TrainConfig fields holding an "lo:hi" range
 _RANGE_FIELDS = ("affine_rotate", "affine_translate", "affine_scale", "affine_shear")
+# Lower bounds of TrainConfig fields (learning_rate 0 is a frozen-run sanity
+# mode, and the seed has none); every other integer field is a size or count
+_AT_LEAST = {"warmup_epochs": 0, "decoder_depth": 0, "learning_rate": 0.0, "lr_min": 0.0,
+             "global_weight": 0.0, "seed": None}
+# TrainConfig fields with a fixed set of values; the CLI offers the same
+CHOICES = {"precision": ("single", "double"), "encoder": ("pointnet", "transformer"),
+           "affine_role": ("corruption", "augmentation"), "objective": OBJECTIVES,
+           "decoder": HEAD_KINDS, "local_decoder": HEAD_KINDS, "global_decoder": HEAD_KINDS}
 
 
 def _parse_range(text: str) -> tuple[float, float]:
@@ -106,21 +115,20 @@ class TrainConfig:
                        else (value,) if f.type in (float, "float") else ())
             if not all(math.isfinite(v) for v in numbers):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
-        if self.epochs <= 0 or self.batch_size <= 0 or self.num_points <= 0:
-            raise ValueError("epochs, batch size, and point count must be positive")
-        # learning_rate 0 is allowed as a frozen-run sanity mode
-        if self.learning_rate < 0 or self.lr_min < 0:
-            raise ValueError("learning rates must be non-negative")
-        if self.precision not in ("single", "double"):
-            raise ValueError(f"unknown precision {self.precision!r}")
-        if self.encoder not in ("pointnet", "transformer"):
-            raise ValueError(f"unknown encoder kind {self.encoder!r}")
-        if self.affine_role not in ("corruption", "augmentation"):
-            raise ValueError(f"unknown affine role {self.affine_role!r}")
-        if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective {self.objective!r}")
-        if self.global_weight < 0:
-            raise ValueError("global weight must be non-negative")
+            least = _AT_LEAST.get(f.name, 1 if f.type in (int, "int") else None)
+            if least is not None and value < least:
+                raise ValueError(f"{f.name} must be at least {least}, got {value!r}")
+        try:
+            narrowest = min(self.pointnet_widths)
+        except ValueError:
+            narrowest = 0
+        if narrowest < 1:
+            raise ValueError(f"pointnet_hidden must list positive widths, "
+                             f"got {self.pointnet_hidden!r}")
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
+                                 f"got {getattr(self, name)!r}")
         allowed = ("auto",) + (POINT_MASKS if self.encoder == "pointnet" else PATCH_MASKS)
         if self.mask_strategy not in allowed:
             raise ValueError(
@@ -133,6 +141,12 @@ class TrainConfig:
             return self
         strategy = "random" if self.encoder == "pointnet" else "patch"
         return replace(self, mask_strategy=strategy)
+
+    @property
+    def pointnet_widths(self) -> tuple[int, ...]:
+        """The PointNet encoder's layer widths, from 3 to ``feature_dim``."""
+        hidden = tuple(int(x) for x in self.pointnet_hidden.split(",") if x.strip())
+        return (3,) + hidden + (self.feature_dim,)
 
     @property
     def dtype(self):
@@ -367,13 +381,11 @@ def sample_loss(model, samples: list, cfg: TrainConfig) -> tuple[Tensor, list[Lo
         total = loss_global(model.predict_centers(encoded), centers)
         return total, loss_reports(total, global_=total, weight=1.0)
 
-    plans = [s.plan for s in samples]
-    if plans[0] is not None:
-        pred_patches = model.predict_masked_patches(encoded, centers, plans)
-        gt_patches = np.stack([s.target_patches[s.plan.masked] for s in samples])
-    else:
-        pred_patches = model.predict_all_patches(encoded, centers)
-        gt_patches = np.stack([s.target_patches for s in samples])
+    masked = samples[0].plan is not None
+    pred_patches = model.predict_patches(encoded, centers,
+                                         [s.plan for s in samples] if masked else None)
+    gt_patches = np.stack([s.target_patches[s.plan.masked] if masked else s.target_patches
+                           for s in samples])
     local = loss_local(pred_patches, gt_patches)
     if cfg.objective == "local-only":
         return local, loss_reports(local, local=local)
@@ -562,19 +574,15 @@ class DivergenceError(RuntimeError):
         self.checkpoint = checkpoint
 
 
-def _metrics_row(epoch: int, report: LossReport, lr: float) -> str:
-    return f"{epoch},{report.total!r},{report.local!r},{report.global_!r},{lr!r}"
-
-
 def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
              metrics_path: str | Path | None = None,
              resume: Checkpoint | None = None,
              epoch_callback=None) -> Checkpoint:
     """Run the pretraining loop over the manifest's train split.
 
-    Returns the final checkpoint; appends one LossReport row per epoch to
-    ``metrics_path`` when given. ``resume`` continues a saved run exactly
-    (derived RNG streams are stateless in the epoch index).
+    Returns the final checkpoint; writes one LossReport row per epoch to
+    ``metrics_path`` when given, appending on a resume. ``resume`` continues
+    a saved run exactly (derived RNG streams are stateless in the epoch index).
     """
     cfg = cfg.resolved()
     if isinstance(manifest, (str, Path)):
@@ -594,57 +602,53 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
         start_epoch = resume.epoch
 
     spec = cfg.affine_spec()
-    rows: list[str] = []
     last_finite = snapshot(model, opt, cfg, epoch=start_epoch)
+    # each row is written as its epoch ends, so a run that stops early keeps
+    # the rows of the epochs it finished; a resumed run appends to its file
+    with (open(metrics_path, "a" if resume is not None else "w")
+          if metrics_path is not None else contextlib.nullcontext()) as metrics:
+        if metrics is not None and metrics.tell() == 0:
+            metrics.write("epoch,total,local,global,lr\n")
+        for epoch in range(start_epoch, cfg.epochs):
+            lr = scheduled_lr(cfg, epoch)
+            order = np.random.default_rng(
+                np.random.SeedSequence([cfg.seed, 1, epoch])).permutation(len(clouds))
+            reports: dict[int, LossReport] = {}
+            for lo in range(0, len(order), cfg.batch_size):
+                batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
+                model.zero_grad()
+                # overflow happens only on a run that is diverging; the
+                # non-finite loss check below is the safety net
+                with np.errstate(over="ignore", invalid="ignore"):
+                    for mlo in range(0, len(batch), MICRO_BATCH):
+                        micro = batch[mlo:mlo + MICRO_BATCH]
+                        samples = [prepare_sample(clouds[idx], cfg, spec,
+                                                  sample_rng(cfg.seed, epoch, idx))
+                                   for idx in micro]
+                        totals, micro_reports = sample_loss(model, samples, cfg)
+                        for idx, report in zip(micro, micro_reports):
+                            if not np.isfinite(report.total):
+                                raise DivergenceError(
+                                    f"non-finite loss at epoch {epoch + 1}, sample {idx}; "
+                                    f"aborting with the checkpoint from epoch "
+                                    f"{last_finite.epoch}", last_finite)
+                            reports[idx] = report
+                        backward(ag.scale(ag.sum_in_order(totals), 1.0 / len(batch)))
+                        del totals  # free this graph before the next one is built
+                    opt.step(lr)
 
-    for epoch in range(start_epoch, cfg.epochs):
-        lr = scheduled_lr(cfg, epoch)
-        order = np.random.default_rng(
-            np.random.SeedSequence([cfg.seed, 1, epoch])).permutation(len(clouds))
-        reports: dict[int, LossReport] = {}
-        for lo in range(0, len(order), cfg.batch_size):
-            batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
-            model.zero_grad()
-            # overflow happens only on a run that is diverging; the
-            # non-finite loss check below is the safety net
-            with np.errstate(over="ignore", invalid="ignore"):
-                for mlo in range(0, len(batch), MICRO_BATCH):
-                    micro = batch[mlo:mlo + MICRO_BATCH]
-                    samples = [prepare_sample(clouds[idx], cfg, spec,
-                                              sample_rng(cfg.seed, epoch, idx))
-                               for idx in micro]
-                    totals, micro_reports = sample_loss(model, samples, cfg)
-                    for idx, report in zip(micro, micro_reports):
-                        if not np.isfinite(report.total):
-                            raise DivergenceError(
-                                f"non-finite loss at epoch {epoch + 1}, sample {idx}; "
-                                f"aborting with the checkpoint from epoch {last_finite.epoch}",
-                                last_finite)
-                        reports[idx] = report
-                    backward(ag.scale(ag.sum_in_order(totals), 1.0 / len(batch)))
-                    del totals  # free this graph before the next one is built
-                opt.step(lr)
-
-        # average in canonical sample order so the epoch metric does not
-        # depend on the shuffle (float summation is order-sensitive)
-        ordered = [reports[i] for i in sorted(reports)]
-        mean = LossReport(total=float(np.mean([r.total for r in ordered])),
-                          local=float(np.mean([r.local for r in ordered])),
-                          global_=float(np.mean([r.global_ for r in ordered])),
-                          weight=cfg.global_weight)
-        rows.append(_metrics_row(epoch + 1, mean, lr))
-        last_finite = snapshot(model, opt, cfg, epoch=epoch + 1)
-        if epoch_callback is not None:
-            epoch_callback(epoch + 1, mean, lr)
-
-    if metrics_path is not None:
-        header = "epoch,total,local,global,lr"
-        existing = ""
-        path = Path(metrics_path)
-        if resume is not None and path.exists():
-            existing = path.read_text().rstrip("\n")
-        if existing:
-            path.write_text(existing + "\n" + "\n".join(rows) + "\n")
-        else:
-            path.write_text(header + "\n" + "\n".join(rows) + "\n")
+            # average in canonical sample order so the epoch metric does not
+            # depend on the shuffle (float summation is order-sensitive)
+            ordered = [reports[i] for i in sorted(reports)]
+            mean = LossReport(total=float(np.mean([r.total for r in ordered])),
+                              local=float(np.mean([r.local for r in ordered])),
+                              global_=float(np.mean([r.global_ for r in ordered])),
+                              weight=cfg.global_weight)
+            if metrics is not None:
+                metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
+                              f"{mean.global_!r},{lr!r}\n")
+                metrics.flush()
+            last_finite = snapshot(model, opt, cfg, epoch=epoch + 1)
+            if epoch_callback is not None:
+                epoch_callback(epoch + 1, mean, lr)
     return last_finite

@@ -7,9 +7,8 @@ from recloud.corruption import mask_patches
 from recloud.geometry import PatchSet, normalize_patches, patchify
 from recloud.layers import LayerNorm, Linear, SelfAttention, TransformerBlock
 from recloud.models import (CloudAutoencoder, FCDecoder, FoldDecoder, GlobalCenterHead,
-                            PatchAutoencoder, PatchDecoder, PatchFCHead, PointNetEncoder,
-                            PositionalEmbed, TokenEmbedder, TransformerEncoder, embed_tokens,
-                            folding_grid)
+                            PatchAutoencoder, PatchDecoder, PointNetEncoder, PositionalEmbed,
+                            TokenEmbedder, TransformerEncoder, folding_grid)
 from recloud.trainer import TrainConfig
 
 
@@ -85,18 +84,21 @@ class TestTokenEmbedder:
         ps = self._patches()
         shuffled = ps.patches.copy()
         shuffled[1] = shuffled[1][::-1]
-        np.testing.assert_array_equal(emb(ps.patches[None]).data, emb(shuffled[None]).data)
+        reordered = PatchSet(centers=ps.centers, patches=shuffled, indices=None, normalized=True)
+        np.testing.assert_array_equal(emb(PatchSet.stack([ps])).data,
+                                      emb(PatchSet.stack([reordered])).data)
 
     def test_shape(self):
         emb = TokenEmbedder(16, 32, rng_())
         ps = self._patches(n=5, k=7)
-        assert embed_tokens(emb, PatchSet.stack([ps])).shape == (1, 5, 16)
+        assert emb(PatchSet.stack([ps])).shape == (1, 5, 16)
 
     def test_identical_patches_identical_tokens(self):
         emb = TokenEmbedder(16, 32, rng_())
         patch = np.random.default_rng(4).standard_normal((1, 6, 3))
-        two = np.concatenate([patch, patch], axis=0)
-        tokens = emb(two[None]).data[0]
+        two = PatchSet(centers=np.zeros((1, 2, 3)), patches=np.concatenate([patch, patch])[None],
+                       indices=None, normalized=True)
+        tokens = emb(two).data[0]
         np.testing.assert_array_equal(tokens[0], tokens[1])
 
     def test_unnormalized_rejected(self):
@@ -104,7 +106,7 @@ class TestTokenEmbedder:
         rng = np.random.default_rng(5)
         ps = patchify(rng.standard_normal((30, 3)), 3, 4, rng)
         with pytest.raises(ValueError, match="normalized"):
-            embed_tokens(emb, ps)
+            emb(PatchSet.stack([ps]))
 
 
 class TestPositionalEmbed:
@@ -220,6 +222,18 @@ class TestHeads:
         head = FoldDecoder(16, 1, 32, rng_())
         assert head(Tensor(np.zeros((1, 3, 16), dtype=np.float32))).shape == (1, 3, 1, 3)
 
+    @pytest.mark.parametrize("head_cls", [FCDecoder, FoldDecoder])
+    def test_heads_map_any_leading_axes_row_by_row(self, head_cls):
+        # (B, ..., d) rows to (B, ..., k, 3) sets, each row as if alone
+        head = head_cls(16, 5, 32, rng_())
+        rows = np.random.default_rng(25).standard_normal((2, 3, 4, 16))
+        out = head(Tensor(rows)).data
+        assert out.shape == (2, 3, 4, 5, 3)
+        for r, c in np.ndindex(3, 4):
+            alone = head(Tensor(rows[:, r, c])).data
+            assert alone.shape == (2, 5, 3)
+            np.testing.assert_allclose(out[:, r, c], alone, rtol=1e-12, atol=1e-12)
+
     def test_folding_grid_properties(self):
         for k in (1, 2, 9, 10, 16, 37):
             g = folding_grid(k)
@@ -227,7 +241,7 @@ class TestHeads:
             assert g.min() >= -0.5 and g.max() <= 0.5
 
     def test_center_head_shapes_and_pooling_invariance(self):
-        head = GlobalCenterHead(16, 12, rng_())
+        head = GlobalCenterHead(FCDecoder(16, 12, 256, rng_()))
         rng = np.random.default_rng(22)
         enc = rng.standard_normal((1, 5, 16)).astype(np.float32)
         out = head(Tensor(enc)).data
@@ -236,10 +250,9 @@ class TestHeads:
         np.testing.assert_array_equal(head(Tensor(enc[:, perm])).data, out)
 
     def test_center_head_single_token_pools_to_itself(self):
-        from recloud.models import pool_tokens
         enc = Tensor(np.random.default_rng(23).standard_normal((1, 1, 16)))
-        np.testing.assert_array_equal(pool_tokens(enc, "max").data, enc.data[0])
-        np.testing.assert_array_equal(pool_tokens(enc, "mean").data, enc.data[0])
+        np.testing.assert_array_equal(ag.max_pool_over_axis(enc, axis=1).data, enc.data[0])
+        np.testing.assert_array_equal(ag.mean_pool_over_axis(enc, axis=1).data, enc.data[0])
 
 
 def linear_count(i, o):
@@ -276,7 +289,7 @@ class TestParameterCounts:
         assert model.num_parameters() == expected
 
     def test_patch_fc_head_count(self):
-        head = PatchFCHead(16, 8, 64, rng_())
+        head = FCDecoder(16, 8, 64, rng_())
         assert head.num_parameters() == linear_count(16, 64) + linear_count(64, 24)
 
 
@@ -292,7 +305,7 @@ class TestGradientFlow:
         vis = PatchSet(centers=ps.centers[plan.visible], patches=ps.patches[plan.visible],
                        indices=None, normalized=True)
         encoded = model.encode_visible(PatchSet.stack([vis]))
-        pred = model.predict_masked_patches(encoded, ps.centers[None], [plan])
+        pred = model.predict_patches(encoded, ps.centers[None], [plan])
         local = loss_local(pred, ps.patches[plan.masked][None])
         global_ = loss_global(model.predict_centers(encoded), ps.centers[None])
         total, _ = loss_all(local, global_, 1.0)

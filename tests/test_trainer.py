@@ -67,6 +67,20 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             TrainConfig(**{field: value})
 
+    @pytest.mark.parametrize("field,value", [
+        ("num_heads", 0), ("patch_size", 0), ("feature_dim", 0), ("ffn_mult", 0),
+        ("pe_hidden", 0), ("token_hidden", 0), ("fc_hidden", 0), ("fold_hidden", 0),
+        ("max_clusters", 0), ("num_patches", -1), ("encoder_depth", 0),
+        ("decoder_depth", -1), ("warmup_epochs", -1), ("epochs", 0),
+        ("pointnet_hidden", "16,0"), ("pointnet_hidden", "16,x"),
+        ("decoder", "mlp"), ("local_decoder", "FC"), ("global_decoder", "")])
+    def test_bad_sizes_and_head_kinds_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_zero_warmup_and_decoder_depth_allowed(self):
+        TrainConfig(warmup_epochs=0, decoder_depth=0)
+
     def test_auto_mask_resolution(self):
         assert TrainConfig(encoder="pointnet").resolved().mask_strategy == "random"
         assert TrainConfig(encoder="transformer").resolved().mask_strategy == "patch"
@@ -174,7 +188,7 @@ class TestSampleStep:
                        patches=corr_n.patches[plan.visible],
                        indices=None, normalized=True)
         encoded = model.encode_visible(PatchSet.stack([vis]))
-        local = loss_local(model.predict_masked_patches(encoded, clean.centers[None], [plan]),
+        local = loss_local(model.predict_patches(encoded, clean.centers[None], [plan]),
                            clean_n.patches[plan.masked][None])
         global_ = loss_global(model.predict_centers(encoded), clean.centers[None])
         expected, _ = loss_all(local, global_, cfg.global_weight)
@@ -309,6 +323,41 @@ class TestPretrainLoop:
         # header, then the rows of epochs 3 and 4
         assert resumed_lines == [full_lines[0]] + full_lines[3:5]
 
+    def test_metrics_written_as_each_epoch_ends(self, dataset, tmp_path):
+        # a run stopped after epoch 1 keeps the header and the row of epoch 1
+        cfg = tiny_cfg(epochs=3)
+        pretrain(dataset, cfg, metrics_path=tmp_path / "full.csv")
+
+        class Stop(Exception):
+            pass
+
+        def stop(epoch, report, lr):
+            if epoch == 1:
+                raise Stop
+
+        with pytest.raises(Stop):
+            pretrain(dataset, cfg, metrics_path=tmp_path / "m.csv", epoch_callback=stop)
+        full = (tmp_path / "full.csv").read_text().splitlines()
+        assert (tmp_path / "m.csv").read_text() == "\n".join(full[:2]) + "\n"
+
+    def test_streams_of_a_run_are_distinct(self, tmp_path, monkeypatch):
+        # SeedSequence ignores trailing zeros, so [seed, i] once equalled the
+        # model, shuffle and sample streams; resampling 128 points to 64 draws
+        manifest = synth_generate(SynthSpec(samples_per_family=2, points_per_cloud=128,
+                                            seed=5), tmp_path / "data")
+        built = []
+
+        class Recorded(np.random.SeedSequence):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+        pretrain(manifest, tiny_cfg(epochs=2, num_points=64))
+        states = [s.generate_state(4).tobytes() for s in built]
+        assert len(states) > 10
+        assert len(set(states)) == len(states)
+
     # 1e30 overflows the forward gemm in float32 after the first step
     @pytest.mark.parametrize("lr", [1e6, 1e30])
     def test_divergence_aborts_with_last_finite(self, dataset, tmp_path, lr):
@@ -342,26 +391,77 @@ class TestModelConfigCli:
     """A model the config cannot describe is a bad configuration (exit 4); a
     mask that leaves no point visible is a degenerate mask (exit 5)."""
 
-    @pytest.mark.parametrize("lines,args,code", [
+    @pytest.mark.parametrize("lines,args,code,err", [
         pytest.param("encoder_depth = 2\ndecoder_depth = 2\n", ["--encoder", "transformer"], 4,
-                     id="decoder-not-shallower"),
+                     "decoder depth", id="decoder-not-shallower"),
         pytest.param("feature_dim = 30\nnum_heads = 4\n", ["--encoder", "transformer"], 4,
-                     id="heads-do-not-divide-dim"),
+                     "divisible", id="heads-do-not-divide-dim"),
         pytest.param("pointnet_hidden = 16,0\n", ["--encoder", "pointnet"], 4,
-                     id="zero-width"),
+                     "pointnet_hidden", id="zero-width"),
         pytest.param("", ["--encoder", "transformer", "--alpha", "1.0"], 4,
-                     id="patch-mask-ratio-1"),
+                     "mask ratio", id="patch-mask-ratio-1"),
         pytest.param("", ["--encoder", "transformer", "--alpha", "1.5", "--mask", "none"], 4,
-                     id="unmasked-ratio-1.5"),
+                     "mask ratio", id="unmasked-ratio-1.5"),
         pytest.param("", ["--encoder", "pointnet", "--alpha", "1.0", "--mask", "random"], 5,
-                     id="point-mask-ratio-1"),
+                     "degenerate-mask", id="point-mask-ratio-1"),
+    ] + [
+        # a size or head kind the config cannot hold names its field
+        pytest.param(line + "\n", ["--encoder", "transformer"], 4, line.split()[0],
+                     id=line.replace(" ", ""))
+        for line in ("num_heads = 0", "patch_size = 0", "decoder_depth = -1",
+                     "warmup_epochs = -1", "feature_dim = 0", "ffn_mult = 0", "pe_hidden = 0",
+                     "token_hidden = 0", "fc_hidden = 0", "fold_hidden = 0",
+                     "max_clusters = 0", "local_decoder = 'mlp'")
     ])
-    def test_pretrain_exit_code(self, dataset, tmp_path, lines, args, code):
+    def test_pretrain_exit_code(self, dataset, tmp_path, capsys, lines, args, code, err):
         (tmp_path / "c.cfg").write_text(lines)
         rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
                        "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg"),
                        "--epochs", "1", "--num-points", "64"] + args)
         assert rc == code
+        assert err in capsys.readouterr().err
+
+
+class TestReconstructCommand:
+    """``recloud reconstruct`` writes each stage with its point count."""
+
+    @staticmethod
+    def export(dataset, tmp_path, name, **overrides):
+        cfg = tiny_cfg(epochs=1, **overrides)
+        ckpt = tmp_path / f"{name}.ckpt"
+        save_checkpoint(pretrain(dataset, cfg), ckpt)
+        cloud = dataset.resolve(dataset.split("test")[0])
+        files = {}
+        for copy in ("a", "b"):
+            out = tmp_path / f"{name}-{copy}"
+            assert cli.main(["reconstruct", "--checkpoint", str(ckpt), "--input", str(cloud),
+                             "--out", str(out), "--seed", "3"]) == 0
+            files[copy] = {p.stem: p.read_bytes() for p in sorted(out.iterdir())}
+        # the same seed writes the same bytes
+        assert files["a"] == files["b"]
+        return cfg, {stem: len(read_cloud(tmp_path / f"{name}-a" / f"{stem}.xyz"))
+                     for stem in files["a"]}
+
+    def test_pointnet(self, dataset, tmp_path):
+        cfg, counts = self.export(dataset, tmp_path, "pn", encoder="pointnet",
+                                  pointnet_hidden="16", mask_strategy="random")
+        assert set(counts) == {"clean", "corrupted", "reconstruction"}
+        assert counts["clean"] == counts["reconstruction"] == cfg.num_points
+        assert 0 < counts["corrupted"] < cfg.num_points
+
+    def test_patch_mask(self, dataset, tmp_path):
+        cfg, counts = self.export(dataset, tmp_path, "patch", mask_strategy="patch")
+        n, k = cfg.num_patches, cfg.patch_size
+        m = int(np.floor(cfg.mask_ratio * n))
+        assert counts == {"clean": cfg.num_points, "corrupted": (n - m) * k,
+                          "recon_masked": m * k, "recon_visible": (n - m) * k,
+                          "recon_centers": n}
+
+    def test_no_mask(self, dataset, tmp_path):
+        cfg, counts = self.export(dataset, tmp_path, "none", mask_strategy="none")
+        n, k = cfg.num_patches, cfg.patch_size
+        assert counts == {"clean": cfg.num_points, "corrupted": n * k,
+                          "recon_masked": n * k, "recon_centers": n}
 
 
 # Configs whose runs must not depend on the micro-batch size (1 is the
