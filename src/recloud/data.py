@@ -8,6 +8,7 @@ at 32-bit float precision.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,6 +69,20 @@ def read_cloud(path: str | Path, fmt: str | None = None) -> np.ndarray:
 
 
 def _read_xyz(path: Path) -> np.ndarray:
+    # loadtxt parses what the line loop accepts into the same values; the
+    # loop still reads what loadtxt rejects, and raises the numbered errors
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty file only warns
+            xyz = np.loadtxt(path, usecols=(0, 1, 2), comments=None, ndmin=2)
+    except ValueError:
+        xyz = np.empty((0, 3))
+    if not len(xyz):
+        return _read_xyz_lines(path)
+    return xyz.astype(np.float32).astype(np.float64)
+
+
+def _read_xyz_lines(path: Path) -> np.ndarray:
     rows = []
     with path.open() as fh:
         for lineno, line in enumerate(fh, start=1):

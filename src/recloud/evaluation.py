@@ -2,10 +2,10 @@
 few-shot episodes, and reconstruction export.
 
 The probe classifier is a one-vs-rest hinge-loss linear SVM trained by
-deterministic full-batch subgradient descent from zero initialization.
-That choice makes the trained decision rule exactly equivariant under any
-global orthogonal rotation of the features (up to float round-off), and
-runs are reproducible with no solver-dependent noise.
+deterministic full-batch subgradient descent from zero initialization, all
+classes and C values in one solver loop. This solver makes the decision rule
+exactly equivariant under any global orthogonal rotation of the features
+(up to float round-off), and runs reproducible with no solver noise.
 """
 from __future__ import annotations
 
@@ -61,19 +61,19 @@ class FeatureTable:
 
 
 def _probe_rng(sample_id: str) -> np.random.Generator:
-    # FPS start depends only on the sample id, so features are stable
-    # across manifest orderings and repeated calls
+    # one stream per cloud, drawn by resample and then patchify, seeded by the
+    # sample id alone so features are stable across orderings and calls
     return np.random.default_rng(zlib.crc32(sample_id.encode()))
 
 
 def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
-                      sample_ids: list[str]) -> np.ndarray:
+                      rngs: list[np.random.Generator]) -> np.ndarray:
     """One feature row per cloud, the clouds encoded as one batch."""
     if isinstance(model, CloudAutoencoder):
         return model.encoder(np.stack(clouds)).data.astype(np.float64)
     patches = PatchSet.stack([
-        normalize_patches(patchify(points, cfg.num_patches, cfg.patch_size, _probe_rng(sid)))
-        for points, sid in zip(clouds, sample_ids)])
+        normalize_patches(patchify(points, cfg.num_patches, cfg.patch_size, rng))
+        for points, rng in zip(clouds, rngs)])
     encoded = model.encode_all(patches)
     pooled = np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
                              ag.mean_pool_over_axis(encoded, axis=1).data], axis=1)
@@ -105,10 +105,11 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     rows = []
     for lo in range(0, len(entries), MICRO_BATCH):
         chunk = entries[lo:lo + MICRO_BATCH]
+        rngs = [_probe_rng(entry.path) for entry in chunk]
         clouds = [normalize_unit_sphere(resample(read_cloud(manifest.resolve(entry)),
-                                                 cfg.num_points, _probe_rng(entry.path)))
-                  for entry in chunk]
-        rows.append(_encoder_features(model, cfg, clouds, [entry.path for entry in chunk]))
+                                                 cfg.num_points, rng))
+                  for entry, rng in zip(chunk, rngs)]
+        rows.append(_encoder_features(model, cfg, clouds, rngs))
     return FeatureTable(ids=ids, labels=[entry.label for entry in entries],
                         features=np.concatenate(rows), fingerprint=checkpoint.fingerprint)
 
@@ -116,36 +117,47 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
 # ---------------------------------------------------------------------------
 # linear SVM probe
 
+SVM_ITERS = 500
 
-def _svm_train(x: np.ndarray, y: np.ndarray, lam: float, iters: int) -> tuple[np.ndarray, float]:
-    """Full-batch Pegasos-style subgradient descent on hinge + L2.
 
-    Deterministic, zero-initialized, projected onto the ||w|| <= 1/sqrt(lam)
-    ball each step. The bias is unregularized.
-    """
+def _svm_train(x: np.ndarray, y: np.ndarray, lam: np.ndarray,
+               iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Full-batch Pegasos-style subgradient descent on hinge + L2 for the K
+    columns of ``y`` (n, K) of +-1, column k with ``lam[k]``; returns W (K, d)
+    and b (K,). Zero-initialized, each row of W projected onto its
+    ||w|| <= 1/sqrt(lam) ball each step, the bias unregularized. A column's
+    steps are bit for bit those of its own solve: hinge terms add in row
+    order, and each norm is its row's own dot product."""
     n, d = x.shape
-    w = np.zeros(d)
-    b = 0.0
+    w = np.zeros((y.shape[1], d))
+    b = np.zeros(y.shape[1])
     radius = 1.0 / np.sqrt(lam)
+    # the hinge term y[i, k] x[i] of an active row is row i (y = -1) or
+    # n + i (y = 1) of ``signed``; an inactive row's is its zero row 2n
+    signed = np.concatenate([-x, x, np.zeros((1, d))])
+    term_rows = np.arange(n) + n * (y.T > 0)
     for t in range(1, iters + 1):
-        margins = y * (x @ w + b)
-        active = margins < 1.0
-        grad_w = lam * w - (y[active, None] * x[active]).sum(axis=0) / n
-        grad_b = -float(y[active].sum()) / n
+        active = y * (x @ w.T + b) < 1.0
+        hinge = signed[np.where(active.T, term_rows, 2 * n)].sum(axis=1)
         eta = 1.0 / (lam * t)
-        w = w - eta * grad_w
-        b = b - eta * grad_b
-        norm = float(np.linalg.norm(w))
-        if norm > radius:
-            w = w * (radius / norm)
+        w = w - eta[:, None] * (lam[:, None] * w - hinge / n)
+        b = b - eta * (-np.where(active, y, 0.0).sum(axis=0) / n)
+        norm = np.sqrt([row.dot(row) for row in w])
+        over = norm > radius
+        w[over] *= (radius[over] / norm[over])[:, None]
     return w, b
 
 
-def linear_probe(train: FeatureTable, test: FeatureTable, regularization: float = 1.0,
-                 iters: int = 500) -> float:
-    """One-vs-rest linear SVM accuracy on the test table, in [0, 1]."""
-    if regularization <= 0:
-        raise ValueError("regularization C must be positive")
+def _check_regularizations(values) -> None:
+    for c in values:
+        if not (np.isfinite(c) and c > 0):
+            raise ValueError(f"regularization C must be positive and finite, got {c!r}")
+
+
+def _probe_accuracies(train: FeatureTable, test: FeatureTable, regularizations,
+                      iters: int = SVM_ITERS) -> list[float]:
+    """One-vs-rest linear SVM accuracy on the test table for each C."""
+    _check_regularizations(regularizations)
     if train.dim != test.dim:
         raise ValueError(f"feature dims differ: train {train.dim}, test {test.dim}")
     classes = sorted(set(train.labels))
@@ -161,36 +173,36 @@ def linear_probe(train: FeatureTable, test: FeatureTable, regularization: float 
     xtr = train.features / scale
     xte = test.features / scale
 
-    n = xtr.shape[0]
-    lam = 1.0 / (regularization * n)
-    scores = np.empty((xte.shape[0], len(classes)))
-    for ci, cls in enumerate(classes):
-        y = np.where(np.asarray(train.labels) == cls, 1.0, -1.0)
-        w, b = _svm_train(xtr, y, lam, iters)
-        scores[:, ci] = xte @ w + b
-    predicted = np.argmax(scores, axis=1)  # ties: lowest class index
+    n, k = xtr.shape[0], len(classes)
+    y = np.where(np.asarray(train.labels)[:, None] == np.asarray(classes), 1.0, -1.0)
+    lam = np.repeat(1.0 / (np.asarray(regularizations, dtype=np.float64) * n), k)
+    w, b = _svm_train(xtr, np.tile(y, len(regularizations)), lam, iters)
+    scores = (xte @ w.T + b).reshape(xte.shape[0], len(regularizations), k)
+    predicted = np.argmax(scores, axis=2)  # ties: lowest class index
     truth = np.asarray([classes.index(l) for l in test.labels])
-    return float(np.mean(predicted == truth))
+    return [float(np.mean(p == truth)) for p in predicted.T]
+
+
+def linear_probe(train: FeatureTable, test: FeatureTable, regularization: float = 1.0,
+                 iters: int = SVM_ITERS) -> float:
+    """One-vs-rest linear SVM accuracy on the test table, in [0, 1]."""
+    return _probe_accuracies(train, test, (regularization,), iters)[0]
 
 
 def probe_with_sweep(train: FeatureTable, test: FeatureTable,
                      candidates: tuple[float, ...] = (0.1, 1.0, 10.0),
                      val_fraction: float = 0.2, seed: int = 0) -> tuple[float, float]:
     """Pick C on a held-out validation slice of the train rows, then retrain
-    on all train rows; returns (test accuracy, chosen C)."""
-    n = len(train.ids)
-    order = np.random.default_rng(seed).permutation(n)
-    n_val = max(int(val_fraction * n), 1)
-    val_idx, fit_idx = order[:n_val], order[n_val:]
-    fit, val = train.select(fit_idx), train.select(val_idx)
-    best_c, best_acc = candidates[0], -1.0
-    if len(set(fit.labels)) < 2 or len(fit_idx) == 0:
-        best_c = 1.0
-    else:
-        for c in candidates:
-            acc = linear_probe(fit, val, regularization=c)
-            if acc > best_acc:
-                best_acc, best_c = acc, c
+    on all train rows; returns (test accuracy, chosen C). All candidates are
+    fitted in one solver loop; the first with the best accuracy wins."""
+    _check_regularizations(candidates)
+    order = np.random.default_rng(seed).permutation(len(train.ids))
+    n_val = max(int(val_fraction * len(order)), 1)
+    fit, val = train.select(order[n_val:]), train.select(order[:n_val])
+    best_c = 1.0
+    if len(set(fit.labels)) >= 2:
+        accuracies = _probe_accuracies(fit, val, candidates)
+        best_c = candidates[int(np.argmax(accuracies))]
     return linear_probe(train, test, regularization=best_c), best_c
 
 

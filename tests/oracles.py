@@ -108,3 +108,43 @@ def view_occlusion_oracle(points: np.ndarray, ratio: float,
             best[i] = True
             extra += 1
     return [i for i in range(w) if not best[i]]
+
+
+def svm_train_oracle(x: np.ndarray, y: np.ndarray, lam: float,
+                     iters: int) -> tuple[np.ndarray, float]:
+    """One-column Pegasos-style subgradient descent on hinge + L2, the
+    solver ``evaluation._svm_train`` batches over columns: zero init, the
+    hinge gradient over the active rows, step 1/(lam t), then projection
+    onto the ||w|| <= 1/sqrt(lam) ball."""
+    n, d = x.shape
+    w = np.zeros(d)
+    b = 0.0
+    radius = 1.0 / np.sqrt(lam)
+    for t in range(1, iters + 1):
+        margins = y * (x @ w + b)
+        active = margins < 1.0
+        grad_w = lam * w - (y[active, None] * x[active]).sum(axis=0) / n
+        grad_b = -float(y[active].sum()) / n
+        eta = 1.0 / (lam * t)
+        w = w - eta * grad_w
+        b = b - eta * grad_b
+        norm = float(np.linalg.norm(w))
+        if norm > radius:
+            w = w * (radius / norm)
+    return w, b
+
+
+def probe_accuracy_oracle(xtr: np.ndarray, ytr: list, xte: np.ndarray, yte: list,
+                          c: float, iters: int = 500) -> float:
+    """One-vs-rest accuracy from one ``svm_train_oracle`` solve per class,
+    on features scaled by the mean train row norm."""
+    scale = float(np.mean(np.linalg.norm(xtr, axis=1))) or 1.0
+    xtr, xte = xtr / scale, xte / scale
+    classes = sorted(set(ytr))
+    lam = 1.0 / (c * len(xtr))
+    scores = np.empty((len(xte), len(classes)))
+    for ci, cls in enumerate(classes):
+        w, b = svm_train_oracle(xtr, np.where(np.asarray(ytr) == cls, 1.0, -1.0), lam, iters)
+        scores[:, ci] = xte @ w + b
+    truth = np.asarray([classes.index(label) for label in yte])
+    return float(np.mean(np.argmax(scores, axis=1) == truth))

@@ -3,8 +3,9 @@ import struct
 import numpy as np
 import pytest
 
-from recloud.data import (DatasetManifest, SynthSpec, load_split, normalize_unit_sphere,
-                          read_cloud, resample, synth_generate, write_cloud)
+from recloud.data import (DatasetManifest, SynthSpec, _read_xyz_lines, load_split,
+                          normalize_unit_sphere, read_cloud, resample, synth_generate,
+                          write_cloud)
 from recloud.geometry import farthest_point_sample
 
 
@@ -38,6 +39,58 @@ class TestXyzRoundTrip:
         with pytest.raises(ValueError, match=":1"):
             read_cloud(path)
 
+
+
+# Texts the loadtxt fast path reads, and texts only the line loop reads.
+XYZ_TEXTS = {
+    "blank_lines": "1 2 3\n\n   \n4 5 6\n\n",
+    "tabs": "1\t2\t3\n4 \t5\t6\n",
+    "extra_columns": "1 2 3 9\n4 5 6\n7 8 9 1 2\n",
+    "one_point": "0.25 -0.5 0.125\n",
+    "non_finite": "nan inf -inf\n+inf NaN 1e400\n",
+    "crlf_no_final_newline": "1 2 3\r\n4 5 6",
+    "underscore": "1_0 2 3\n4 5 6\n",
+    "unicode_digits": "\u0663 2 3\n",
+    "trailing_hash": "1 2 3 # note\n",
+    "float32_rounding": "0.1 0.2 0.30000001192092896\n1e-40 -1e-46 3.4028234663852886e38\n",
+}
+XYZ_ERRORS = {
+    "empty": ("", "zero points"),
+    "blank_only": ("\n  \n", "zero points"),
+    "hash_line": ("# x y z\n1 2 3\n", r"hash_line.xyz:1: malformed coordinate in '# x y z'"),
+    "malformed": ("0 0 0\n1 nope 2\n", r"malformed.xyz:2: malformed coordinate"),
+    "short": ("1 2 3\n0 0\n", r"short.xyz:2: expected 3 coordinates, got 2"),
+    "comma": ("1,2,3\n", r"comma.xyz:1: expected 3 coordinates, got 1"),
+}
+
+
+class TestXyzFastPath:
+    """``read_cloud`` returns exactly what the line loop returns, and raises
+    its errors."""
+
+    @pytest.mark.parametrize("name", XYZ_TEXTS)
+    def test_equals_line_loop(self, tmp_path, name):
+        path = tmp_path / f"{name}.xyz"
+        path.write_text(XYZ_TEXTS[name], newline="")
+        got, want = read_cloud(path), _read_xyz_lines(path)
+        assert got.dtype == want.dtype == np.float64
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", XYZ_ERRORS)
+    def test_errors_are_the_line_loops(self, tmp_path, name):
+        text, message = XYZ_ERRORS[name]
+        path = tmp_path / f"{name}.xyz"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_cloud(path)
+        with pytest.raises(ValueError, match=message):
+            _read_xyz_lines(path)
+
+    def test_written_clouds_equal_line_loop(self, tmp_path):
+        for seed in range(5):
+            path = tmp_path / f"c{seed}.xyz"
+            write_cloud(path, random_cloud(seed, w=200) * 10.0 ** (seed - 2))
+            assert read_cloud(path).tobytes() == _read_xyz_lines(path).tobytes()
 
 class TestPlyRoundTrip:
     def test_ascii_round_trip(self, tmp_path):
