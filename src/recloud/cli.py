@@ -17,8 +17,8 @@ import numpy as np
 
 from .corruption import DegenerateMaskError
 from .data import SynthSpec, read_cloud, resample, synth_generate, write_cloud
-from .evaluation import (EpisodeSpec, extract_features, fewshot_eval, fewshot_report,
-                         linear_probe, probe_with_sweep, reconstruct_export)
+from .evaluation import (EpisodeSpec, check_regularizations, extract_features, fewshot_eval,
+                         fewshot_report, linear_probe, probe_with_sweep, reconstruct_export)
 from .geometry import denormalize_patches
 from .trainer import (CHOICES, DivergenceError, TrainConfig, load_checkpoint,
                       parse_config_text, prepare_sample, pretrain, sample_rng, save_checkpoint)
@@ -161,6 +161,7 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_probe(args) -> int:
+    check_regularizations((args.regularization,))
     ckpt = load_checkpoint(args.checkpoint)
     _echo_config({"checkpoint": args.checkpoint, "manifest": args.manifest,
                   "out": args.out, "random_init": args.random_init,

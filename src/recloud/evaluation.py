@@ -117,47 +117,40 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
 # ---------------------------------------------------------------------------
 # linear SVM probe
 
-SVM_ITERS = 500
-
-
 def _svm_train(x: np.ndarray, y: np.ndarray, lam: np.ndarray,
                iters: int) -> tuple[np.ndarray, np.ndarray]:
     """Full-batch Pegasos-style subgradient descent on hinge + L2 for the K
     columns of ``y`` (n, K) of +-1, column k with ``lam[k]``; returns W (K, d)
     and b (K,). Zero-initialized, each row of W projected onto its
-    ||w|| <= 1/sqrt(lam) ball each step, the bias unregularized. A column's
-    steps are bit for bit those of its own solve: hinge terms add in row
-    order, and each norm is its row's own dot product."""
+    ||w|| <= 1/sqrt(lam) ball each step, the bias unregularized. The hinge
+    gradient of all columns is one (K, n) @ (n, d) product, so memory stays
+    O(K (n + d)); its summation order is BLAS's, within round-off of a
+    column's own row-order solve."""
     n, d = x.shape
     w = np.zeros((y.shape[1], d))
     b = np.zeros(y.shape[1])
     radius = 1.0 / np.sqrt(lam)
-    # the hinge term y[i, k] x[i] of an active row is row i (y = -1) or
-    # n + i (y = 1) of ``signed``; an inactive row's is its zero row 2n
-    signed = np.concatenate([-x, x, np.zeros((1, d))])
-    term_rows = np.arange(n) + n * (y.T > 0)
     for t in range(1, iters + 1):
-        active = y * (x @ w.T + b) < 1.0
-        hinge = signed[np.where(active.T, term_rows, 2 * n)].sum(axis=1)
+        coef = np.where(y * (x @ w.T + b) < 1.0, y, 0.0)
         eta = 1.0 / (lam * t)
-        w = w - eta[:, None] * (lam[:, None] * w - hinge / n)
-        b = b - eta * (-np.where(active, y, 0.0).sum(axis=0) / n)
+        w = w - eta[:, None] * (lam[:, None] * w - coef.T @ x / n)
+        b = b - eta * (-coef.sum(axis=0) / n)
         norm = np.sqrt([row.dot(row) for row in w])
         over = norm > radius
         w[over] *= (radius[over] / norm[over])[:, None]
     return w, b
 
 
-def _check_regularizations(values) -> None:
+def check_regularizations(values) -> None:
     for c in values:
         if not (np.isfinite(c) and c > 0):
             raise ValueError(f"regularization C must be positive and finite, got {c!r}")
 
 
 def _probe_accuracies(train: FeatureTable, test: FeatureTable, regularizations,
-                      iters: int = SVM_ITERS) -> list[float]:
+                      iters: int) -> list[float]:
     """One-vs-rest linear SVM accuracy on the test table for each C."""
-    _check_regularizations(regularizations)
+    check_regularizations(regularizations)
     if train.dim != test.dim:
         raise ValueError(f"feature dims differ: train {train.dim}, test {test.dim}")
     classes = sorted(set(train.labels))
@@ -184,7 +177,7 @@ def _probe_accuracies(train: FeatureTable, test: FeatureTable, regularizations,
 
 
 def linear_probe(train: FeatureTable, test: FeatureTable, regularization: float = 1.0,
-                 iters: int = SVM_ITERS) -> float:
+                 iters: int = 500) -> float:
     """One-vs-rest linear SVM accuracy on the test table, in [0, 1]."""
     return _probe_accuracies(train, test, (regularization,), iters)[0]
 
@@ -195,13 +188,13 @@ def probe_with_sweep(train: FeatureTable, test: FeatureTable,
     """Pick C on a held-out validation slice of the train rows, then retrain
     on all train rows; returns (test accuracy, chosen C). All candidates are
     fitted in one solver loop; the first with the best accuracy wins."""
-    _check_regularizations(candidates)
+    check_regularizations(candidates)
     order = np.random.default_rng(seed).permutation(len(train.ids))
     n_val = max(int(val_fraction * len(order)), 1)
     fit, val = train.select(order[n_val:]), train.select(order[:n_val])
     best_c = 1.0
     if len(set(fit.labels)) >= 2:
-        accuracies = _probe_accuracies(fit, val, candidates)
+        accuracies = _probe_accuracies(fit, val, candidates, 500)
         best_c = candidates[int(np.argmax(accuracies))]
     return linear_probe(train, test, regularization=best_c), best_c
 

@@ -41,12 +41,18 @@ def oracle_sweep(train: FeatureTable, test: FeatureTable, seed: int = 0):
 
 
 class TestBatchedSolver:
-    """Every column of the batched solver is the one-column solve, bit for bit."""
+    """Every column of the batched solver is the one-column solve, up to the
+    summation order of the hinge gradient's matrix product."""
 
-    @pytest.mark.parametrize("classes", [2, 3, 4, 5])
+    # BLAS may add the rows of a long table in blocks; with OpenBLAS that moves
+    # the weights of the 1000 x 256 table (norm ~6) by about 5e-15
+    RTOL = ATOL = 1e-12
+
+    @pytest.mark.parametrize("classes,rows,dim", [(2, 14, 6), (3, 14, 6), (4, 14, 6),
+                                                  (5, 14, 6), (2, 1000, 256)])
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_weights_byte_equal_oracle(self, seed, classes):
-        train, _ = random_tables(seed, classes)
+    def test_weights_match_oracle(self, seed, classes, rows, dim):
+        train, _ = random_tables(seed, classes, rows, dim)
         x = train.features / np.mean(np.linalg.norm(train.features, axis=1))
         names = sorted(set(train.labels))
         y = np.where(np.asarray(train.labels)[:, None] == np.asarray(names), 1.0, -1.0)
@@ -55,9 +61,8 @@ class TestBatchedSolver:
         assert w.shape == (len(CANDIDATES) * classes, x.shape[1]) and b.shape == lam.shape
         for j in range(len(lam)):
             w1, b1 = svm_train_oracle(x, y[:, j % classes], float(lam[j]), 200)
-            assert w[j].tobytes() == w1.tobytes(), j
-            assert b[j].tobytes() == np.float64(b1).tobytes(), j
-
+            np.testing.assert_allclose(w[j], w1, rtol=self.RTOL, atol=self.ATOL)
+            np.testing.assert_allclose(b[j], b1, rtol=self.RTOL, atol=self.ATOL)
 
     @pytest.mark.parametrize("classes", [2, 3, 4, 5])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -227,8 +232,10 @@ class TestProbeCommand:
         rc, again = self.run(probe_setup, "--sweep", "--seed", "0")
         assert rc == 0 and json.loads((again / "probe_report.json").read_text()) == report
 
+    @pytest.mark.parametrize("sweep", [(), ("--sweep",)], ids=["fixed", "sweep"])
     @pytest.mark.parametrize("c", ["nan", "inf", "0"])
-    def test_bad_regularization_exits_bad_config(self, probe_setup, capsys, c):
-        rc, _ = self.run(probe_setup, "--regularization", c)
+    def test_bad_regularization_exits_bad_config(self, probe_setup, capsys, c, sweep):
+        rc, out = self.run(probe_setup, "--regularization", c, *sweep)
         assert rc == cli.EXIT_BAD_CONFIG
         assert "invalid-config" in capsys.readouterr().err
+        assert not out.exists()  # rejected before extraction writes anything
