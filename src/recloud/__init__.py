@@ -4,8 +4,8 @@ reconstruction, with oracle-checked geometry and a built-in autograd engine."""
 __version__ = "0.1.0"
 
 from .autograd import Tensor, backward, finite_difference_check
-from .corruption import (AffineFamilySpec, MaskPlan, mask_fixed_clusters, mask_patches,
-                         mask_random_clusters, mask_view_occlusion, sample_affine)
+from .corruption import (MaskPlan, mask_fixed_clusters, mask_patches, mask_random_clusters,
+                         mask_view_occlusion, sample_affine)
 from .geometry import (AffineTransform, Neighborhood, PatchSet, affine_apply,
                        denormalize_patches, farthest_point_sample, knn,
                        normalize_patches, patchify)
@@ -15,7 +15,7 @@ from .trainer import (AdamW, Checkpoint, TrainConfig, cosine_lr, load_checkpoint
 
 __all__ = [
     "Tensor", "backward", "finite_difference_check",
-    "AffineFamilySpec", "MaskPlan", "mask_fixed_clusters", "mask_patches",
+    "MaskPlan", "mask_fixed_clusters", "mask_patches",
     "mask_random_clusters", "mask_view_occlusion", "sample_affine",
     "AffineTransform", "Neighborhood", "PatchSet", "affine_apply",
     "denormalize_patches", "farthest_point_sample", "knn",

@@ -15,13 +15,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .corruption import DegenerateMaskError
+from .corruption import ALL_FAMILIES, DegenerateMaskError
 from .data import SynthSpec, read_cloud, resample, synth_generate, write_cloud
 from .evaluation import (EpisodeSpec, check_regularizations, extract_features, fewshot_eval,
                          fewshot_report, linear_probe, probe_with_sweep, reconstruct_export)
 from .geometry import denormalize_patches
-from .trainer import (CHOICES, DivergenceError, TrainConfig, load_checkpoint,
-                      parse_config_text, prepare_sample, pretrain, sample_rng, save_checkpoint)
+from .trainer import (CHOICES, PATCH_MASKS, POINT_MASKS, DivergenceError, TrainConfig,
+                      load_checkpoint, parse_config_text, prepare_sample, pretrain,
+                      sample_rng, save_checkpoint)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -29,20 +30,14 @@ EXIT_MISSING_FILE = 3
 EXIT_BAD_CONFIG = 4
 EXIT_DEGENERATE_MASK = 5
 
-AFFINE_CHOICES = ("full", "rotate", "translate", "reflect", "shear", "scale", "none")
+# --affine: "full" enables every sub-family, any other value names one, or none
+AFFINE_FAMILIES = {"full": TrainConfig.affine_families, **{c: c for c in ALL_FAMILIES + ("none",)}}
+MASK_CHOICES = tuple(dict.fromkeys(POINT_MASKS + PATCH_MASKS))
 
 
 def _echo_config(pairs: dict) -> None:
     for key in sorted(pairs):
         print(f"{key} = {pairs[key]}")
-
-
-def _affine_families(choice: str) -> str:
-    if choice == "full":
-        return "scale,shear,reflect,rotate,translate"
-    if choice == "none":
-        return "none"
-    return choice
 
 
 def _build_train_config(args) -> TrainConfig:
@@ -70,7 +65,7 @@ def _build_train_config(args) -> TrainConfig:
         "precision": args.precision,
     }
     if args.affine is not None:
-        overrides["affine_families"] = _affine_families(args.affine)
+        overrides["affine_families"] = AFFINE_FAMILIES[args.affine]
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
     return TrainConfig(**kwargs).resolved()
 
@@ -106,7 +101,7 @@ def _cmd_corrupt(args) -> int:
     if args.affine_spec:
         kwargs.update(_load_affine_spec_file(args.affine_spec))
     if args.affine is not None:
-        kwargs["affine_families"] = _affine_families(args.affine)
+        kwargs["affine_families"] = AFFINE_FAMILIES[args.affine]
     if args.mask == "patch":
         kwargs.update(encoder="transformer", mask_strategy="patch",
                       num_patches=args.patches, patch_size=args.patch_size)
@@ -126,7 +121,7 @@ def _cmd_corrupt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sample = prepare_sample(pts, cfg, cfg.affine_spec(), sample_rng(args.seed, 0, 0))
+    sample = prepare_sample(pts, cfg, sample_rng(args.seed, 0, 0))
     transform, plan = sample.transform, sample.plan
     visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
                if args.mask == "patch" else sample.visible)
@@ -231,9 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("corrupt", help="apply affine + masking corruption to one cloud")
     p.add_argument("--input", required=True, help="input cloud (xyz or ply)")
     p.add_argument("--out", required=True)
-    p.add_argument("--mask", required=True, choices=("random", "fixed", "view", "patch", "none"))
+    p.add_argument("--mask", required=True, choices=MASK_CHOICES)
     p.add_argument("--alpha", type=float, default=0.6, help="masking ratio")
-    p.add_argument("--affine", choices=AFFINE_CHOICES, default=None)
+    p.add_argument("--affine", choices=AFFINE_FAMILIES, default=None)
     p.add_argument("--affine-spec", default=None, help="key-value file of affine_* keys")
     p.add_argument("--cluster-size", type=int, default=16)
     p.add_argument("--max-clusters", type=int, default=8)
@@ -256,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--encoder", choices=CHOICES["encoder"], default=None)
     p.add_argument("--affine-role", choices=CHOICES["affine_role"], default=None)
     p.add_argument("--objective", choices=CHOICES["objective"], default=None)
-    p.add_argument("--mask", choices=("random", "fixed", "view", "patch", "none"), default=None)
+    p.add_argument("--mask", choices=MASK_CHOICES, default=None)
     p.add_argument("--alpha", type=float, default=None)
-    p.add_argument("--affine", choices=AFFINE_CHOICES, default=None)
+    p.add_argument("--affine", choices=AFFINE_FAMILIES, default=None)
     p.add_argument("--global-weight", type=float, default=None)
     p.add_argument("--decoder", choices=CHOICES["decoder"], default=None,
                    help="whole-cloud decoder head (global encoder)")

@@ -1,126 +1,92 @@
 """Input corruption: random affine transforms and the masking strategies.
 
 Affine transforms are sampled per sub-family (rotate, translate, reflect,
-shear, scale) and composed in a fixed order so that a seed plus a spec
-fully determines the matrix. Masking removes either points (cluster and
-view-occlusion strategies, for encoders that consume whole clouds) or
-patches (index masking, for patch-token encoders).
+shear, scale) and composed in a fixed order so that a seed plus the
+``affine_*`` fields of a ``TrainConfig`` fully determine the matrix.
+Masking removes either points (cluster and view-occlusion strategies, for
+encoders that consume whole clouds) or patches (index masking, for
+patch-token encoders).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import AffineTransform, _sqdist_to, as_cloud
 
+if TYPE_CHECKING:
+    from .trainer import TrainConfig
+
 ALL_FAMILIES = ("rotate", "translate", "reflect", "shear", "scale")
 # application order: a point is scaled first, translated last
 COMPOSITION_ORDER = ("scale", "shear", "reflect", "rotate", "translate")
 
-Range = tuple[float, float]
+
+def parse_range(text: str) -> tuple[float, float]:
+    """An ``"lo:hi"`` range string as two floats."""
+    lo, _, hi = text.partition(":")
+    return (float(lo), float(hi))
 
 
-def _check_range(name: str, r: Range, positive: bool = False) -> None:
-    lo, hi = float(r[0]), float(r[1])
-    if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-        raise ValueError(f"{name} range must be finite with lo <= hi, got ({lo}, {hi})")
-    if positive and lo <= 0:
-        raise ValueError(f"{name} range must be strictly positive, got ({lo}, {hi})")
+def enabled_families(text: str) -> set[str]:
+    """The sub-families named by a comma-separated list; "" or "none" is none."""
+    text = text.strip()
+    return set() if text in ("", "none") else set(text.split(","))
 
 
-@dataclass(frozen=True)
-class AffineFamilySpec:
-    """Sampling ranges for the five affine sub-families.
-
-    ``rotate``/``translate``/``scale`` hold one (lo, hi) range per axis;
-    ``shear`` is a single range shared by all six off-diagonal
-    coefficients; ``reflect`` is a per-axis flip probability.
-    """
-
-    rotate: tuple[Range, Range, Range] = ((-np.pi, np.pi),) * 3
-    translate: tuple[Range, Range, Range] = ((-0.2, 0.2),) * 3
-    reflect: tuple[float, float, float] = (0.5, 0.5, 0.5)
-    shear: Range = (-0.25, 0.25)
-    scale: tuple[Range, Range, Range] = ((2.0 / 3.0, 1.5),) * 3
-    enabled: frozenset[str] = frozenset(ALL_FAMILIES)
-
-    def __post_init__(self):
-        for ax in range(3):
-            _check_range(f"rotate[{ax}]", self.rotate[ax])
-            _check_range(f"translate[{ax}]", self.translate[ax])
-            _check_range(f"scale[{ax}]", self.scale[ax], positive=True)
-            p = self.reflect[ax]
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"reflect probability must be in [0, 1], got {p}")
-        _check_range("shear", self.shear)
-        unknown = set(self.enabled) - set(ALL_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown affine sub-families: {sorted(unknown)}")
-        object.__setattr__(self, "enabled", frozenset(self.enabled))
-
-    @classmethod
-    def disabled(cls) -> "AffineFamilySpec":
-        """No sub-families enabled: sampling yields the identity."""
-        return cls(enabled=frozenset())
-
-
-def _uniform(rng: np.random.Generator, r: Range) -> float:
-    lo, hi = r
+def _uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
     return float(lo) if lo == hi else float(rng.uniform(lo, hi))
 
 
-def _family_matrix(family: str, spec: AffineFamilySpec, rng: np.random.Generator) -> np.ndarray:
+def _family_matrix(family: str, cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
     h = np.eye(4)
+    if family == "reflect":
+        for ax in range(3):
+            if rng.random() < cfg.affine_reflect:
+                h[ax, ax] = -1.0
+        return h
+    lo, hi = parse_range(getattr(cfg, f"affine_{family}"))
     if family == "scale":
         for ax in range(3):
-            h[ax, ax] = _uniform(rng, spec.scale[ax])
+            h[ax, ax] = _uniform(rng, lo, hi)
     elif family == "shear":
         # unit diagonal, all six off-diagonal coefficients sampled
         for i in range(3):
             for j in range(3):
                 if i != j:
-                    h[i, j] = _uniform(rng, spec.shear)
-    elif family == "reflect":
-        for ax in range(3):
-            if rng.random() < spec.reflect[ax]:
-                h[ax, ax] = -1.0
+                    h[i, j] = _uniform(rng, lo, hi)
     elif family == "rotate":
         # intra-family convention: rotate about x, then y, then z
         for ax in range(3):
-            angle = _uniform(rng, spec.rotate[ax])
+            angle = _uniform(rng, lo, hi)
             c, s = np.cos(angle), np.sin(angle)
-            r = np.eye(4)
             a, b = [(1, 2), (0, 2), (0, 1)][ax]
-            r[a, a] = c
-            r[b, b] = c
-            if ax == 1:  # y-axis rotation has the opposite off-diagonal signs
-                r[a, b] = s
-                r[b, a] = -s
-            else:
-                r[a, b] = -s
-                r[b, a] = s
+            sign = -1.0 if ax == 1 else 1.0  # y-axis rotation: opposite off-diagonal signs
+            r = np.eye(4)
+            r[a, a] = r[b, b] = c
+            r[a, b], r[b, a] = -sign * s, sign * s
             h = r @ h
-    elif family == "translate":
+    else:  # translate
         for ax in range(3):
-            h[ax, 3] = _uniform(rng, spec.translate[ax])
-    else:
-        raise ValueError(f"unknown affine sub-family {family!r}")
+            h[ax, 3] = _uniform(rng, lo, hi)
     return h
 
 
-def sample_affine(spec: AffineFamilySpec, rng: np.random.Generator) -> AffineTransform:
-    """Sample one affine transform from the enabled sub-families.
+def sample_affine(cfg: TrainConfig, rng: np.random.Generator) -> AffineTransform:
+    """Sample one affine transform from the config's ``affine_families``.
 
     Component matrices are sampled and composed in the fixed order
     scale -> shear -> reflect -> rotate -> translate (application order).
-    An empty enabled set yields the identity.
+    No enabled sub-family yields the identity.
     """
+    enabled = enabled_families(cfg.affine_families)
     h = np.eye(4)
     provenance = []
     for family in COMPOSITION_ORDER:
-        if family in spec.enabled:
-            h = _family_matrix(family, spec, rng) @ h
+        if family in enabled:
+            h = _family_matrix(family, cfg, rng) @ h
             provenance.append(family)
     return AffineTransform(h[:3, :], provenance=tuple(provenance))
 
@@ -136,7 +102,6 @@ class MaskPlan:
 
     masked: np.ndarray
     visible: np.ndarray
-    ratio: float
     cluster_sizes: tuple[int, ...]
     cluster_centers: tuple[int, ...]
 
@@ -159,14 +124,6 @@ class MaskPlan:
     @property
     def total_count(self) -> int:
         return len(self.masked) + len(self.visible)
-
-    @property
-    def masked_count(self) -> int:
-        return len(self.masked)
-
-    @property
-    def num_clusters(self) -> int:
-        return len(self.cluster_sizes)
 
 
 class DegenerateMaskError(ValueError):
@@ -194,9 +151,8 @@ def _split_budget(budget: int, num_clusters: int, rng: np.random.Generator) -> l
     return np.diff(edges).tolist()  # Python ints: plan.json serialises them
 
 
-def _drop_clusters(points: np.ndarray, ratio: float, sizes: list[int],
+def _drop_clusters(pts: np.ndarray, sizes: list[int],
                    rng: np.random.Generator) -> tuple[MaskPlan, np.ndarray]:
-    pts = as_cloud(points)
     cols = np.ascontiguousarray(pts.T)
     surviving = np.arange(pts.shape[0], dtype=np.int64)
     dropped: list[np.ndarray] = []
@@ -211,7 +167,7 @@ def _drop_clusters(points: np.ndarray, ratio: float, sizes: list[int],
         keep[order] = False
         surviving = surviving[keep]
     masked = np.sort(np.concatenate(dropped))
-    plan = MaskPlan(masked=masked, visible=np.sort(surviving), ratio=ratio,
+    plan = MaskPlan(masked=masked, visible=np.sort(surviving),
                     cluster_sizes=tuple(sizes), cluster_centers=tuple(centers))
     return plan, pts[plan.visible]
 
@@ -229,7 +185,7 @@ def mask_random_clusters(points: np.ndarray, ratio: float, rng: np.random.Genera
     budget = _mask_budget(pts.shape[0], ratio)
     num_clusters = int(rng.integers(1, min(max_clusters, budget) + 1))
     sizes = _split_budget(budget, num_clusters, rng)
-    return _drop_clusters(pts, ratio, sizes, rng)
+    return _drop_clusters(pts, sizes, rng)
 
 
 def mask_fixed_clusters(points: np.ndarray, ratio: float, cluster_size: int,
@@ -242,7 +198,7 @@ def mask_fixed_clusters(points: np.ndarray, ratio: float, cluster_size: int,
     sizes = [cluster_size] * (budget // cluster_size)
     if budget % cluster_size:
         sizes.append(budget % cluster_size)
-    return _drop_clusters(pts, ratio, sizes, rng)
+    return _drop_clusters(pts, sizes, rng)
 
 
 def mask_view_occlusion(points: np.ndarray, ratio: float,
@@ -304,7 +260,7 @@ def mask_view_occlusion(points: np.ndarray, ratio: float,
     masked = np.flatnonzero(~visible).astype(np.int64)
     # no k-NN clusters here: one pseudo-cluster, center -1 (no drawn center)
     plan = MaskPlan(masked=masked, visible=np.flatnonzero(visible).astype(np.int64),
-                    ratio=ratio, cluster_sizes=(budget,), cluster_centers=(-1,))
+                    cluster_sizes=(budget,), cluster_centers=(-1,))
     return plan, pts[plan.visible]
 
 
@@ -315,5 +271,5 @@ def mask_patches(num_patches: int, ratio: float, rng: np.random.Generator) -> Ma
     budget = _mask_budget(num_patches, ratio)
     masked = np.sort(rng.choice(num_patches, size=budget, replace=False)).astype(np.int64)
     visible = np.setdiff1d(np.arange(num_patches, dtype=np.int64), masked)
-    return MaskPlan(masked=masked, visible=visible, ratio=ratio,
-                    cluster_sizes=(1,) * budget, cluster_centers=tuple(int(i) for i in masked))
+    return MaskPlan(masked=masked, visible=visible, cluster_sizes=(1,) * budget,
+                    cluster_centers=tuple(int(i) for i in masked))

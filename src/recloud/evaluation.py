@@ -187,14 +187,18 @@ def probe_with_sweep(train: FeatureTable, test: FeatureTable,
                      val_fraction: float = 0.2, seed: int = 0) -> tuple[float, float]:
     """Pick C on a held-out validation slice of the train rows, then retrain
     on all train rows; returns (test accuracy, chosen C). All candidates are
-    fitted in one solver loop; the first with the best accuracy wins."""
+    fitted in one solver loop; the first with the best accuracy wins. Only
+    validation rows of fit classes are scored (any other is wrong under
+    every C); with none, or with one fit class, C is 1."""
     check_regularizations(candidates)
     order = np.random.default_rng(seed).permutation(len(train.ids))
     n_val = max(int(val_fraction * len(order)), 1)
-    fit, val = train.select(order[n_val:]), train.select(order[:n_val])
+    fit = train.select(order[n_val:])
+    fit_classes = set(fit.labels)
+    val_rows = [i for i in order[:n_val] if train.labels[i] in fit_classes]
     best_c = 1.0
-    if len(set(fit.labels)) >= 2:
-        accuracies = _probe_accuracies(fit, val, candidates, 500)
+    if len(fit_classes) >= 2 and val_rows:
+        accuracies = _probe_accuracies(fit, train.select(val_rows), candidates, 500)
         best_c = candidates[int(np.argmax(accuracies))]
     return linear_probe(train, test, regularization=best_c), best_c
 
@@ -272,7 +276,7 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
                                          cfg.num_points,
                                          np.random.default_rng(seed)))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
-    sample = prepare_sample(pts, cfg, cfg.affine_spec(), rng)
+    sample = prepare_sample(pts, cfg, rng)
 
     files: dict[str, Path] = {}
 

@@ -47,10 +47,6 @@ class AffineTransform:
             raise ValueError("affine matrix contains non-finite entries")
         object.__setattr__(self, "matrix", m)
 
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(np.hstack([np.eye(3), np.zeros((3, 1))]))
-
     @property
     def linear(self) -> np.ndarray:
         """The 3x3 linear block."""
@@ -59,10 +55,6 @@ class AffineTransform:
     @property
     def translation(self) -> np.ndarray:
         return self.matrix[:, 3]
-
-    def determinant(self) -> float:
-        """Determinant of the linear block (orientation/volume factor)."""
-        return float(np.linalg.det(self.linear))
 
 
 def affine_apply(points: np.ndarray, transform: AffineTransform) -> np.ndarray:
@@ -218,14 +210,6 @@ class PatchSet:
             raise ValueError(f"patches must be (..., n, k, 3) matching centers, got {p.shape}")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "patches", p)
-
-    @property
-    def num_patches(self) -> int:
-        return self.centers.shape[-2]
-
-    @property
-    def patch_size(self) -> int:
-        return self.patches.shape[-2]
 
     @classmethod
     def stack(cls, sets: list["PatchSet"]) -> "PatchSet":

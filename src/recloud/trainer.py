@@ -1,10 +1,11 @@
 """The pretraining loop: corrupt, reconstruct, backpropagate, AdamW-step.
 
 Per sample and epoch the pipeline draws a fresh affine transform and mask,
-runs the encoder clan's forward pass, and compares the reconstruction
-against the clean cloud (or against the transformed cloud when the affine
-role is plain augmentation). All randomness is derived statelessly from
-(seed, epoch, sample index), which makes checkpoint resume exact.
+as ``TrainConfig`` describes them, runs the encoder clan's forward pass,
+and compares the reconstruction against the clean cloud (or against the
+transformed cloud when the affine role is plain augmentation). All
+randomness is derived statelessly from (seed, epoch, sample index), which
+makes checkpoint resume exact.
 
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
 and one backward each; every result equals a per-sample loop bit for bit
@@ -17,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -25,9 +27,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, backward
-from .corruption import (AffineFamilySpec, MaskPlan, mask_fixed_clusters,
+from .corruption import (ALL_FAMILIES, MaskPlan, enabled_families, mask_fixed_clusters,
                          mask_patches, mask_random_clusters, mask_view_occlusion,
-                         sample_affine)
+                         parse_range, sample_affine)
 from .data import DatasetManifest, load_split
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
@@ -57,14 +59,12 @@ CHOICES = {"precision": ("single", "double"), "encoder": ("pointnet", "transform
            "decoder": HEAD_KINDS, "local_decoder": HEAD_KINDS, "global_decoder": HEAD_KINDS}
 
 
-def _parse_range(text: str) -> tuple[float, float]:
-    lo, _, hi = text.partition(":")
-    return (float(lo), float(hi))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
-    """Flat, text-serializable pretraining configuration."""
+    """Flat, text-serializable pretraining configuration, checked when built.
+
+    The one description of a run's corruption too: ``sample_affine`` reads
+    the ``affine_*`` fields, each ``"lo:hi"`` range shared by all axes."""
 
     epochs: int = 300
     learning_rate: float = 0.001
@@ -111,10 +111,12 @@ class TrainConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
-            numbers = (_parse_range(value) if f.name in _RANGE_FIELDS
+            numbers = (parse_range(value) if f.name in _RANGE_FIELDS
                        else (value,) if f.type in (float, "float") else ())
             if not all(math.isfinite(v) for v in numbers):
                 raise ValueError(f"{f.name} must be finite, got {value!r}")
+            if f.name in _RANGE_FIELDS and numbers[0] > numbers[1]:
+                raise ValueError(f"{f.name} must be a range with lo <= hi, got {value!r}")
             least = _AT_LEAST.get(f.name, 1 if f.type in (int, "int") else None)
             if least is not None and value < least:
                 raise ValueError(f"{f.name} must be at least {least}, got {value!r}")
@@ -125,6 +127,13 @@ class TrainConfig:
         if narrowest < 1:
             raise ValueError(f"pointnet_hidden must list positive widths, "
                              f"got {self.pointnet_hidden!r}")
+        if parse_range(self.affine_scale)[0] <= 0:
+            raise ValueError(f"affine_scale must be positive, got {self.affine_scale!r}")
+        if not 0.0 <= self.affine_reflect <= 1.0:
+            raise ValueError(f"affine_reflect must be in [0, 1], got {self.affine_reflect!r}")
+        unknown = enabled_families(self.affine_families) - set(ALL_FAMILIES)
+        if unknown:
+            raise ValueError(f"affine_families: unknown sub-families {sorted(unknown)}")
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}, "
@@ -151,18 +160,6 @@ class TrainConfig:
     @property
     def dtype(self):
         return np.float32 if self.precision == "single" else np.float64
-
-    def affine_spec(self) -> AffineFamilySpec:
-        families = self.affine_families.strip()
-        enabled = frozenset() if families in ("", "none") else frozenset(families.split(","))
-        return AffineFamilySpec(
-            rotate=(_parse_range(self.affine_rotate),) * 3,
-            translate=(_parse_range(self.affine_translate),) * 3,
-            reflect=(self.affine_reflect,) * 3,
-            shear=_parse_range(self.affine_shear),
-            scale=(_parse_range(self.affine_scale),) * 3,
-            enabled=enabled,
-        )
 
     def to_text(self) -> str:
         cfg = self.resolved()
@@ -308,9 +305,9 @@ class PatchSample:
     transform: AffineTransform
 
 
-def prepare_cloud_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamilySpec,
+def prepare_cloud_sample(points: np.ndarray, cfg: TrainConfig,
                          rng: np.random.Generator) -> CloudSample:
-    transform = sample_affine(spec, rng)
+    transform = sample_affine(cfg, rng)
     corrupted = affine_apply(points, transform)
     strategy = cfg.resolved().mask_strategy
     if strategy == "none":
@@ -319,17 +316,15 @@ def prepare_cloud_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamil
         plan, visible = mask_random_clusters(corrupted, cfg.mask_ratio, rng, cfg.max_clusters)
     elif strategy == "fixed":
         plan, visible = mask_fixed_clusters(corrupted, cfg.mask_ratio, cfg.cluster_size, rng)
-    elif strategy == "view":
+    else:  # "view"; TrainConfig admits no other point mask
         plan, visible = mask_view_occlusion(corrupted, cfg.mask_ratio, rng)
-    else:
-        raise ValueError(f"mask strategy {strategy!r} is not a point-level strategy")
     target = corrupted if cfg.affine_role == "augmentation" else points
     return CloudSample(visible=visible, target=target, transform=transform, plan=plan)
 
 
-def prepare_patch_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamilySpec,
+def prepare_patch_sample(points: np.ndarray, cfg: TrainConfig,
                          rng: np.random.Generator) -> PatchSample:
-    transform = sample_affine(spec, rng)
+    transform = sample_affine(cfg, rng)
     clean = patchify(points, cfg.num_patches, cfg.patch_size, rng)
     flat = clean.patches.reshape(-1, 3)
     corrupted = PatchSet(
@@ -354,7 +349,7 @@ def prepare_patch_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamil
     vis = plan.visible if plan is not None else np.arange(cfg.num_patches)
     visible_patches = PatchSet(centers=corrupted.centers[vis],
                                patches=corrupted_norm.patches[vis],
-                               indices=corrupted.indices[vis] if corrupted.indices is not None else None,
+                               indices=corrupted.indices[vis],
                                normalized=True)
     return PatchSample(visible_patches=visible_patches, plan=plan,
                        target_centers=target_centers, target_patches=target_patches,
@@ -394,11 +389,10 @@ def sample_loss(model, samples: list, cfg: TrainConfig) -> tuple[Tensor, list[Lo
     return loss_all(local, global_, cfg.global_weight)
 
 
-def prepare_sample(points: np.ndarray, cfg: TrainConfig, spec: AffineFamilySpec,
-                   rng: np.random.Generator):
+def prepare_sample(points: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
     if cfg.encoder == "pointnet":
-        return prepare_cloud_sample(points, cfg, spec, rng)
-    return prepare_patch_sample(points, cfg, spec, rng)
+        return prepare_cloud_sample(points, cfg, rng)
+    return prepare_patch_sample(points, cfg, rng)
 
 
 def build_model(cfg: TrainConfig):
@@ -528,7 +522,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         _write_array(out, ckpt.params[name])
         _write_array(out, ckpt.moments1[name])
         _write_array(out, ckpt.moments2[name])
-    Path(path).write_bytes(b"".join(out))
+    # write a sibling file and rename it over the target, so a save that
+    # fails partway leaves the previous checkpoint whole
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(b"".join(out))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -566,8 +568,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the loss leaves the finite range; carries the last finite
-    checkpoint so callers can salvage the run."""
+    """Raised when the loss, a parameter or a moment leaves the finite range;
+    carries the last finite checkpoint so callers can salvage the run."""
 
     def __init__(self, message: str, checkpoint: Checkpoint):
         super().__init__(message)
@@ -583,6 +585,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     Returns the final checkpoint; writes one LossReport row per epoch to
     ``metrics_path`` when given, appending on a resume. ``resume`` continues
     a saved run exactly (derived RNG streams are stateless in the epoch index).
+    A non-finite loss, parameter or moment raises ``DivergenceError``.
     """
     cfg = cfg.resolved()
     if isinstance(manifest, (str, Path)):
@@ -601,7 +604,6 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
         restore(model, resume, opt)
         start_epoch = resume.epoch
 
-    spec = cfg.affine_spec()
     last_finite = snapshot(model, opt, cfg, epoch=start_epoch)
     # each row is written as its epoch ends, so a run that stops early keeps
     # the rows of the epochs it finished; a resumed run appends to its file
@@ -622,7 +624,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                 with np.errstate(over="ignore", invalid="ignore"):
                     for mlo in range(0, len(batch), MICRO_BATCH):
                         micro = batch[mlo:mlo + MICRO_BATCH]
-                        samples = [prepare_sample(clouds[idx], cfg, spec,
+                        samples = [prepare_sample(clouds[idx], cfg,
                                                   sample_rng(cfg.seed, epoch, idx))
                                    for idx in micro]
                         totals, micro_reports = sample_loss(model, samples, cfg)
@@ -637,6 +639,15 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                         del totals  # free this graph before the next one is built
                     opt.step(lr)
 
+            # a step can overflow a weight or a moment while every loss of
+            # its epoch stays finite
+            state = snapshot(model, opt, cfg, epoch=epoch + 1)
+            if not all(np.isfinite(a).all() for arrays in
+                       (state.params, state.moments1, state.moments2) for a in arrays.values()):
+                raise DivergenceError(
+                    f"non-finite parameters or moments after epoch {epoch + 1}; aborting "
+                    f"with the checkpoint from epoch {last_finite.epoch}", last_finite)
+            last_finite = state
             # average in canonical sample order so the epoch metric does not
             # depend on the shuffle (float summation is order-sensitive)
             ordered = [reports[i] for i in sorted(reports)]
@@ -648,7 +659,6 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                 metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
                               f"{mean.global_!r},{lr!r}\n")
                 metrics.flush()
-            last_finite = snapshot(model, opt, cfg, epoch=epoch + 1)
             if epoch_callback is not None:
                 epoch_callback(epoch + 1, mean, lr)
     return last_finite

@@ -3,59 +3,74 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloud.corruption import (ALL_FAMILIES, AffineFamilySpec, DegenerateMaskError,
-                                MaskPlan, mask_fixed_clusters, mask_patches,
-                                mask_random_clusters, mask_view_occlusion, sample_affine)
+from recloud.corruption import (DegenerateMaskError, MaskPlan, mask_fixed_clusters,
+                                mask_patches, mask_random_clusters, mask_view_occlusion,
+                                sample_affine)
 from recloud.geometry import affine_apply
 from recloud.losses import chamfer
+from recloud.trainer import TrainConfig
 
 from oracles import replay_cluster_mask, view_occlusion_oracle
 
 
-def degenerate_spec():
+def degenerate_cfg():
     """All magnitudes collapsed to zero effect: sampling yields the identity."""
-    return AffineFamilySpec(rotate=((0.0, 0.0),) * 3, translate=((0.0, 0.0),) * 3,
-                            reflect=(0.0, 0.0, 0.0), shear=(0.0, 0.0),
-                            scale=((1.0, 1.0),) * 3)
+    return TrainConfig(affine_rotate="0:0", affine_translate="0:0", affine_reflect=0.0,
+                       affine_shear="0:0", affine_scale="1:1")
 
 
-class TestAffineFamilySpec:
+class TestAffineConfig:
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
-            AffineFamilySpec(scale=((0.0, 1.0),) * 3)
+            TrainConfig(affine_scale="0:1")
 
     def test_ranges_well_ordered(self):
         with pytest.raises(ValueError, match="lo <= hi"):
-            AffineFamilySpec(rotate=((1.0, -1.0),) * 3)
+            TrainConfig(affine_rotate="1:-1")
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
-            AffineFamilySpec(enabled=frozenset({"warp"}))
+            TrainConfig(affine_families="warp")
+
+    @pytest.mark.parametrize("field,value", [
+        ("affine_translate", "0.2:-0.2"), ("affine_shear", "0.1:0"), ("affine_scale", "1.5:1")])
+    def test_every_range_well_ordered(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a range with lo <= hi"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [-0.1, 1.5])
+    def test_reflect_is_a_probability(self, value):
+        with pytest.raises(ValueError, match=r"affine_reflect must be in \[0, 1\]"):
+            TrainConfig(affine_reflect=value)
+
+    def test_boundary_values_accepted(self):
+        TrainConfig(affine_rotate="1:1", affine_scale="1e-9:1e-9", affine_reflect=1.0)
+        TrainConfig(affine_reflect=0.0, affine_families="none")
 
 
 class TestSampleAffine:
     def test_degenerate_spec_gives_identity(self):
-        t = sample_affine(degenerate_spec(), np.random.default_rng(0))
+        t = sample_affine(degenerate_cfg(), np.random.default_rng(0))
         np.testing.assert_array_equal(t.matrix, np.hstack([np.eye(3), np.zeros((3, 1))]))
 
     def test_empty_enabled_gives_identity(self):
-        t = sample_affine(AffineFamilySpec.disabled(), np.random.default_rng(1))
+        t = sample_affine(TrainConfig(affine_families="none"), np.random.default_rng(1))
         np.testing.assert_array_equal(t.matrix, np.hstack([np.eye(3), np.zeros((3, 1))]))
         assert t.provenance == ()
 
     def test_single_reflection_has_negative_determinant(self):
-        spec = AffineFamilySpec(reflect=(1.0, 0.0, 0.0), enabled=frozenset({"reflect"}))
-        t = sample_affine(spec, np.random.default_rng(2))
-        assert t.determinant() == -1.0
+        cfg = TrainConfig(affine_reflect=1.0, affine_families="reflect")
+        t = sample_affine(cfg, np.random.default_rng(2))
+        assert np.linalg.det(t.linear) == -1.0
 
     def test_determinism(self):
-        spec = AffineFamilySpec()
-        a = sample_affine(spec, np.random.default_rng(42))
-        b = sample_affine(spec, np.random.default_rng(42))
+        cfg = TrainConfig()
+        a = sample_affine(cfg, np.random.default_rng(42))
+        b = sample_affine(cfg, np.random.default_rng(42))
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
     def test_provenance_in_composition_order(self):
-        t = sample_affine(AffineFamilySpec(), np.random.default_rng(3))
+        t = sample_affine(TrainConfig(), np.random.default_rng(3))
         assert t.provenance == ("scale", "shear", "reflect", "rotate", "translate")
 
     def test_matrix_equals_explicit_component_product(self):
@@ -63,24 +78,24 @@ class TestSampleAffine:
         # reproduce the composed matrix
         from recloud.corruption import COMPOSITION_ORDER, _family_matrix
 
-        spec = AffineFamilySpec()
+        cfg = TrainConfig()
         for seed in range(50):
-            t = sample_affine(spec, np.random.default_rng(seed))
+            t = sample_affine(cfg, np.random.default_rng(seed))
             rng = np.random.default_rng(seed)
             h = np.eye(4)
             for family in COMPOSITION_ORDER:
-                h = _family_matrix(family, spec, rng) @ h
+                h = _family_matrix(family, cfg, rng) @ h
             np.testing.assert_allclose(t.matrix, h[:3, :], atol=1e-12)
 
     def test_identity_spec_keeps_chamfer_zero(self):
         rng = np.random.default_rng(4)
         pts = rng.standard_normal((32, 3))
-        t = sample_affine(degenerate_spec(), rng)
+        t = sample_affine(degenerate_cfg(), rng)
         assert float(chamfer(pts, affine_apply(pts, t)).data) == 0.0
 
 
 def check_plan(plan: MaskPlan, total: int, expected_masked: int):
-    assert plan.masked_count == expected_masked
+    assert len(plan.masked) == expected_masked
     assert plan.total_count == total
     assert sum(plan.cluster_sizes) == expected_masked
     assert all(s > 0 for s in plan.cluster_sizes)
@@ -93,7 +108,7 @@ class TestMaskRandomClusters:
         # seed 74 draws one cluster centered at index 7
         cloud = np.array([[float(i), 0, 0] for i in range(8)])
         plan, visible = mask_random_clusters(cloud, 0.5, np.random.default_rng(74))
-        assert plan.num_clusters == 1 and plan.cluster_centers == (7,)
+        assert len(plan.cluster_sizes) == 1 and plan.cluster_centers == (7,)
         assert plan.masked.tolist() == [4, 5, 6, 7]
         assert visible.shape == (4, 3)
 
@@ -124,8 +139,8 @@ class TestMaskRandomClusters:
         for seed in range(200):
             plan, _ = mask_random_clusters(cloud, 0.3, np.random.default_rng(seed),
                                            max_clusters=8)
-            if plan.num_clusters == plan.masked_count:
-                assert plan.cluster_sizes == (1,) * plan.masked_count
+            if len(plan.cluster_sizes) == len(plan.masked):
+                assert plan.cluster_sizes == (1,) * len(plan.masked)
                 return
         pytest.fail("no seed produced kappa == budget")
 
@@ -219,11 +234,11 @@ class TestMaskViewOcclusion:
 class TestMaskPatches:
     def test_counts(self):
         plan = mask_patches(10, 0.6, np.random.default_rng(0))
-        assert plan.masked_count == 6 and len(plan.visible) == 4
+        assert len(plan.masked) == 6 and len(plan.visible) == 4
 
     def test_64_patches(self):
         plan = mask_patches(64, 0.6, np.random.default_rng(1))
-        assert plan.masked_count == 38
+        assert len(plan.masked) == 38
 
     def test_partition(self):
         for seed in range(30):

@@ -29,10 +29,12 @@ def random_tables(seed: int, classes: int, rows: int = 14, dim: int = 6):
 
 
 def oracle_sweep(train: FeatureTable, test: FeatureTable, seed: int = 0):
-    """``probe_with_sweep``'s split and choice, one scalar solve per class and C."""
+    """``probe_with_sweep``'s split and choice, one scalar solve per class and C,
+    scored on the validation rows whose class the fit rows have."""
     order = np.random.default_rng(seed).permutation(len(train.ids))
     n_val = max(int(0.2 * len(order)), 1)
-    fit, val = train.select(order[n_val:]), train.select(order[:n_val])
+    fit = train.select(order[n_val:])
+    val = train.select([i for i in order[:n_val] if train.labels[i] in fit.labels])
     accs = [probe_accuracy_oracle(fit.features, fit.labels, val.features, val.labels, c)
             for c in CANDIDATES]
     best = CANDIDATES[int(np.argmax(accs))]
@@ -115,6 +117,24 @@ class TestProbe:
                 assert probe_with_sweep(train, test, seed=seed)[1] == 1.0
                 return
         pytest.fail("no seed puts the lone class in the validation slice")
+
+    def test_sweep_skips_validation_rows_of_classes_without_fit_rows(self):
+        # classes of 6, 6 and 1 rows: seed 3 holds the lone "c" row out for validation
+        rng = np.random.default_rng(0)
+        labels = ["a"] * 6 + ["b"] * 6 + ["c"]
+        x = rng.normal(size=(13, 4)) + 3.0 * np.eye(3, 4)[[ord(l) - ord("a") for l in labels]]
+        train = table(x, labels)
+        test = table(x[[0, 6, 12]] + 0.1, ["a", "b", "c"], prefix="q")
+        assert 12 in np.random.default_rng(3).permutation(13)[:2]
+        for seed in range(8):
+            assert probe_with_sweep(train, test, seed=seed) == oracle_sweep(train, test, seed)
+
+    def test_sweep_with_no_scorable_validation_row_keeps_c_one(self):
+        # one validation row, always of the class the two fit rows lack
+        train = table(np.eye(3, 2) + 1.0, ["a", "b", "c"])
+        test = table(np.ones((1, 2)), ["a"], prefix="q")
+        for seed in range(3):
+            assert probe_with_sweep(train, test, seed=seed)[1] == 1.0
 
 
 class TestProbeErrors:

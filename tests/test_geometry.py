@@ -34,7 +34,7 @@ class TestAffineApply:
     def test_identity(self):
         rng = np.random.default_rng(0)
         pts = random_cloud(rng, 32)
-        out = affine_apply(pts, AffineTransform.identity())
+        out = affine_apply(pts, AffineTransform(np.eye(3, 4)))
         np.testing.assert_array_equal(out, pts)
 
     def test_rotation_90_about_z(self):

@@ -1,5 +1,7 @@
 import dataclasses
+import errno
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -165,17 +167,15 @@ class TestSampleStep:
         from recloud.data import load_split
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         x = clouds[0]
-        spec = cfg.affine_spec()
-
         total, (report,) = sample_loss(
-            model, [prepare_sample(x, cfg, spec, sample_rng(cfg.seed, 0, 0))], cfg)
+            model, [prepare_sample(x, cfg, sample_rng(cfg.seed, 0, 0))], cfg)
 
         # manual replay with the same derived rng
         from recloud.corruption import mask_patches
         from recloud.geometry import PatchSet, normalize_patches, patchify
         from recloud.losses import loss_all, loss_global, loss_local
         rng = sample_rng(cfg.seed, 0, 0)
-        transform = sample_affine(spec, rng)
+        transform = sample_affine(cfg, rng)
         clean = patchify(x, cfg.num_patches, cfg.patch_size, rng)
         corrupted = PatchSet(centers=affine_apply(clean.centers, transform),
                              patches=affine_apply(clean.patches.reshape(-1, 3), transform)
@@ -199,8 +199,7 @@ class TestSampleStep:
         cfg = tiny_cfg(global_weight=0.0)
         model = build_model(cfg)
         x = np.random.default_rng(0).standard_normal((64, 3))
-        total, _ = sample_loss(model, [prepare_sample(x, cfg, cfg.affine_spec(),
-                                                      sample_rng(1, 0, 0))], cfg)
+        total, _ = sample_loss(model, [prepare_sample(x, cfg, sample_rng(1, 0, 0))], cfg)
         backward(total)
         for name, p in model.named_parameters():
             if name.startswith("center_head"):
@@ -211,7 +210,7 @@ class TestSampleStep:
         cfg = tiny_cfg(encoder="pointnet", affine_role="augmentation",
                        mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(1).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(2, 0, 0))
+        sample = prepare_sample(x, cfg, sample_rng(2, 0, 0))
         np.testing.assert_array_equal(sample.target,
                                       affine_apply(x, sample.transform))
         np.testing.assert_array_equal(sample.visible, sample.target)
@@ -219,7 +218,7 @@ class TestSampleStep:
     def test_corruption_mode_targets_clean_cloud(self):
         cfg = tiny_cfg(encoder="pointnet", mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(2).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(3, 0, 0))
+        sample = prepare_sample(x, cfg, sample_rng(3, 0, 0))
         np.testing.assert_array_equal(sample.target, x)
 
 
@@ -239,8 +238,7 @@ class TestCorruptCommand:
         cfg = TrainConfig(encoder=encoder, mask_strategy=mask, mask_ratio=0.4,
                           cluster_size=7, max_clusters=5, num_patches=8, patch_size=8,
                           seed=13)
-        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg, cfg.affine_spec(),
-                                sample_rng(13, 0, 0))
+        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg, sample_rng(13, 0, 0))
         # the patch mask writes the visible patches in absolute coordinates
         visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
                    if mask == "patch" else sample.visible)
@@ -358,14 +356,29 @@ class TestPretrainLoop:
         assert len(states) > 10
         assert len(set(states)) == len(states)
 
-    # 1e30 overflows the forward gemm in float32 after the first step
-    @pytest.mark.parametrize("lr", [1e6, 1e30])
-    def test_divergence_aborts_with_last_finite(self, dataset, tmp_path, lr):
-        cfg = tiny_cfg(encoder="pointnet", pointnet_hidden="16", epochs=5,
-                       learning_rate=lr)  # guaranteed blow-up
+    # 1e30 overflows the forward gemm in float32 after the first step. With
+    # one step per epoch (12 train clouds, batch 16), 3.4e38 overflows float32
+    # weights, and 1e30 in double a second moment, while every loss of the
+    # epoch stays finite, so only a check of the state itself catches them
+    @pytest.mark.parametrize("lr,overrides,epoch", [
+        pytest.param(1e6, {}, 0, id="1000000.0"),
+        pytest.param(1e30, {}, 0, id="1e+30"),
+        pytest.param(3.4e38, dict(encoder="transformer", epochs=1, batch_size=16), 0,
+                     id="weights-overflow-in-last-epoch"),
+        pytest.param(3.4e38, dict(encoder="transformer", epochs=2, batch_size=16), 0,
+                     id="weights-overflow"),
+        pytest.param(1e30, dict(precision="double", epochs=2, batch_size=16), 1,
+                     id="moments-overflow-double"),
+    ])
+    def test_divergence_aborts_with_last_finite(self, dataset, tmp_path, lr, overrides, epoch):
+        cfg = tiny_cfg(**{"encoder": "pointnet", "pointnet_hidden": "16", "epochs": 5,
+                          "learning_rate": lr, **overrides})  # guaranteed blow-up
         with pytest.raises(DivergenceError) as exc:
             pretrain(dataset, cfg)
-        assert exc.value.checkpoint is not None
+        ckpt = exc.value.checkpoint
+        assert ckpt.epoch == epoch
+        for arrays in (ckpt.params, ckpt.moments1, ckpt.moments2):
+            assert all(np.isfinite(a).all() for a in arrays.values())
 
 
 class TestNonFiniteCli:
@@ -545,7 +558,7 @@ class TestPrecisionContract:
         cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision="single")
         model = build_model(cfg)
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
-        sample = prepare_sample(clouds[0], cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, 0))
+        sample = prepare_sample(clouds[0], cfg, sample_rng(cfg.seed, 0, 0))
         total, _ = sample_loss(model, [sample], cfg)
         backward(total)
         seen, stack, dtypes = set(), [total], set()
@@ -576,7 +589,7 @@ class TestPrecisionContract:
         for i, x in enumerate(clouds):
             out = {}
             for precision, (cfg, model) in runs.items():
-                sample = prepare_sample(x, cfg, cfg.affine_spec(), sample_rng(cfg.seed, 0, i))
+                sample = prepare_sample(x, cfg, sample_rng(cfg.seed, 0, i))
                 model.zero_grad()
                 total, _ = sample_loss(model, [sample], cfg)
                 backward(total)
@@ -625,6 +638,38 @@ class TestCheckpointFile:
         save_checkpoint(ck, tmp_path / "a.ckpt")
         save_checkpoint(ck, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path, monkeypatch):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        ck = snapshot(model, AdamW(model.parameters()), cfg, epoch=1)
+        path = tmp_path / "checkpoint.ckpt"
+        save_checkpoint(ck, path)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as f:
+                f.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="No space"):
+            save_checkpoint(dataclasses.replace(ck, epoch=2), path)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert load_checkpoint(path).epoch == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.ckpt"]
+
+    def test_save_replaces_existing_file_and_leaves_no_temporary(self, tmp_path):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        ck = snapshot(model, AdamW(model.parameters()), cfg, epoch=1)
+        save_checkpoint(ck, tmp_path / "fresh.ckpt")
+        path = tmp_path / "c.ckpt"
+        path.write_bytes(b"previous")
+        save_checkpoint(ck, path)
+        assert path.read_bytes() == (tmp_path / "fresh.ckpt").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.ckpt", "fresh.ckpt"]
 
     def test_corrupted_magic(self, tmp_path):
         path = tmp_path / "bad.ckpt"
