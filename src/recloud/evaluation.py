@@ -88,10 +88,12 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     concat(max-pool, mean-pool) over all encoded tokens (dim 2d); the
     global encoder contributes its feature vector (dim d).
     ``random_init`` keeps the checkpoint's architecture but freshly
-    initialized weights (the untrained baseline).
+    initialized weights (the untrained baseline), drawn from the config's
+    init stream as a fresh ``build_model`` draws them; otherwise the model is
+    built without drawing and filled with the checkpoint's weights.
     """
     cfg = checkpoint.config
-    model = build_model(cfg)
+    model = build_model(cfg, draw=random_init)
     if not random_init:
         restore(model, checkpoint)
     model.freeze()
@@ -267,7 +269,7 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     patches, and predicted centers for the patch-token encoder.
     """
     cfg = checkpoint.config
-    model = build_model(cfg)
+    model = build_model(cfg, draw=False)
     restore(model, checkpoint)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

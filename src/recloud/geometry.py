@@ -174,8 +174,14 @@ def knn(points: np.ndarray, query: np.ndarray, k: int) -> Neighborhood:
     # all points closer than the k-th distance, plus the lowest-index ones at it
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
     below, at_kth = sq < kth, sq == kth
-    need = k - np.count_nonzero(below, axis=1, keepdims=True)
-    take = below | (at_kth & (np.cumsum(at_kth, axis=1) <= need))
+    take = below | at_kth
+    # only a row with more points at the k-th distance than places left for
+    # them has to drop its highest-index ties
+    over = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
+    if over.size:
+        ties = at_kth[over]
+        need = k - np.count_nonzero(below[over], axis=1, keepdims=True)
+        take[over] = below[over] | (ties & (np.cumsum(ties, axis=1) <= need))
     idx = np.nonzero(take)[1].reshape(-1, k)  # ascending index within each row
     # a stable sort of the index-ordered selection keeps lowest-index ties first
     order = np.argsort(np.take_along_axis(sq, idx, axis=1), axis=1, kind="stable")

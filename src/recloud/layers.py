@@ -93,13 +93,19 @@ class Module:
         return sum(p.data.size for p in self.parameters())
 
 
+def init_normal(shape: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
+    """Initial weights drawn from N(0, 0.02^2) with ``rng``, in float64. With
+    no ``rng`` nothing is drawn: zeros, for a model a checkpoint will fill."""
+    return np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=shape)
+
+
 class Linear(Module):
     """Affine map on the last axis of a ``(B, ..., d_in)`` batch: y = x W + b."""
 
-    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator,
+    def __init__(self, in_dim: int, out_dim: int, rng: np.random.Generator | None,
                  zero_init: bool = False):
         self.weight = Parameter(np.zeros((in_dim, out_dim)) if zero_init
-                                else rng.normal(0.0, 0.02, size=(in_dim, out_dim)))
+                                else init_normal((in_dim, out_dim), rng))
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -118,7 +124,7 @@ class LayerNorm(Module):
 class FeedForward(Module):
     """Transformer MLP: linear, GELU, linear."""
 
-    def __init__(self, dim: int, mult: int, rng: np.random.Generator):
+    def __init__(self, dim: int, mult: int, rng: np.random.Generator | None):
         self.fc1 = Linear(dim, dim * mult, rng)
         self.fc2 = Linear(dim * mult, dim, rng)
 
@@ -129,7 +135,7 @@ class FeedForward(Module):
 class SelfAttention(Module):
     """Multi-head self-attention over the tokens of a ``(B, n, d)`` batch."""
 
-    def __init__(self, dim: int, heads: int, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, rng: np.random.Generator | None):
         if dim % heads:
             raise ValueError(f"model dim {dim} not divisible by {heads} heads")
         self.heads = heads
@@ -157,7 +163,7 @@ class SelfAttention(Module):
 class TransformerBlock(Module):
     """Pre-norm block: x + attn(ln(x)), then x + ffn(ln(x))."""
 
-    def __init__(self, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator):
+    def __init__(self, dim: int, heads: int, ffn_mult: int, rng: np.random.Generator | None):
         self.ln1 = LayerNorm(dim)
         self.attn = SelfAttention(dim, heads, rng)
         self.ln2 = LayerNorm(dim)
@@ -168,7 +174,7 @@ class TransformerBlock(Module):
         return ag.add(x, self.ffn(self.ln2(x)))
 
 
-def mlp_chain(widths: tuple[int, ...], rng: np.random.Generator) -> list[Linear]:
+def mlp_chain(widths: tuple[int, ...], rng: np.random.Generator | None) -> list[Linear]:
     """Linear layers for a ReLU MLP with the given widths."""
     return [Linear(widths[i], widths[i + 1], rng) for i in range(len(widths) - 1)]
 

@@ -2,11 +2,12 @@
 encoder/decoder, positional embeddings, and the reconstruction heads.
 
 Every component is built from the autograd primitives, takes an explicit
-construction RNG (so initialization is reproducible), and runs batch-first:
-axis 0 of every input and output is the sample. No operation mixes samples,
-and the shared weights receive their gradients one sample at a time (see
-``autograd``), so a batch computes exactly what a loop over its samples
-would, bit for bit.
+construction RNG (so initialization is reproducible; with none it draws
+nothing and allocates its weights for a checkpoint to fill), and runs
+batch-first: axis 0 of every input and output is the sample. No operation
+mixes samples, and the shared weights receive their gradients one sample at
+a time (see ``autograd``), so a batch computes exactly what a loop over its
+samples would, bit for bit.
 
 The two autoencoders are built from one resolved ``TrainConfig``. Layers
 draw their parameters in float64, and ``trainer.build_model`` casts each
@@ -34,7 +35,8 @@ from . import autograd as ag
 from .autograd import Tensor
 from .corruption import MaskPlan
 from .geometry import PatchSet
-from .layers import Linear, Module, Parameter, TransformerBlock, mlp_chain, run_mlp
+from .layers import (Linear, Module, Parameter, TransformerBlock, init_normal, mlp_chain,
+                     run_mlp)
 
 if TYPE_CHECKING:
     from .trainer import TrainConfig
@@ -52,7 +54,7 @@ class PointNetEncoder(Module):
     global feature); permutation-invariant by construction. ``widths`` runs
     from 3 to the feature dim."""
 
-    def __init__(self, widths: tuple[int, ...], rng: np.random.Generator):
+    def __init__(self, widths: tuple[int, ...], rng: np.random.Generator | None):
         if len(widths) < 2 or widths[0] != 3:
             raise ValueError(f"widths must start at 3 with at least one layer, got {widths}")
         self.layers = mlp_chain(widths, rng)
@@ -68,7 +70,7 @@ class TokenEmbedder(Module):
     neighbors; a center-normalized ``PatchSet`` of ``(B, n, k, 3)`` patches
     to ``(B, n, d)`` tokens."""
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator | None):
         self.layers = mlp_chain((3, hidden, dim), rng)
 
     def __call__(self, patches: PatchSet) -> Tensor:
@@ -88,7 +90,7 @@ class PositionalEmbed(Module):
     encoder and decoder each own an independent instance.
     """
 
-    def __init__(self, dim: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, dim: int, hidden: int, rng: np.random.Generator | None):
         self.fc1 = Linear(3, hidden, rng)
         self.fc2 = Linear(hidden, dim, rng, zero_init=True)
 
@@ -103,7 +105,7 @@ class TransformerEncoder(Module):
     tokens carry no absolute position themselves)."""
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator | None):
         self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng) for _ in range(depth)]
 
     def __call__(self, tokens: Tensor, pe: Tensor) -> Tensor:
@@ -125,8 +127,8 @@ class PatchDecoder(Module):
     """
 
     def __init__(self, dim: int, depth: int, heads: int, ffn_mult: int,
-                 rng: np.random.Generator):
-        self.mask_token = Parameter(rng.normal(0.0, 0.02, size=(1, dim)))
+                 rng: np.random.Generator | None):
+        self.mask_token = Parameter(init_normal((1, dim), rng))
         self.blocks = [TransformerBlock(dim, heads, ffn_mult, rng) for _ in range(depth)]
 
     def assemble(self, encoded: Tensor, plans: list[MaskPlan]) -> Tensor:
@@ -161,7 +163,7 @@ class FCDecoder(Module):
     """Fully connected head: ``(B, ..., d)`` feature rows to ``(B, ..., k, 3)``
     point sets, each row through the same two layers."""
 
-    def __init__(self, in_dim: int, points: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, in_dim: int, points: int, hidden: int, rng: np.random.Generator | None):
         self.points = points
         self.layers = mlp_chain((in_dim, hidden, 3 * points), rng)
 
@@ -188,7 +190,7 @@ class FoldDecoder(Module):
     each feature row through one shared MLP pass; ``(B, ..., d)`` rows to
     ``(B, ..., k, 3)`` point sets."""
 
-    def __init__(self, feat_dim: int, points: int, hidden: int, rng: np.random.Generator):
+    def __init__(self, feat_dim: int, points: int, hidden: int, rng: np.random.Generator | None):
         self.points = points
         self.grid = folding_grid(points)
         self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng)
@@ -210,7 +212,7 @@ HEAD_KINDS = ("fc", "fold")
 
 
 def point_head(kind: str, dim: int, points: int, cfg: TrainConfig,
-               rng: np.random.Generator) -> Module:
+               rng: np.random.Generator | None) -> Module:
     """The ``kind`` head (one of ``HEAD_KINDS``) from ``dim`` features to
     ``points`` points per row, with the config's hidden width for that kind."""
     if kind == "fc":
@@ -238,7 +240,7 @@ class CloudAutoencoder(Module):
     the decoder is either fully connected or folding-based.
     """
 
-    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None):
         self.encoder = PointNetEncoder(cfg.pointnet_widths, rng)
         self.decoder = point_head(cfg.decoder, cfg.feature_dim, cfg.num_points, cfg, rng)
 
@@ -256,7 +258,7 @@ class PatchAutoencoder(Module):
     receive transformed and vanilla centers respectively.
     """
 
-    def __init__(self, cfg: TrainConfig, rng: np.random.Generator):
+    def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None):
         if cfg.decoder_depth >= cfg.encoder_depth:
             raise ValueError(
                 f"decoder depth {cfg.decoder_depth} must be smaller than "

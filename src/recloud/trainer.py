@@ -395,11 +395,17 @@ def prepare_sample(points: np.ndarray, cfg: TrainConfig, rng: np.random.Generato
     return prepare_patch_sample(points, cfg, rng)
 
 
-def build_model(cfg: TrainConfig):
-    """Construct the encoder clan's model from the config, deterministically,
-    with every parameter in the config's dtype."""
+def build_model(cfg: TrainConfig, draw: bool = True):
+    """Construct the encoder clan's model from the config, with every
+    parameter in the config's dtype.
+
+    With ``draw`` the weights are drawn from the seed's init stream,
+    deterministically: a fresh run, or ``random_init``'s untrained baseline.
+    Without it nothing is drawn and the weights a draw would give are
+    zeros, for a caller that fills the model from a checkpoint with
+    ``restore``."""
     cfg = cfg.resolved()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])) if draw else None
     model = (CloudAutoencoder if cfg.encoder == "pointnet" else PatchAutoencoder)(cfg, rng)
     model.cast(cfg.dtype)
     return model
@@ -453,18 +459,33 @@ def snapshot(model, opt: AdamW, cfg: TrainConfig, epoch: int) -> Checkpoint:
 
 def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
     """Load the checkpoint's parameters into ``model``, and its moments and
-    step count into ``opt``, the optimizer of ``model.parameters()``, if given."""
-    names = {name for name, _ in model.named_parameters()}
+    step count into ``opt``, the optimizer of ``model.parameters()``, if given.
+    Every parameter is overwritten, so build ``model`` without drawing."""
+    named = list(model.named_parameters())
+    names = {name for name, _ in named}
     if names != set(ckpt.params):
         missing = sorted(names ^ set(ckpt.params))
         raise ValueError(f"checkpoint does not match the model: mismatched names {missing[:5]}")
-    for i, (name, p) in enumerate(model.named_parameters()):
+    for i, (name, p) in enumerate(named):
         p.data = ckpt.params[name]
         if opt is not None:
             opt.moment1[i] = p.conform(ckpt.moments1[name])
             opt.moment2[i] = p.conform(ckpt.moments2[name])
     if opt is not None:
         opt.step_count = ckpt.step
+
+
+def _first_non_finite(state: Checkpoint) -> str | None:
+    """The first parameter or moment of ``state``, in the model's order,
+    holding a non-finite value, named with its count of them; None if all
+    are finite."""
+    for name, param in state.params.items():
+        for kind, arr in (("parameter", param), ("first moment", state.moments1[name]),
+                          ("second moment", state.moments2[name])):
+            bad = arr.size - np.count_nonzero(np.isfinite(arr))
+            if bad:
+                return f"{kind} {name!r} ({bad} of {arr.size} values)"
+    return None
 
 
 def _write_array(out: list[bytes], arr: np.ndarray) -> None:
@@ -584,8 +605,10 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
 
     Returns the final checkpoint; writes one LossReport row per epoch to
     ``metrics_path`` when given, appending on a resume. ``resume`` continues
-    a saved run exactly (derived RNG streams are stateless in the epoch index).
-    A non-finite loss, parameter or moment raises ``DivergenceError``.
+    a saved run exactly (derived RNG streams are stateless in the epoch index);
+    its model is built without drawing, and a non-finite parameter or moment
+    in it raises ``ValueError`` before the first step. A non-finite loss,
+    parameter or moment during the run raises ``DivergenceError``.
     """
     cfg = cfg.resolved()
     if isinstance(manifest, (str, Path)):
@@ -594,17 +617,20 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     if not clouds:
         raise ValueError("manifest has no training samples")
 
-    model = build_model(cfg)
+    if resume is not None and resume.fingerprint != cfg.fingerprint():
+        raise ValueError("checkpoint config fingerprint does not match the requested config")
+    model = build_model(cfg, draw=resume is None)
     opt = AdamW(model.parameters(), beta1=cfg.beta1, beta2=cfg.beta2,
                 eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
     start_epoch = 0
     if resume is not None:
-        if resume.fingerprint != cfg.fingerprint():
-            raise ValueError("checkpoint config fingerprint does not match the requested config")
         restore(model, resume, opt)
         start_epoch = resume.epoch
 
     last_finite = snapshot(model, opt, cfg, epoch=start_epoch)
+    bad = None if resume is None else _first_non_finite(last_finite)
+    if bad is not None:
+        raise ValueError(f"resume checkpoint holds non-finite values in {bad}")
     # each row is written as its epoch ends, so a run that stops early keeps
     # the rows of the epochs it finished; a resumed run appends to its file
     with (open(metrics_path, "a" if resume is not None else "w")
@@ -642,10 +668,10 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
             # a step can overflow a weight or a moment while every loss of
             # its epoch stays finite
             state = snapshot(model, opt, cfg, epoch=epoch + 1)
-            if not all(np.isfinite(a).all() for arrays in
-                       (state.params, state.moments1, state.moments2) for a in arrays.values()):
+            bad = _first_non_finite(state)
+            if bad is not None:
                 raise DivergenceError(
-                    f"non-finite parameters or moments after epoch {epoch + 1}; aborting "
+                    f"non-finite values in {bad} after epoch {epoch + 1}; aborting "
                     f"with the checkpoint from epoch {last_finite.epoch}", last_finite)
             last_finite = state
             # average in canonical sample order so the epoch metric does not

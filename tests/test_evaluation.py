@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ import pytest
 from oracles import probe_accuracy_oracle, svm_train_oracle
 from recloud import cli
 from recloud import evaluation as ev
-from recloud.data import SynthSpec, synth_generate
+from recloud.data import SynthSpec, read_cloud, synth_generate
 from recloud.evaluation import (EpisodeSpec, FeatureTable, fewshot_eval, linear_probe,
                                 probe_with_sweep)
-from recloud.trainer import AdamW, TrainConfig, build_model, save_checkpoint, snapshot
+from recloud.trainer import (AdamW, TrainConfig, build_model, pretrain, save_checkpoint,
+                             snapshot)
 
 CANDIDATES = (0.1, 1.0, 10.0)
 
@@ -259,3 +261,83 @@ class TestProbeCommand:
         assert rc == cli.EXIT_BAD_CONFIG
         assert "invalid-config" in capsys.readouterr().err
         assert not out.exists()  # rejected before extraction writes anything
+
+
+class NoNormalDraws(np.random.Generator):
+    """A generator that refuses ``normal``: model init is the package's only
+    draw from it outside ``synth_generate``'s jitter."""
+
+    def normal(self, *args, **kwargs):
+        raise AssertionError("drew initial weights")
+
+
+def foreign_checkpoint(cfg: TrainConfig):
+    """A checkpoint of ``cfg`` whose weights are not the ones ``cfg``'s seed
+    draws, so a model that skipped its restore would show."""
+    model = build_model(replace(cfg, seed=cfg.seed + 1))
+    return snapshot(model, AdamW(model.parameters()), cfg, epoch=0)
+
+
+def drawing_build_model(cfg, draw=True):
+    """A ``build_model`` that always draws: with ``restore``, the reference."""
+    return build_model(cfg)
+
+
+ENCODERS = [dict(), dict(encoder="pointnet", pointnet_hidden="16")]
+
+
+@pytest.mark.parametrize("precision", ["single", "double"])
+@pytest.mark.parametrize("encoder", ENCODERS, ids=["transformer", "pointnet"])
+class TestCheckpointModels:
+    """A model whose weights come from a checkpoint is built without drawing
+    and computes exactly what a drawn-then-restored model computes."""
+
+    def test_features_equal_a_drawn_and_restored_model(self, probe_setup, monkeypatch,
+                                                       encoder, precision):
+        _, manifest, _ = probe_setup
+        ckpt = foreign_checkpoint(tiny_cfg(precision=precision, **encoder))
+        got = [ev.extract_features(ckpt, manifest, split) for split in ("train", "test")]
+        monkeypatch.setattr(ev, "build_model", drawing_build_model)
+        want = [ev.extract_features(ckpt, manifest, split) for split in ("train", "test")]
+        for a, b in zip(got, want):
+            assert a.features.dtype == b.features.dtype
+            assert a.features.tobytes() == b.features.tobytes()
+
+    def test_random_init_features_equal_a_fresh_model(self, probe_setup, encoder, precision):
+        _, manifest, _ = probe_setup
+        cfg = tiny_cfg(precision=precision, **encoder)
+        fresh = build_model(cfg)
+        fresh_ckpt = snapshot(fresh, AdamW(fresh.parameters()), cfg, epoch=0)
+        got = ev.extract_features(foreign_checkpoint(cfg), manifest, "test", random_init=True)
+        want = ev.extract_features(fresh_ckpt, manifest, "test")
+        assert got.features.tobytes() == want.features.tobytes()
+
+    def test_reconstruct_export_equals_a_drawn_and_restored_model(self, probe_setup, tmp_path,
+                                                                  monkeypatch, encoder,
+                                                                  precision):
+        _, manifest, _ = probe_setup
+        ckpt = foreign_checkpoint(tiny_cfg(precision=precision, **encoder))
+        cloud = read_cloud(manifest.resolve(manifest.split("test")[0]))
+        files = {}
+        for name in ("allocated", "drawn"):
+            if name == "drawn":
+                monkeypatch.setattr(ev, "build_model", drawing_build_model)
+            written = ev.reconstruct_export(ckpt, cloud, tmp_path / name, seed=3)
+            files[name] = {stem: path.read_bytes() for stem, path in written.items()}
+        assert files["allocated"] == files["drawn"]
+
+    def test_checkpoint_paths_draw_no_weights(self, probe_setup, tmp_path, monkeypatch,
+                                              encoder, precision):
+        _, manifest, _ = probe_setup
+        ckpt = foreign_checkpoint(tiny_cfg(precision=precision, **encoder))
+        cloud = read_cloud(manifest.resolve(manifest.split("test")[0]))
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed=None: NoNormalDraws(np.random.PCG64(seed)))
+        ev.extract_features(ckpt, manifest, "test")
+        ev.reconstruct_export(ckpt, cloud, tmp_path, seed=3)
+        assert pretrain(manifest, ckpt.config, resume=ckpt).epoch == 1
+        # the untrained baseline and a fresh run do draw, so the guard is live
+        with pytest.raises(AssertionError, match="initial weights"):
+            ev.extract_features(ckpt, manifest, "test", random_init=True)
+        with pytest.raises(AssertionError, match="initial weights"):
+            pretrain(manifest, ckpt.config)

@@ -7,7 +7,7 @@ from recloud.geometry import (AffineTransform, Neighborhood, _sqdist_to, affine_
                               as_cloud, denormalize_patches, farthest_point_sample,
                               knn, normalize_patches, patchify)
 
-from oracles import fps_oracle, knn_oracle
+from oracles import fps_oracle, knn_oracle, sqdist
 
 
 def random_cloud(rng, w):
@@ -219,6 +219,30 @@ class TestBatchedKnn:
         queries = np.concatenate([pts[::7], [[0.5, 0.5, 0.5], [0.0, 0.0, 0.5]]])
         for k in (1, 6, 7, 19, 27, 50, len(pts)):
             self.check_rows(pts, queries, k)
+
+    def test_rows_with_surplus_ties_match_oracle(self):
+        # rounded clouds and clouds of repeated points put more points at a
+        # row's k-th distance than the row has places left, so only the
+        # lowest-index ones may be kept
+        rng = np.random.default_rng(34)
+        surplus_rows = 0
+        for trial in range(16):
+            if trial % 2:
+                base = random_cloud(rng, 10)
+                pts = base[rng.integers(10, size=120)]
+            else:
+                pts = np.round(rng.standard_normal((120, 3)) * 2) / 2
+            queries = np.concatenate([pts[rng.integers(len(pts), size=5)],
+                                      np.round(random_cloud(rng, 3) * 2) / 2])
+            k = int(rng.integers(2, 40))
+            hood = knn(pts, queries, k)
+            for row, dist, q in zip(hood.indices, hood.sq_distances, queries):
+                want = knn_oracle(pts, q, k)
+                assert row.tolist() == want
+                assert dist.tolist() == [sqdist(pts[i], q) for i in want]
+                kth = sqdist(pts[want[-1]], q)
+                surplus_rows += sum(sqdist(p, q) <= kth for p in pts) > k
+        assert surplus_rows > 20
 
     def test_single_query_shapes(self):
         pts = random_cloud(np.random.default_rng(32), 10)

@@ -1,7 +1,9 @@
 import dataclasses
 import errno
+import hashlib
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -400,6 +402,58 @@ class TestNonFiniteCli:
         assert rc == cli.EXIT_BAD_CONFIG
 
 
+class TestResumeCheck:
+    """A resume checkpoint with a non-finite parameter or moment is rejected
+    before the first step, naming its first such tensor in the model's order."""
+
+    CFG = dict(encoder="pointnet", pointnet_hidden="16")
+
+    @staticmethod
+    def poisoned(cfg, bad):
+        """An epoch-1 snapshot of ``cfg`` with ``bad[(field, name)]`` written
+        into the named tensors at their first entry, or everywhere for None."""
+        model = build_model(cfg)
+        ckpt = snapshot(model, AdamW(model.parameters()), cfg, epoch=1)
+        for (field, name), value in bad.items():
+            arrays = getattr(ckpt, field)
+            if name is None:
+                for arr in arrays.values():
+                    arr[...] = value
+            else:
+                arrays[name].flat[0] = value
+        return ckpt
+
+    @pytest.mark.parametrize("bad,named", [
+        pytest.param({("params", None): np.nan},
+                     "parameter 'encoder.layers.0.weight' (48 of 48 values)", id="nan-params"),
+        pytest.param({("params", "decoder.layers.0.weight"): np.nan,
+                      ("moments2", "encoder.layers.1.bias"): np.inf},
+                     "second moment 'encoder.layers.1.bias' (1 of 16 values)",
+                     id="first-bad-tensor"),
+        pytest.param({("moments1", "decoder.layers.1.bias"): -np.inf},
+                     "first moment 'decoder.layers.1.bias' (1 of 192 values)", id="moment-only"),
+    ])
+    def test_pretrain_rejects_before_the_first_step(self, dataset, tmp_path, bad, named):
+        cfg = tiny_cfg(**self.CFG)
+        steps = []
+        with pytest.raises(ValueError, match=re.escape(named)):
+            pretrain(dataset, cfg, metrics_path=tmp_path / "m.csv",
+                     resume=self.poisoned(cfg, bad), epoch_callback=lambda *a: steps.append(a))
+        assert steps == [] and not (tmp_path / "m.csv").exists()
+
+    def test_cli_exits_bad_config_and_writes_no_checkpoint(self, dataset, tmp_path, capsys):
+        cfg = tiny_cfg(**self.CFG)
+        save_checkpoint(self.poisoned(cfg, {("params", None): np.nan}), tmp_path / "nan.ckpt")
+        (tmp_path / "c.cfg").write_text(cfg.to_text())
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg"),
+                       "--resume", str(tmp_path / "nan.ckpt")])
+        assert rc == cli.EXIT_BAD_CONFIG
+        err = capsys.readouterr().err
+        assert "invalid-config" in err and "'encoder.layers.0.weight'" in err
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+
+
 class TestModelConfigCli:
     """A model the config cannot describe is a bad configuration (exit 4); a
     mask that leaves no point visible is a degenerate mask (exit 5)."""
@@ -706,3 +760,46 @@ class TestCheckpointFile:
         other = build_model(tiny_cfg(encoder="pointnet", pointnet_hidden="16"))
         with pytest.raises(ValueError, match="does not match"):
             restore(other, ck, AdamW(other.parameters()))
+
+
+class TestInitStream:
+    """The weights a fresh ``build_model`` draws, pinned: a change to the
+    constructors that re-draws or reorders them changes these digests."""
+
+    TINY = {
+        "pointnet": dict(encoder="pointnet", num_points=32, pointnet_hidden="8",
+                         feature_dim=8, fc_hidden=8),
+        "transformer": dict(encoder="transformer", num_points=32, num_patches=4,
+                            patch_size=4, feature_dim=8, encoder_depth=2, decoder_depth=1,
+                            num_heads=2, ffn_mult=2, pe_hidden=8, token_hidden=8,
+                            fc_hidden=8, fold_hidden=8),
+    }
+
+    @pytest.mark.parametrize("encoder,precision,count,digest", [
+        ("pointnet", "single", 1040,
+         "568be7eee0195975354119d5b8d47bc18a847d2b9f423e62dc47403154e10962"),
+        ("pointnet", "double", 1040,
+         "52785b503a2e5c3f08caef8d1b5dbcfd484bbc9d23d946df0db1d4caffd59656"),
+        ("transformer", "single", 2487,
+         "061f1cb39fb02cefdc24f8cc256ecb761ec632920b98f0d41b14308c2a9f6490"),
+        ("transformer", "double", 2487,
+         "a438d6127a006ce21c441cd7e1b183364220f8c4fe4d2b84c2de3aba5b8f3f9d"),
+    ])
+    def test_fresh_weights_are_pinned(self, encoder, precision, count, digest):
+        model = build_model(TrainConfig(seed=7, precision=precision, **self.TINY[encoder]))
+        h = hashlib.sha256()
+        for name, p in model.named_parameters():
+            h.update(name.encode() + b"\0" + str(p.data.dtype).encode() + b"\0"
+                     + p.data.tobytes())
+        assert model.num_parameters() == count
+        assert h.hexdigest() == digest
+
+    def test_an_allocated_model_has_zeros_where_a_fresh_one_draws(self):
+        cfg = TrainConfig(seed=7, **self.TINY["transformer"])
+        drawn, allocated = build_model(cfg), build_model(cfg, draw=False)
+        assert [n for n, _ in drawn.named_parameters()] == [
+            n for n, _ in allocated.named_parameters()]
+        for p, q in zip(drawn.parameters(), allocated.parameters()):
+            assert q.data.dtype == p.data.dtype and q.data.shape == p.data.shape
+            # biases, layer-norm gains and zero-initialized layers draw nothing
+            assert np.array_equal(q.data, p.data) or not q.data.any()
