@@ -3,8 +3,9 @@
 Subcommands: synth, corrupt, pretrain, probe, fewshot, reconstruct. Every
 run echoes its fully resolved configuration (as reusable ``key = value``
 lines) before executing, writes only under ``--out``, and derives all
-randomness from ``--seed``. Exit codes: 0 success, 2 usage, 3 missing
-file, 4 invalid configuration, 5 degenerate masking.
+randomness from ``--seed`` by ``data.stream``; probe features are keyed by
+each sample's id instead. Exit codes: 0 success, 2 usage, 3 missing file,
+4 invalid configuration, 5 degenerate masking.
 """
 from __future__ import annotations
 
@@ -13,16 +14,15 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .corruption import ALL_FAMILIES, DegenerateMaskError
-from .data import SynthSpec, read_cloud, resample, synth_generate, write_cloud
+from .data import (SynthSpec, check_seed, read_cloud, resample, stream, synth_generate,
+                   write_cloud)
 from .evaluation import (EpisodeSpec, check_regularizations, extract_features, fewshot_eval,
                          fewshot_report, linear_probe, probe_with_sweep, reconstruct_export)
 from .geometry import denormalize_patches
 from .trainer import (CHOICES, PATCH_MASKS, POINT_MASKS, DivergenceError, TrainConfig,
                       load_checkpoint, parse_config_text, prepare_sample, pretrain,
-                      sample_rng, save_checkpoint)
+                      save_checkpoint)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -112,8 +112,7 @@ def _cmd_corrupt(args) -> int:
 
     pts = read_cloud(args.input)
     if args.num_points:
-        pts = resample(pts, args.num_points,
-                       np.random.default_rng(np.random.SeedSequence([args.seed, 9])))
+        pts = resample(pts, args.num_points, stream(args.seed, "corrupt"))
     _echo_config({"input": args.input, "out": args.out, "mask": args.mask,
                   "alpha": args.alpha, "seed": args.seed,
                   "affine_families": cfg.affine_families,
@@ -121,7 +120,7 @@ def _cmd_corrupt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sample = prepare_sample(pts, cfg, sample_rng(args.seed, 0, 0))
+    sample = prepare_sample(pts, cfg, stream(args.seed, "sample", 0, 0))
     transform, plan = sample.transform, sample.plan
     visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
                if args.mask == "patch" else sample.visible)
@@ -157,6 +156,7 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_probe(args) -> int:
     check_regularizations((args.regularization,))
+    check_seed(args.seed)
     ckpt = load_checkpoint(args.checkpoint)
     _echo_config({"checkpoint": args.checkpoint, "manifest": args.manifest,
                   "out": args.out, "random_init": args.random_init,
@@ -181,9 +181,9 @@ def _cmd_probe(args) -> int:
 
 
 def _cmd_fewshot(args) -> int:
-    ckpt = load_checkpoint(args.checkpoint)
     spec = EpisodeSpec(ways=args.ways, shots=args.shots, queries=args.queries,
                        repetitions=args.repetitions, seed=args.seed)
+    ckpt = load_checkpoint(args.checkpoint)
     _echo_config({"checkpoint": args.checkpoint, "manifest": args.manifest,
                   "out": args.out, "ways": spec.ways, "shots": spec.shots,
                   "queries": spec.queries, "repetitions": spec.repetitions,
@@ -198,6 +198,7 @@ def _cmd_fewshot(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    check_seed(args.seed)
     ckpt = load_checkpoint(args.checkpoint)
     _echo_config({"checkpoint": args.checkpoint, "input": args.input,
                   "out": args.out, "seed": args.seed})

@@ -309,6 +309,7 @@ class SynthSpec:
             raise ValueError("counts must be positive")
         if self.jitter_sigma < 0:
             raise ValueError("jitter sigma must be non-negative")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
         sampler = _FAMILY_SAMPLERS[family]
         train_count = int(0.8 * spec.samples_per_family)
         for s in range(spec.samples_per_family):
-            rng = np.random.default_rng(np.random.SeedSequence([spec.seed, fam_idx, s]))
+            rng = stream(spec.seed, "synth", fam_idx, s)
             pts = sampler(spec.points_per_cloud, rng)
             if spec.jitter_sigma > 0:
                 pts = pts + rng.normal(0.0, spec.jitter_sigma, size=pts.shape)
@@ -398,6 +399,28 @@ def synth_generate(spec: SynthSpec, out_dir: str | Path) -> DatasetManifest:
     return manifest
 
 
+# Every random stream, purpose -> (tag, ids), of entropy [seed, tag, *ids]. Tags
+# are unique, id counts fixed, and only "init" has tag 0 and no ids, so no two
+# (seed, purpose, ids) share a stream though SeedSequence ignores trailing zeros.
+STREAMS = {"init": (0, ()), "shuffle": (1, ("epoch",)), "sample": (2, ("epoch", "index")),
+           "reconstruct": (3, ()), "load": (4, ("index",)), "synth": (5, ("family", "sample")),
+           "fewshot": (6, ("rep",)), "sweep": (7, ()), "probe": (8, ()), "corrupt": (9, ())}
+
+
+def check_seed(seed: int) -> None:
+    if not 0 <= seed < 2**32:
+        raise ValueError(f"seed must be in [0, 2**32), got {seed!r}")
+
+
+def stream(seed: int, purpose: str, *ids: int) -> np.random.Generator:
+    """``purpose``'s generator for ``seed`` and ``ids``; a word >= 2**32 would alias."""
+    tag, names = STREAMS[purpose]
+    if len(ids) != len(names) or not all(0 <= v < 2**32 for v in (seed, *ids)):
+        raise ValueError(f"stream {purpose!r} takes {', '.join(('seed', *names))} "
+                         f"in [0, 2**32), got {(seed, *ids)}")
+    return np.random.default_rng(np.random.SeedSequence([seed, tag, *ids]))
+
+
 def load_split(manifest: DatasetManifest, split: str, num_points: int,
                seed: int = 0) -> tuple[list[np.ndarray], list[str], list[str]]:
     """Read one split: unit-sphere-normalized clouds resampled to a fixed
@@ -405,9 +428,7 @@ def load_split(manifest: DatasetManifest, split: str, num_points: int,
     clouds, labels, ids = [], [], []
     for i, entry in enumerate(manifest.split(split)):
         pts = read_cloud(manifest.resolve(entry))
-        # tag 4: a stream no other derivation from the run's seed uses
-        rng = np.random.default_rng(np.random.SeedSequence([seed, 4, i]))
-        pts = normalize_unit_sphere(resample(pts, num_points, rng))
+        pts = normalize_unit_sphere(resample(pts, num_points, stream(seed, "load", i)))
         clouds.append(pts)
         labels.append(entry.label)
         ids.append(entry.path)

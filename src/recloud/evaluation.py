@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .data import (DatasetManifest, normalize_unit_sphere, read_cloud, resample,
-                   write_cloud)
+from .data import (DatasetManifest, check_seed, normalize_unit_sphere, read_cloud, resample,
+                   stream, write_cloud)
 from .geometry import PatchSet, denormalize_patches, normalize_patches, patchify
 from .models import CloudAutoencoder
 from .trainer import MICRO_BATCH, Checkpoint, TrainConfig, build_model, prepare_sample, restore
@@ -58,12 +58,6 @@ class FeatureTable:
         for sid, label, row in zip(self.ids, self.labels, self.features):
             lines.append(f"{sid},{label}," + ",".join(repr(float(v)) for v in row))
         Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _probe_rng(sample_id: str) -> np.random.Generator:
-    # one stream per cloud, drawn by resample and then patchify, seeded by the
-    # sample id alone so features are stable across orderings and calls
-    return np.random.default_rng(zlib.crc32(sample_id.encode()))
 
 
 def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
@@ -107,7 +101,9 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     rows = []
     for lo in range(0, len(entries), MICRO_BATCH):
         chunk = entries[lo:lo + MICRO_BATCH]
-        rngs = [_probe_rng(entry.path) for entry in chunk]
+        # one stream per cloud, drawn by resample and then patchify, seeded by
+        # the sample id alone so features are stable across orderings and runs
+        rngs = [stream(zlib.crc32(entry.path.encode()), "probe") for entry in chunk]
         clouds = [normalize_unit_sphere(resample(read_cloud(manifest.resolve(entry)),
                                                  cfg.num_points, rng))
                   for entry, rng in zip(chunk, rngs)]
@@ -193,7 +189,7 @@ def probe_with_sweep(train: FeatureTable, test: FeatureTable,
     validation rows of fit classes are scored (any other is wrong under
     every C); with none, or with one fit class, C is 1."""
     check_regularizations(candidates)
-    order = np.random.default_rng(seed).permutation(len(train.ids))
+    order = stream(seed, "sweep").permutation(len(train.ids))
     n_val = max(int(val_fraction * len(order)), 1)
     fit = train.select(order[n_val:])
     fit_classes = set(fit.labels)
@@ -224,6 +220,7 @@ class EpisodeSpec:
             raise ValueError("episodes need at least 2 ways")
         if self.shots < 1 or self.queries < 1 or self.repetitions < 1:
             raise ValueError("shots, queries, and repetitions must be positive")
+        check_seed(self.seed)
 
 
 def fewshot_eval(features: FeatureTable, spec: EpisodeSpec,
@@ -242,7 +239,7 @@ def fewshot_eval(features: FeatureTable, spec: EpisodeSpec,
 
     accuracies = []
     for rep in range(spec.repetitions):
-        rng = np.random.default_rng(np.random.SeedSequence([spec.seed, rep]))
+        rng = stream(spec.seed, "fewshot", rep)
         chosen = rng.choice(len(classes), size=spec.ways, replace=False)
         support_rows, query_rows = [], []
         for ci in sorted(chosen):
@@ -274,10 +271,9 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
+    rng = stream(seed, "reconstruct")
     pts = normalize_unit_sphere(resample(np.asarray(points, dtype=np.float64),
-                                         cfg.num_points,
-                                         np.random.default_rng(seed)))
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 3]))
+                                         cfg.num_points, rng))
     sample = prepare_sample(pts, cfg, rng)
 
     files: dict[str, Path] = {}

@@ -3,9 +3,9 @@
 Per sample and epoch the pipeline draws a fresh affine transform and mask,
 as ``TrainConfig`` describes them, runs the encoder clan's forward pass,
 and compares the reconstruction against the clean cloud (or against the
-transformed cloud when the affine role is plain augmentation). All
-randomness is derived statelessly from (seed, epoch, sample index), which
-makes checkpoint resume exact.
+transformed cloud when the affine role is plain augmentation). Randomness
+is derived statelessly from the seed, epoch and sample index by ``data.stream``
+(one table of purposes, ``data.STREAMS``), which makes checkpoint resume exact.
 
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
 and one backward each; every result equals a per-sample loop bit for bit
@@ -30,7 +30,7 @@ from .autograd import Tensor, backward
 from .corruption import (ALL_FAMILIES, MaskPlan, enabled_families, mask_fixed_clusters,
                          mask_patches, mask_random_clusters, mask_view_occlusion,
                          parse_range, sample_affine)
-from .data import DatasetManifest, load_split
+from .data import DatasetManifest, check_seed, load_split, stream
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
 from .losses import LossReport, chamfer, loss_all, loss_global, loss_local, loss_reports
@@ -50,7 +50,7 @@ MICRO_BATCH = 4
 # TrainConfig fields holding an "lo:hi" range
 _RANGE_FIELDS = ("affine_rotate", "affine_translate", "affine_scale", "affine_shear")
 # Lower bounds of TrainConfig fields (learning_rate 0 is a frozen-run sanity
-# mode, and the seed has none); every other integer field is a size or count
+# mode; check_seed bounds the seed); every other integer is a size or count
 _AT_LEAST = {"warmup_epochs": 0, "decoder_depth": 0, "learning_rate": 0.0, "lr_min": 0.0,
              "global_weight": 0.0, "seed": None}
 # TrainConfig fields with a fixed set of values; the CLI offers the same
@@ -120,6 +120,7 @@ class TrainConfig:
             least = _AT_LEAST.get(f.name, 1 if f.type in (int, "int") else None)
             if least is not None and value < least:
                 raise ValueError(f"{f.name} must be at least {least}, got {value!r}")
+        check_seed(self.seed)
         try:
             narrowest = min(self.pointnet_widths)
         except ValueError:
@@ -405,15 +406,10 @@ def build_model(cfg: TrainConfig, draw: bool = True):
     zeros, for a caller that fills the model from a checkpoint with
     ``restore``."""
     cfg = cfg.resolved()
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0])) if draw else None
+    rng = stream(cfg.seed, "init") if draw else None
     model = (CloudAutoencoder if cfg.encoder == "pointnet" else PatchAutoencoder)(cfg, rng)
     model.cast(cfg.dtype)
     return model
-
-
-def sample_rng(seed: int, epoch: int, index: int) -> np.random.Generator:
-    """Stateless per-(epoch, sample) stream: resume never replays or skips."""
-    return np.random.default_rng(np.random.SeedSequence([seed, 2, epoch, index]))
 
 
 # ---------------------------------------------------------------------------
@@ -639,8 +635,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
             metrics.write("epoch,total,local,global,lr\n")
         for epoch in range(start_epoch, cfg.epochs):
             lr = scheduled_lr(cfg, epoch)
-            order = np.random.default_rng(
-                np.random.SeedSequence([cfg.seed, 1, epoch])).permutation(len(clouds))
+            order = stream(cfg.seed, "shuffle", epoch).permutation(len(clouds))
             reports: dict[int, LossReport] = {}
             for lo in range(0, len(order), cfg.batch_size):
                 batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
@@ -651,7 +646,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                     for mlo in range(0, len(batch), MICRO_BATCH):
                         micro = batch[mlo:mlo + MICRO_BATCH]
                         samples = [prepare_sample(clouds[idx], cfg,
-                                                  sample_rng(cfg.seed, epoch, idx))
+                                                  stream(cfg.seed, "sample", epoch, idx))
                                    for idx in micro]
                         totals, micro_reports = sample_loss(model, samples, cfg)
                         for idx, report in zip(micro, micro_reports):

@@ -7,7 +7,7 @@ import pytest
 from oracles import probe_accuracy_oracle, svm_train_oracle
 from recloud import cli
 from recloud import evaluation as ev
-from recloud.data import SynthSpec, read_cloud, synth_generate
+from recloud.data import SynthSpec, read_cloud, stream, synth_generate
 from recloud.evaluation import (EpisodeSpec, FeatureTable, fewshot_eval, linear_probe,
                                 probe_with_sweep)
 from recloud.trainer import (AdamW, TrainConfig, build_model, pretrain, save_checkpoint,
@@ -33,7 +33,7 @@ def random_tables(seed: int, classes: int, rows: int = 14, dim: int = 6):
 def oracle_sweep(train: FeatureTable, test: FeatureTable, seed: int = 0):
     """``probe_with_sweep``'s split and choice, one scalar solve per class and C,
     scored on the validation rows whose class the fit rows have."""
-    order = np.random.default_rng(seed).permutation(len(train.ids))
+    order = stream(seed, "sweep").permutation(len(train.ids))
     n_val = max(int(0.2 * len(order)), 1)
     fit = train.select(order[n_val:])
     val = train.select([i for i in order[:n_val] if train.labels[i] in fit.labels])
@@ -114,21 +114,22 @@ class TestProbe:
         test = table(np.ones((1, 2)), ["a"], prefix="q")
         # with the lone "b" row held out for validation, the fit rows hold one class
         for seed in range(10):
-            order = np.random.default_rng(seed).permutation(3)
+            order = stream(seed, "sweep").permutation(3)
             if train.labels[order[0]] == "b":
                 assert probe_with_sweep(train, test, seed=seed)[1] == 1.0
                 return
         pytest.fail("no seed puts the lone class in the validation slice")
 
     def test_sweep_skips_validation_rows_of_classes_without_fit_rows(self):
-        # classes of 6, 6 and 1 rows: seed 3 holds the lone "c" row out for validation
+        # classes of 6, 6 and 1 rows: some seeds hold the lone "c" row out for validation
         rng = np.random.default_rng(0)
         labels = ["a"] * 6 + ["b"] * 6 + ["c"]
         x = rng.normal(size=(13, 4)) + 3.0 * np.eye(3, 4)[[ord(l) - ord("a") for l in labels]]
         train = table(x, labels)
         test = table(x[[0, 6, 12]] + 0.1, ["a", "b", "c"], prefix="q")
-        assert 12 in np.random.default_rng(3).permutation(13)[:2]
-        for seed in range(8):
+        seeds = range(24)
+        assert any(12 in stream(seed, "sweep").permutation(13)[:2] for seed in seeds)
+        for seed in seeds:
             assert probe_with_sweep(train, test, seed=seed) == oracle_sweep(train, test, seed)
 
     def test_sweep_with_no_scorable_validation_row_keeps_c_one(self):
@@ -261,6 +262,25 @@ class TestProbeCommand:
         assert rc == cli.EXIT_BAD_CONFIG
         assert "invalid-config" in capsys.readouterr().err
         assert not out.exists()  # rejected before extraction writes anything
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_out_of_range_seed_exits_bad_config(self, probe_setup, capsys, seed):
+        rc, out = self.run(probe_setup, "--sweep", "--seed", seed)
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "seed must be in" in capsys.readouterr().err
+        assert not out.exists()  # rejected before extraction writes anything
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**32)])
+def test_reconstruct_out_of_range_seed_exits_bad_config(probe_setup, capsys, seed):
+    root, manifest, _ = probe_setup
+    out = root / f"reconstruct{seed}"
+    rc = cli.main(["reconstruct", "--checkpoint", str(root / "init.ckpt"), "--input",
+                   str(manifest.resolve(manifest.entries[0])), "--out", str(out),
+                   "--seed", seed])
+    assert rc == cli.EXIT_BAD_CONFIG
+    assert "seed must be in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class NoNormalDraws(np.random.Generator):

@@ -9,16 +9,18 @@ import numpy as np
 import pytest
 
 from recloud import cli
+from recloud import evaluation as ev
 from recloud.autograd import Tensor, backward
 from recloud.corruption import sample_affine
-from recloud.data import SynthSpec, load_split, read_cloud, synth_generate, write_cloud
+from recloud.data import (SynthSpec, load_split, read_cloud, stream, synth_generate,
+                          write_cloud)
 from recloud.geometry import affine_apply, denormalize_patches
 from recloud.layers import Parameter
 from recloud.losses import chamfer
 from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, build_model,
                              cosine_lr, load_checkpoint, parse_config_text,
                              prepare_sample,
-                             pretrain, restore, sample_loss, sample_rng, save_checkpoint,
+                             pretrain, restore, sample_loss, save_checkpoint,
                              scheduled_lr, snapshot)
 
 
@@ -170,13 +172,13 @@ class TestSampleStep:
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         x = clouds[0]
         total, (report,) = sample_loss(
-            model, [prepare_sample(x, cfg, sample_rng(cfg.seed, 0, 0))], cfg)
+            model, [prepare_sample(x, cfg, stream(cfg.seed, "sample", 0, 0))], cfg)
 
         # manual replay with the same derived rng
         from recloud.corruption import mask_patches
         from recloud.geometry import PatchSet, normalize_patches, patchify
         from recloud.losses import loss_all, loss_global, loss_local
-        rng = sample_rng(cfg.seed, 0, 0)
+        rng = stream(cfg.seed, "sample", 0, 0)
         transform = sample_affine(cfg, rng)
         clean = patchify(x, cfg.num_patches, cfg.patch_size, rng)
         corrupted = PatchSet(centers=affine_apply(clean.centers, transform),
@@ -201,7 +203,8 @@ class TestSampleStep:
         cfg = tiny_cfg(global_weight=0.0)
         model = build_model(cfg)
         x = np.random.default_rng(0).standard_normal((64, 3))
-        total, _ = sample_loss(model, [prepare_sample(x, cfg, sample_rng(1, 0, 0))], cfg)
+        total, _ = sample_loss(model, [prepare_sample(x, cfg, stream(1, "sample", 0, 0))],
+                               cfg)
         backward(total)
         for name, p in model.named_parameters():
             if name.startswith("center_head"):
@@ -212,7 +215,7 @@ class TestSampleStep:
         cfg = tiny_cfg(encoder="pointnet", affine_role="augmentation",
                        mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(1).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, sample_rng(2, 0, 0))
+        sample = prepare_sample(x, cfg, stream(2, "sample", 0, 0))
         np.testing.assert_array_equal(sample.target,
                                       affine_apply(x, sample.transform))
         np.testing.assert_array_equal(sample.visible, sample.target)
@@ -220,7 +223,7 @@ class TestSampleStep:
     def test_corruption_mode_targets_clean_cloud(self):
         cfg = tiny_cfg(encoder="pointnet", mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(2).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, sample_rng(3, 0, 0))
+        sample = prepare_sample(x, cfg, stream(3, "sample", 0, 0))
         np.testing.assert_array_equal(sample.target, x)
 
 
@@ -240,7 +243,8 @@ class TestCorruptCommand:
         cfg = TrainConfig(encoder=encoder, mask_strategy=mask, mask_ratio=0.4,
                           cluster_size=7, max_clusters=5, num_patches=8, patch_size=8,
                           seed=13)
-        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg, sample_rng(13, 0, 0))
+        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg,
+                                stream(13, "sample", 0, 0))
         # the patch mask writes the visible patches in absolute coordinates
         visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
                    if mask == "patch" else sample.visible)
@@ -253,6 +257,16 @@ class TestCorruptCommand:
             assert sample.plan is None and "masked" not in plan
         else:
             assert plan["masked"] == sample.plan.masked.tolist()
+
+    @pytest.mark.parametrize("extra", [(), ("--num-points", "100")], ids=["as-is", "resampled"])
+    @pytest.mark.parametrize("seed", ["-1", str(2**32)])
+    def test_out_of_range_seed_exits_bad_config(self, tmp_path, capsys, seed, extra):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((120, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "random", "--seed", seed, *extra])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "seed must be in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestPretrainLoop:
@@ -341,22 +355,52 @@ class TestPretrainLoop:
         assert (tmp_path / "m.csv").read_text() == "\n".join(full[:2]) + "\n"
 
     def test_streams_of_a_run_are_distinct(self, tmp_path, monkeypatch):
-        # SeedSequence ignores trailing zeros, so [seed, i] once equalled the
-        # model, shuffle and sample streams; resampling 128 points to 64 draws
-        manifest = synth_generate(SynthSpec(samples_per_family=2, points_per_cloud=128,
-                                            seed=5), tmp_path / "data")
-        built = []
+        # SeedSequence ignores trailing zeros, so [seed, f, s] once made the
+        # synthetic clouds of a run's own seed its init, shuffle and sample
+        # streams. One seed for the data, the run and every evaluation; clouds
+        # of 128 points resampled to 64 draw
+        seed = 7
+        # `recloud corrupt` masks its cloud as the trainer does its first sample
+        shared = stream(seed, "sample", 0, 0).bit_generator.seed_seq.generate_state(4).tobytes()
+        phase, built = [""], []
 
         class Recorded(np.random.SeedSequence):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                built.append(self)
+                built.append((phase[0], self.generate_state(4).tobytes()))
 
         monkeypatch.setattr(np.random, "SeedSequence", Recorded)
-        pretrain(manifest, tiny_cfg(epochs=2, num_points=64))
-        states = [s.generate_state(4).tobytes() for s in built]
-        assert len(states) > 10
-        assert len(set(states)) == len(states)
+
+        def run(name, fn, *args, **kwargs):
+            phase[0] = name
+            return fn(*args, **kwargs)
+
+        manifest = run("synth", synth_generate,
+                       SynthSpec(samples_per_family=3, points_per_cloud=128, seed=seed),
+                       tmp_path / "data")
+        ckpt = run("pretrain", pretrain, manifest, tiny_cfg(epochs=2, num_points=64, seed=seed))
+        train, test = (run("extract", ev.extract_features, ckpt, manifest, split)
+                       for split in ("train", "test"))
+        run("sweep", ev.probe_with_sweep, train, test, seed=seed)
+        run("fewshot", ev.fewshot_eval, train,
+            ev.EpisodeSpec(ways=2, shots=1, queries=1, repetitions=5, seed=seed))
+        cloud = read_cloud(manifest.resolve(manifest.entries[0]))
+        run("reconstruct", ev.reconstruct_export, ckpt, cloud, tmp_path / "recon", seed=seed)
+        assert run("corrupt", cli.main, [
+            "corrupt", "--input", str(manifest.resolve(manifest.entries[0])), "--out",
+            str(tmp_path / "corrupt"), "--mask", "patch", "--patches", "8", "--patch-size",
+            "8", "--num-points", "100", "--seed", str(seed)]) == 0
+
+        assert {("pretrain", shared), ("corrupt", shared)} <= set(built)
+        owners: dict[bytes, str] = {}
+        for name, state in built:
+            if (name, state) != ("corrupt", shared):
+                assert state not in owners, f"{name} draws a stream of {owners[state]}"
+                owners[state] = name
+        # every phase draws, each stream through the recorded constructor
+        assert {name for name, _ in built} == {"synth", "pretrain", "extract", "sweep",
+                                               "fewshot", "reconstruct", "corrupt"}
+        assert len(owners) > 40
 
     # 1e30 overflows the forward gemm in float32 after the first step. With
     # one step per epoch (12 train clouds, batch 16), 3.4e38 overflows float32
@@ -612,7 +656,7 @@ class TestPrecisionContract:
         cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision="single")
         model = build_model(cfg)
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
-        sample = prepare_sample(clouds[0], cfg, sample_rng(cfg.seed, 0, 0))
+        sample = prepare_sample(clouds[0], cfg, stream(cfg.seed, "sample", 0, 0))
         total, _ = sample_loss(model, [sample], cfg)
         backward(total)
         seen, stack, dtypes = set(), [total], set()
@@ -643,7 +687,7 @@ class TestPrecisionContract:
         for i, x in enumerate(clouds):
             out = {}
             for precision, (cfg, model) in runs.items():
-                sample = prepare_sample(x, cfg, sample_rng(cfg.seed, 0, i))
+                sample = prepare_sample(x, cfg, stream(cfg.seed, "sample", 0, i))
                 model.zero_grad()
                 total, _ = sample_loss(model, [sample], cfg)
                 backward(total)
