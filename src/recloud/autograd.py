@@ -7,7 +7,9 @@ uses of a tensor inside one graph. Only tensors with ``requires_grad`` (the
 leaves: parameters, inputs under test) keep their ``grad``, which also
 accumulates across backward calls (callers zero it between optimizer
 steps); any other ``grad`` is freed once passed on, so a second sweep over
-one graph adds exactly one more gradient.
+one graph adds exactly one more gradient. A result no gradient can reach
+records no graph, so a frozen model's forward pass is inference only: its
+pools reduce without keeping the pick a backward pass would read.
 
 Where a shared tensor meets per-sample rows (:func:`linear`, the affine
 :func:`layer_norm`), axis 0 is the batch, and the shared tensor's gradient
@@ -337,21 +339,40 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = Non
     return Tensor(y * gain.data + shift.data, parents=(a, gain, shift), backward_fn=bw)
 
 
+def _first_hit(x: np.ndarray, extremum: np.ndarray, axis: int) -> np.ndarray:
+    """The index along ``axis`` of the first entry of ``x`` equal to its
+    slice's ``extremum`` (``keepdims`` shape) or NaN, with ``axis`` kept."""
+    hit = x == extremum
+    hit |= np.isnan(x)
+    return np.expand_dims(np.argmax(hit, axis=axis), axis)
+
+
 def _pool(a: Tensor, axis: int, reduce: Callable) -> Tensor:
     """Reduce ``a`` over ``axis`` (``reduce`` is ``np.min`` or ``np.max``),
     keeping the index of the first extremum for the backward pass.
 
-    The index is the first ``True`` of ``(x == extremum) | isnan(x)``, which
-    equals ``np.argmin``/``np.argmax`` on ties, NaN (the first NaN wins) and
-    -0.0 (equal to 0.0). On a strided axis it is about twice as fast as
-    ``np.argmin``, which first copies ``x`` transposed (Chamfer's column
-    minimum).
+    The value is the first extremum's: the first ``True`` of
+    ``(x == extremum) | isnan(x)``, which equals ``np.argmin``/``np.argmax``
+    on ties, NaN (the first NaN wins) and -0.0 (equal to 0.0). On a strided
+    axis it is about twice as fast as ``np.argmin``, which first copies ``x``
+    transposed (Chamfer's column minimum).
+
+    When no gradient can reach ``a`` there is no backward pass, so only
+    ``reduce`` runs. Its value has the first extremum's bits except where it
+    is zero, whose sign it may take from another zero, or NaN, whose payload
+    it may take from another NaN; only those slices are picked from again.
     """
     x = a.data
-    hit = x == reduce(x, axis=axis, keepdims=True)
-    hit |= np.isnan(x)
-    arg = np.argmax(hit, axis=axis)
-    arg = np.expand_dims(arg, axis)
+    if not a._needs:
+        out_data = np.asarray(reduce(x, axis=axis))
+        redo = out_data == 0
+        redo |= np.isnan(out_data)
+        if redo.any():
+            rows = np.moveaxis(x, axis, -1)[redo]  # (r, n): only the slices to redo
+            arg = _first_hit(rows, out_data[redo][:, None], -1)
+            out_data[redo] = np.take_along_axis(rows, arg, axis=-1)[:, 0]
+        return Tensor(out_data)
+    arg = _first_hit(x, reduce(x, axis=axis, keepdims=True), axis)
     out_data = np.take_along_axis(x, arg, axis=axis).squeeze(axis)
 
     def bw(g: np.ndarray) -> None:

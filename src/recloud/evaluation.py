@@ -62,12 +62,10 @@ class FeatureTable:
 
 def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
                       rngs: list[np.random.Generator]) -> np.ndarray:
-    """One feature row per cloud, the clouds encoded as one batch."""
+    """One feature row per cloud, the clouds grouped and encoded as one batch."""
     if isinstance(model, CloudAutoencoder):
         return model.encoder(np.stack(clouds)).data.astype(np.float64)
-    patches = PatchSet.stack([
-        normalize_patches(patchify(points, cfg.num_patches, cfg.patch_size, rng))
-        for points, rng in zip(clouds, rngs)])
+    patches = normalize_patches(patchify(np.stack(clouds), cfg.num_patches, cfg.patch_size, rngs))
     encoded = model.encode_all(patches)
     pooled = np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
                              ag.mean_pool_over_axis(encoded, axis=1).data], axis=1)
@@ -101,8 +99,9 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
     rows = []
     for lo in range(0, len(entries), MICRO_BATCH):
         chunk = entries[lo:lo + MICRO_BATCH]
-        # one stream per cloud, drawn by resample and then patchify, seeded by
-        # the sample id alone so features are stable across orderings and runs
+        # one stream per cloud, drawn by resample and then by patchify's FPS
+        # start, seeded by the sample id alone so features are stable across
+        # orderings and runs
         rngs = [stream(zlib.crc32(entry.path.encode()), "probe") for entry in chunk]
         clouds = [normalize_unit_sphere(resample(read_cloud(manifest.resolve(entry)),
                                                  cfg.num_points, rng))

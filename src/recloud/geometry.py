@@ -5,6 +5,13 @@ All functions are pure; randomness enters only through explicitly passed
 ``numpy.random.Generator`` instances. Distances are squared Euclidean
 throughout (no square roots). Ties in FPS and k-NN are broken by lowest
 point index so results are reproducible and oracle-checkable.
+
+FPS, k-NN and ``patchify`` take one ``(w, 3)`` cloud or a ``(B, w, 3)``
+micro-batch of them (one generator per cloud), and give each cloud exactly
+what it would get alone. A batch takes each FPS step together, one distance
+row and one ``argmax`` for all its clouds, and ``patchify`` hands the rows FPS
+computed for its picks to ``knn`` as the centers' distances, so grouping a
+cloud computes each distance once.
 """
 from __future__ import annotations
 
@@ -13,15 +20,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 
-def as_cloud(points) -> np.ndarray:
-    """Validate and canonicalize a point cloud to a (w, 3) float64 array.
+def as_cloud(points, batch: bool = False) -> np.ndarray:
+    """Validate and canonicalize a point cloud to a (w, 3) float64 array;
+    with ``batch``, a (B, w, 3) batch of equally sized clouds is taken too.
 
     Raises ValueError for wrong shape, empty input, or non-finite values.
     """
     pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"point cloud must have shape (w, 3), got {pts.shape}")
-    if pts.shape[0] < 1:
+    if pts.ndim not in ((2, 3) if batch else (2,)) or pts.shape[-1] != 3:
+        raise ValueError(f"point cloud must have shape {'(B, w, 3) or ' if batch else ''}"
+                         f"(w, 3), got {pts.shape}")
+    if pts.shape[-2] < 1:
         raise ValueError("point cloud must contain at least one point")
     if not np.all(np.isfinite(pts)):
         raise ValueError("point cloud contains non-finite coordinates")
@@ -99,43 +108,63 @@ def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def farthest_point_sample(points: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def farthest_point_sample(points: np.ndarray, n: int, rng,
+                          rows: np.ndarray | None = None) -> np.ndarray:
     """Select ``n`` point indices by farthest-point sampling.
 
-    The start index is drawn uniformly from ``rng``; each subsequent pick
-    maximizes the minimum squared distance to all previously selected
-    points, ties broken by lowest index. Already-selected points are
-    never re-selected.
+    ``points`` is one ``(w, 3)`` cloud with one generator ``rng``, giving
+    ``(n,)`` indices, or a ``(B, w, 3)`` batch with a sequence of B
+    generators, giving ``(B, n)``. Each cloud's start index is drawn uniformly
+    from its generator; each subsequent pick maximizes the minimum squared
+    distance to all previously selected points, ties broken by lowest index.
+    Already-selected points are never re-selected.
+
+    ``rows``, a ``(..., n, w)`` array, receives in row i the squared
+    distances from pick i to every point: the distances ``knn`` needs with the
+    picks as queries.
     """
-    pts = as_cloud(points)
-    w = pts.shape[0]
+    pts = as_cloud(points, batch=True)
+    w = pts.shape[-2]
     if n <= 0:
         raise ValueError(f"sample count must be positive, got {n}")
     if n > w:
         raise ValueError(f"sample count {n} exceeds cloud size {w}")
+    clouds = pts.reshape(-1, w, 3)
+    rngs = [rng] if pts.ndim == 2 else list(rng)
+    if len(rngs) != len(clouds):
+        raise ValueError(f"need one generator per cloud, got {len(rngs)} for {len(clouds)}")
+    if rows is not None:
+        if rows.shape != pts.shape[:-2] + (n, w):
+            raise ValueError(f"rows of shape {rows.shape} do not fit {n} picks of {pts.shape}")
+        rows = rows[None] if pts.ndim == 2 else rows  # a view: writes reach the caller
 
-    cols = np.ascontiguousarray(pts.T)
-    selected = np.empty(n, dtype=np.int64)
-    selected[0] = int(rng.integers(w))
+    cols = np.ascontiguousarray(np.swapaxes(clouds, 1, 2))  # (B, 3, w)
+    batch = np.arange(len(clouds))
+    selected = np.empty((len(clouds), n), dtype=np.int64)
+    selected[:, 0] = [r.integers(w) for r in rngs]
     # min squared distance from each point to the selected set; selected
     # entries are forced to -1 so argmax never revisits them (matters for
     # clouds with duplicate points).
-    min_sq = _sqdist_to(cols, pts[selected[0]])
-    min_sq[selected[0]] = -1.0
-    for i in range(1, n):
-        nxt = int(np.argmax(min_sq))  # argmax takes the first max: lowest index
-        selected[i] = nxt
-        np.minimum(min_sq, _sqdist_to(cols, pts[nxt]), out=min_sq)
-        min_sq[nxt] = -1.0
-    return selected
+    min_sq = np.full((len(clouds), w), np.inf)
+    for i in range(n):
+        if i:
+            selected[:, i] = np.argmax(min_sq, axis=1)  # the first max: lowest index
+        pick = selected[:, i]
+        sq = _sqdist_to(cols, clouds[batch, pick][:, None, :])[:, 0]  # (B, w)
+        if rows is not None:
+            rows[:, i] = sq
+        np.minimum(min_sq, sq, out=min_sq)
+        min_sq[batch, pick] = -1.0
+    return selected if pts.ndim == 3 else selected[0]
 
 
 @dataclass(frozen=True)
 class Neighborhood:
     """Result of a k-NN query: indices sorted by ascending squared distance.
 
-    ``indices`` and ``sq_distances`` are ``(k,)`` for one query and
-    ``(n, k)`` for n queries, one row per query.
+    ``indices`` and ``sq_distances`` are ``(k,)`` for one query,
+    ``(n, k)`` for n queries, one row per query, and ``(B, n, k)`` for the
+    queries of a batch of clouds.
     """
 
     indices: np.ndarray
@@ -144,8 +173,8 @@ class Neighborhood:
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
         d = np.asarray(self.sq_distances, dtype=np.float64)
-        if idx.ndim not in (1, 2) or d.shape != idx.shape:
-            raise ValueError("indices and distances must be matching 1-D or 2-D arrays")
+        if idx.ndim not in (1, 2, 3) or d.shape != idx.shape:
+            raise ValueError("indices and distances must be matching 1-D to 3-D arrays")
         if np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
             raise ValueError("neighbor indices must be distinct")
         if np.any(np.diff(d, axis=-1) < 0):
@@ -154,42 +183,52 @@ class Neighborhood:
         object.__setattr__(self, "sq_distances", d)
 
 
-def knn(points: np.ndarray, query: np.ndarray, k: int) -> Neighborhood:
+def knn(points: np.ndarray, query: np.ndarray, k: int,
+        sq: np.ndarray | None = None) -> Neighborhood:
     """The ``k`` nearest points to each query by squared Euclidean distance.
 
-    ``query`` is one ``(3,)`` point, giving ``(k,)`` rows, or ``(n, 3)``
-    points, giving ``(n, k)`` rows. Ties are broken by lowest index, so each
+    For one ``(w, 3)`` cloud, ``query`` is one ``(3,)`` point, giving ``(k,)``
+    rows, or ``(n, 3)`` points, giving ``(n, k)`` rows; for a ``(B, w, 3)``
+    batch it is ``(B, n, 3)``, giving ``(B, n, k)``. ``sq``, the queries'
+    ``(..., n, w)`` squared distances to the points as ``_sqdist_to`` gives
+    them (``farthest_point_sample``'s ``rows`` for its picks), is used
+    instead of computing them again. Ties are broken by lowest index, so each
     row equals the first ``k`` entries of a stable argsort of its distances.
     """
-    pts = as_cloud(points)
-    w = pts.shape[0]
+    pts = as_cloud(points, batch=True)
+    w = pts.shape[-2]
     if k <= 0:
         raise ValueError(f"k must be positive, got {k}")
     if k > w:
         raise ValueError(f"k={k} exceeds cloud size {w}")
     q = np.asarray(query, dtype=np.float64)
-    if q.shape[-1:] != (3,) or q.ndim > 2:
-        raise ValueError(f"query must have shape (3,) or (n, 3), got {q.shape}")
-    sq = _sqdist_to(np.ascontiguousarray(pts.T), q.reshape(-1, 3))  # (n, w)
+    if q.shape[-1:] != (3,) or not (q.ndim <= 2 if pts.ndim == 2 else
+                                    q.ndim == 3 and len(q) == len(pts)):
+        want = "(3,) or (n, 3)" if pts.ndim == 2 else f"({len(pts)}, n, 3)"
+        raise ValueError(f"query must have shape {want}, got {q.shape}")
+    if sq is None:
+        sq = _sqdist_to(np.ascontiguousarray(np.swapaxes(pts, -1, -2)),
+                        q.reshape(pts.shape[:-2] + (-1, 3)))
+    elif sq.shape != q.shape[:-1] + (w,):
+        raise ValueError(f"distances of shape {sq.shape} do not fit queries {q.shape}")
+    sq = sq.reshape(-1, w)  # one row per query
     # all points closer than the k-th distance, plus the lowest-index ones at it
     kth = np.partition(sq, k - 1, axis=1)[:, k - 1:k]
-    below, at_kth = sq < kth, sq == kth
-    take = below | at_kth
+    take = sq <= kth
     # only a row with more points at the k-th distance than places left for
     # them has to drop its highest-index ties
     over = np.flatnonzero(np.count_nonzero(take, axis=1) > k)
     if over.size:
-        ties = at_kth[over]
-        need = k - np.count_nonzero(below[over], axis=1, keepdims=True)
-        take[over] = below[over] | (ties & (np.cumsum(ties, axis=1) <= need))
-    idx = np.nonzero(take)[1].reshape(-1, k)  # ascending index within each row
+        below, ties = sq[over] < kth[over], sq[over] == kth[over]
+        need = k - np.count_nonzero(below, axis=1, keepdims=True)
+        take[over] = below | (ties & (np.cumsum(ties, axis=1) <= need))
+    idx = (np.flatnonzero(take) % w).reshape(-1, k)  # ascending index within each row
     # a stable sort of the index-ordered selection keeps lowest-index ties first
     order = np.argsort(np.take_along_axis(sq, idx, axis=1), axis=1, kind="stable")
     idx = np.take_along_axis(idx, order, axis=1)
     dist = np.take_along_axis(sq, idx, axis=1)
-    if q.ndim == 1:
-        idx, dist = idx[0], dist[0]
-    return Neighborhood(indices=idx, sq_distances=dist)
+    shape = q.shape[:-1] + (k,)
+    return Neighborhood(indices=idx.reshape(shape), sq_distances=dist.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -229,14 +268,24 @@ class PatchSet:
                    indices=indices, normalized=sets[0].normalized)
 
 
-def patchify(points: np.ndarray, num_patches: int, patch_size: int,
-             rng: np.random.Generator) -> PatchSet:
-    """FPS-selected centers, each grouped with its ``patch_size`` nearest points."""
-    pts = as_cloud(points)
-    center_idx = farthest_point_sample(pts, num_patches, rng)
-    centers = pts[center_idx]
-    idx = knn(pts, centers, patch_size).indices
-    return PatchSet(centers=centers, patches=pts[idx], indices=idx, normalized=False)
+def _gather(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """The points ``idx`` (any trailing shape) of each cloud of ``pts``."""
+    flat = idx.reshape(pts.shape[:-2] + (-1, 1))
+    return np.take_along_axis(pts, flat, axis=-2).reshape(idx.shape + (3,))
+
+
+def patchify(points: np.ndarray, num_patches: int, patch_size: int, rng) -> PatchSet:
+    """FPS-selected centers, each grouped with its ``patch_size`` nearest points.
+
+    One ``(w, 3)`` cloud with one generator, or a ``(B, w, 3)`` batch with
+    one generator per cloud, grouped in one FPS pass whose distance rows are
+    the k-NN distances."""
+    pts = as_cloud(points, batch=True)
+    rows = np.empty(pts.shape[:-2] + (num_patches, pts.shape[-2]))
+    center_idx = farthest_point_sample(pts, num_patches, rng, rows=rows)
+    centers = _gather(pts, center_idx)
+    idx = knn(pts, centers, patch_size, sq=rows).indices
+    return PatchSet(centers=centers, patches=_gather(pts, idx), indices=idx, normalized=False)
 
 
 def normalize_patches(ps: PatchSet) -> PatchSet:

@@ -14,7 +14,8 @@ class Parameter:
 
     The parameter owns the dtype of its values: layers draw their values in
     float64, ``build_model`` casts each parameter once to the run's
-    precision, and every array written in from outside (a checkpoint's
+    precision (a model built without drawing holds :func:`unfilled` views
+    in it), and every array written in from outside (a checkpoint's
     values, or the optimizer moments restored beside them) goes through
     :meth:`conform`. The optimizer moments live on ``trainer.AdamW``.
     """
@@ -78,10 +79,14 @@ class Module:
         for p in self.parameters():
             p.zero_grad()
 
-    def cast(self, dtype) -> None:
-        """Give every parameter ``dtype``; a model is cast once, when built."""
+    def cast(self, dtype, values: bool = True) -> None:
+        """Give every parameter ``dtype``; a model is cast once, when built.
+        Without ``values`` each parameter becomes an :func:`unfilled` view in
+        ``dtype``, for ``trainer.restore`` to give it its one array."""
         for p in self.parameters():
-            p.tensor = Tensor(p.data.astype(dtype, copy=False), requires_grad=True)
+            data = (p.data.astype(dtype, copy=False) if values
+                    else unfilled(p.data.shape, dtype))
+            p.tensor = Tensor(data, requires_grad=True)
 
     def freeze(self) -> None:
         """Make every parameter a constant, for inference: a forward pass
@@ -93,10 +98,17 @@ class Module:
         return sum(p.data.size for p in self.parameters())
 
 
+def unfilled(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """Read-only zeros of ``shape`` that allocate nothing (every element is
+    one shared zero): the value of a parameter a checkpoint will fill."""
+    return np.ndarray(shape, dtype, buffer=bytes(8), strides=(0,) * len(shape))
+
+
 def init_normal(shape: tuple[int, ...], rng: np.random.Generator | None) -> np.ndarray:
     """Initial weights drawn from N(0, 0.02^2) with ``rng``, in float64. With
-    no ``rng`` nothing is drawn: zeros, for a model a checkpoint will fill."""
-    return np.zeros(shape) if rng is None else rng.normal(0.0, 0.02, size=shape)
+    no ``rng`` nothing is drawn: :func:`unfilled` zeros, for a model a
+    checkpoint will fill."""
+    return unfilled(shape) if rng is None else rng.normal(0.0, 0.02, size=shape)
 
 
 class Linear(Module):

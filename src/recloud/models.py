@@ -3,11 +3,11 @@ encoder/decoder, positional embeddings, and the reconstruction heads.
 
 Every component is built from the autograd primitives, takes an explicit
 construction RNG (so initialization is reproducible; with none it draws
-nothing and allocates its weights for a checkpoint to fill), and runs
-batch-first: axis 0 of every input and output is the sample. No operation
-mixes samples, and the shared weights receive their gradients one sample at
-a time (see ``autograd``), so a batch computes exactly what a loop over its
-samples would, bit for bit.
+nothing and its weights are ``layers.unfilled`` zeros for a checkpoint to
+fill), and runs batch-first: axis 0 of every input and output is the
+sample. No operation mixes samples, and the shared weights receive their
+gradients one sample at a time (see ``autograd``), so a batch computes
+exactly what a loop over its samples would, bit for bit.
 
 The two autoencoders are built from one resolved ``TrainConfig``. Layers
 draw their parameters in float64, and ``trainer.build_model`` casts each

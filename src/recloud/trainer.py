@@ -323,10 +323,21 @@ def prepare_cloud_sample(points: np.ndarray, cfg: TrainConfig,
     return CloudSample(visible=visible, target=target, transform=transform, plan=plan)
 
 
-def prepare_patch_sample(points: np.ndarray, cfg: TrainConfig,
-                         rng: np.random.Generator) -> PatchSample:
-    transform = sample_affine(cfg, rng)
-    clean = patchify(points, cfg.num_patches, cfg.patch_size, rng)
+def prepare_patch_samples(clouds: np.ndarray, cfg: TrainConfig,
+                          rngs: list[np.random.Generator]) -> list[PatchSample]:
+    """Samples of a ``(B, w, 3)`` batch; each cloud's generator draws its
+    affine map, then its FPS start, then its mask, and the batch is grouped
+    in one ``patchify`` call."""
+    transforms = [sample_affine(cfg, rng) for rng in rngs]
+    grouped = patchify(clouds, cfg.num_patches, cfg.patch_size, rngs)
+    return [_patch_sample(points, PatchSet(centers=centers, patches=patches, indices=indices,
+                                           normalized=False), transform, cfg, rng)
+            for points, centers, patches, indices, transform, rng
+            in zip(clouds, grouped.centers, grouped.patches, grouped.indices, transforms, rngs)]
+
+
+def _patch_sample(points: np.ndarray, clean: PatchSet, transform: AffineTransform,
+                  cfg: TrainConfig, rng: np.random.Generator) -> PatchSample:
     flat = clean.patches.reshape(-1, 3)
     corrupted = PatchSet(
         centers=affine_apply(clean.centers, transform),
@@ -390,10 +401,19 @@ def sample_loss(model, samples: list, cfg: TrainConfig) -> tuple[Tensor, list[Lo
     return loss_all(local, global_, cfg.global_weight)
 
 
-def prepare_sample(points: np.ndarray, cfg: TrainConfig, rng: np.random.Generator):
+def prepare_sample(points: np.ndarray, cfg: TrainConfig, rng):
+    """The corrupted sample of one ``(w, 3)`` cloud and its generator, or
+    the list of samples of a ``(B, w, 3)`` batch and its B generators, one
+    per cloud. Each cloud's generator draws what it would draw alone, in the
+    same order."""
+    clouds = np.asarray(points)
+    batch = clouds.ndim == 3
+    clouds, rngs = (clouds, list(rng)) if batch else (clouds[None], [rng])
     if cfg.encoder == "pointnet":
-        return prepare_cloud_sample(points, cfg, rng)
-    return prepare_patch_sample(points, cfg, rng)
+        samples = [prepare_cloud_sample(c, cfg, r) for c, r in zip(clouds, rngs, strict=True)]
+    else:
+        samples = prepare_patch_samples(clouds, cfg, rngs)
+    return samples if batch else samples[0]
 
 
 def build_model(cfg: TrainConfig, draw: bool = True):
@@ -402,13 +422,13 @@ def build_model(cfg: TrainConfig, draw: bool = True):
 
     With ``draw`` the weights are drawn from the seed's init stream,
     deterministically: a fresh run, or ``random_init``'s untrained baseline.
-    Without it nothing is drawn and the weights a draw would give are
-    zeros, for a caller that fills the model from a checkpoint with
-    ``restore``."""
+    Without it nothing is drawn or allocated: every parameter is a read-only
+    zero view in the config's dtype (``layers.unfilled``) until ``restore``
+    gives it its one array from a checkpoint."""
     cfg = cfg.resolved()
     rng = stream(cfg.seed, "init") if draw else None
     model = (CloudAutoencoder if cfg.encoder == "pointnet" else PatchAutoencoder)(cfg, rng)
-    model.cast(cfg.dtype)
+    model.cast(cfg.dtype, values=draw)
     return model
 
 
@@ -645,9 +665,9 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                 with np.errstate(over="ignore", invalid="ignore"):
                     for mlo in range(0, len(batch), MICRO_BATCH):
                         micro = batch[mlo:mlo + MICRO_BATCH]
-                        samples = [prepare_sample(clouds[idx], cfg,
-                                                  stream(cfg.seed, "sample", epoch, idx))
-                                   for idx in micro]
+                        samples = prepare_sample(
+                            np.stack([clouds[idx] for idx in micro]), cfg,
+                            [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
                         totals, micro_reports = sample_loss(model, samples, cfg)
                         for idx, report in zip(micro, micro_reports):
                             if not np.isfinite(report.total):

@@ -466,6 +466,37 @@ class TestPoolPicksFirstExtremum:
                         assert out.data.tobytes() == want.tobytes()
                         np.testing.assert_array_equal(xt.grad, expected)
 
+    def test_constants_give_the_graph_values(self):
+        # no gradient can reach a constant, so its pool runs only np.min/np.max
+        # and picks again only where that gives a zero or a NaN: the values
+        # must still be the first extremum's bytes, the graph path's
+        rng = np.random.default_rng(29)
+        neg_nan = np.copysign(np.nan, -1.0)
+        differs = 0
+        for trial in range(80):
+            shape = tuple(int(n) for n in rng.integers(1, 7, int(rng.integers(1, 4))))
+            x = rng.integers(-2, 3, shape).astype(float)
+            x[rng.random(shape) < 0.3] = -0.0
+            if trial % 3 == 0:
+                x[rng.random(shape) < 0.1] = np.nan
+                x[rng.random(shape) < 0.1] = neg_nan
+            if trial % 4 == 1:
+                x[rng.random(shape) < 0.2] = -np.inf
+                x[rng.random(shape) < 0.2] = np.inf
+            for dtype in (np.float64, np.float32):
+                for axis in range(len(shape)):
+                    for pool, reduce in ((ag.min_over_axis, np.min),
+                                         (ag.max_pool_over_axis, np.max)):
+                        data = x.astype(dtype)
+                        graph = pool(Tensor(data, requires_grad=True), axis)
+                        const = pool(Tensor(data), axis)
+                        assert const.data.dtype == graph.data.dtype
+                        assert const.data.shape == graph.data.shape
+                        assert const.data.tobytes() == graph.data.tobytes()
+                        differs += reduce(data, axis=axis).tobytes() != graph.data.tobytes()
+        # the cases include slices where np.min/np.max alone give other bytes
+        assert differs > 0
+
 
 class TestDeterminism:
     def test_forward_bit_identical(self):

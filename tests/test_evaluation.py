@@ -1,17 +1,22 @@
+import copy
 import json
+import zlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from oracles import probe_accuracy_oracle, svm_train_oracle
+from recloud import autograd as ag
 from recloud import cli
 from recloud import evaluation as ev
-from recloud.data import SynthSpec, read_cloud, stream, synth_generate
+from recloud.data import (SynthSpec, normalize_unit_sphere, read_cloud, resample, stream,
+                          synth_generate)
+from recloud.geometry import PatchSet, normalize_patches, patchify
 from recloud.evaluation import (EpisodeSpec, FeatureTable, fewshot_eval, linear_probe,
                                 probe_with_sweep)
-from recloud.trainer import (AdamW, TrainConfig, build_model, pretrain, save_checkpoint,
-                             snapshot)
+from recloud.trainer import (AdamW, TrainConfig, build_model, pretrain, restore,
+                             save_checkpoint, snapshot)
 
 CANDIDATES = (0.1, 1.0, 10.0)
 
@@ -212,21 +217,71 @@ def probe_setup(tmp_path_factory):
 class TestExtraction:
     def test_one_generator_per_cloud(self, probe_setup, monkeypatch):
         # resample shrinks 128 points to 64 by FPS; patchify's FPS continues
-        # the same generator instead of replaying its first draw
+        # the same generator with the start as its next draw instead of
+        # replaying its first draw, and groups each micro-batch in one call
         _, manifest, ckpt = probe_setup
-        seen = {"resample": [], "patchify": []}
+        cfg = ckpt.config
+        resampled, batches = [], []
+        resample, patchify = ev.resample, ev.patchify
 
-        def spy(name, fn):
-            def wrapped(points, *args):
-                seen[name].append(args[-1])
-                return fn(points, *args)
-            return wrapped
+        def spy_resample(points, target, rng):
+            out = resample(points, target, rng)
+            resampled.append((rng, rng.bit_generator.state, ev.normalize_unit_sphere(out)))
+            return out
 
-        monkeypatch.setattr(ev, "resample", spy("resample", ev.resample))
-        monkeypatch.setattr(ev, "patchify", spy("patchify", ev.patchify))
-        ev.extract_features(ckpt, manifest, "test")
-        assert len(seen["resample"]) == len(manifest.split("test")) > 0
-        assert all(a is b for a, b in zip(seen["resample"], seen["patchify"], strict=True))
+        def spy_patchify(points, n, k, rngs):
+            # the start each generator gives when nothing else draws first
+            starts = [int(copy.deepcopy(r).integers(points.shape[1])) for r in rngs]
+            states = [r.bit_generator.state for r in rngs]
+            ps = patchify(points, n, k, rngs)
+            batches.append((points, list(rngs), states, starts, ps))
+            return ps
+
+        monkeypatch.setattr(ev, "resample", spy_resample)
+        monkeypatch.setattr(ev, "patchify", spy_patchify)
+        ev.extract_features(ckpt, manifest, "train")
+        rows = len(manifest.split("train"))
+        assert rows > ev.MICRO_BATCH
+        assert len(resampled) == rows
+        assert [len(b[1]) for b in batches] == [
+            min(ev.MICRO_BATCH, rows - lo) for lo in range(0, rows, ev.MICRO_BATCH)]
+        grouped = [r for b in batches for r in b[1]]
+        assert all(a is b for a, (b, _, _) in zip(grouped, resampled, strict=True))
+        assert len({id(r) for r in grouped}) == rows
+        i = 0
+        for points, rngs, states, starts, ps in batches:
+            assert points.shape == (len(rngs), cfg.num_points, 3)
+            for j, (state, start) in enumerate(zip(states, starts)):
+                _, after_resample, cloud = resampled[i]
+                # nothing drew between resample and the FPS start
+                assert state == after_resample
+                assert points[j].tobytes() == cloud.tobytes()
+                assert ps.indices[j][0][0] == start
+                assert ps.centers[j][0].tobytes() == cloud[start].tobytes()
+                i += 1
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_features_equal_each_cloud_grouped_and_encoded_alone(self, probe_setup, precision):
+        _, manifest, _ = probe_setup
+        ckpt = foreign_checkpoint(tiny_cfg(precision=precision))
+        cfg = ckpt.config
+        # not frozen: the reference pools go through the graph path
+        model = build_model(cfg)
+        restore(model, ckpt)
+        for split in ("train", "test"):
+            got = ev.extract_features(ckpt, manifest, split)
+            rows = []
+            for entry in manifest.split(split):
+                rng = stream(zlib.crc32(entry.path.encode()), "probe")
+                cloud = normalize_unit_sphere(
+                    resample(read_cloud(manifest.resolve(entry)), cfg.num_points, rng))
+                ps = normalize_patches(patchify(cloud, cfg.num_patches, cfg.patch_size, rng))
+                encoded = model.encode_all(PatchSet.stack([ps]))
+                rows.append(np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
+                                            ag.mean_pool_over_axis(encoded, axis=1).data],
+                                           axis=1))
+            want = np.concatenate(rows).astype(np.float64)
+            assert got.features.tobytes() == want.tobytes()
 
     def test_features_repeat(self, probe_setup):
         _, manifest, ckpt = probe_setup

@@ -292,6 +292,103 @@ class TestPatchify:
             np.testing.assert_array_equal(ps.patches[i], pts[ps.indices[i]])
 
 
+def cloud_batch(rng, kind: str, b: int, w: int) -> np.ndarray:
+    """``b`` clouds of ``w`` points: random, with duplicated points, or on an
+    integer grid, whose distances tie exactly."""
+    if kind == "random":
+        return rng.standard_normal((b, w, 3))
+    if kind == "duplicates":
+        base = rng.standard_normal((b, w // 3, 3))
+        return np.take_along_axis(base, rng.integers(0, w // 3, (b, w, 1)), axis=1)
+    return rng.integers(-2, 3, (b, w, 3)).astype(float)
+
+
+KINDS = ["random", "duplicates", "grid"]
+
+
+def distinct_start_seeds(b: int, w: int) -> list[int]:
+    """Seeds of ``b`` generators whose first draw, the FPS start, differs."""
+    seeds, starts = [], set()
+    for seed in range(100):
+        start = int(np.random.default_rng(seed).integers(w))
+        if start not in starts:
+            seeds.append(seed)
+            starts.add(start)
+        if len(seeds) == b:
+            return seeds
+    raise AssertionError("no distinct starts")
+
+
+class TestBatchedGrouping:
+    """A (B, w, 3) batch, one generator per cloud, is grouped as each cloud
+    alone, and each cloud as the oracles say."""
+
+    W, N, K = 27, 7, 5
+
+    @pytest.mark.parametrize("b", [1, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_patchify_batch_equals_the_oracles_per_cloud(self, b, kind):
+        clouds = cloud_batch(np.random.default_rng(b * 10 + KINDS.index(kind)), kind, b, self.W)
+        seeds = distinct_start_seeds(b, self.W)
+        picks = farthest_point_sample(clouds, self.N,
+                                      [np.random.default_rng(s) for s in seeds])
+        ps = patchify(clouds, self.N, self.K, [np.random.default_rng(s) for s in seeds])
+        assert picks.shape == (b, self.N)
+        assert ps.centers.shape == (b, self.N, 3) and ps.indices.shape == (b, self.N, self.K)
+        for i, (pts, seed) in enumerate(zip(clouds, seeds)):
+            start = int(np.random.default_rng(seed).integers(self.W))
+            centers = fps_oracle(pts, self.N, start)
+            assert picks[i].tolist() == centers
+            assert ps.centers[i].tobytes() == pts[centers].tobytes()
+            for j, c in enumerate(centers):
+                assert ps.indices[i, j].tolist() == knn_oracle(pts, pts[c], self.K)
+            assert ps.patches[i].tobytes() == pts[ps.indices[i]].tobytes()
+            alone = patchify(pts, self.N, self.K, np.random.default_rng(seed))
+            for got, want in ((ps.centers[i], alone.centers), (ps.patches[i], alone.patches),
+                              (ps.indices[i], alone.indices)):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("b", [None, 1, 3, 4])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fps_hands_knn_the_centers_distances(self, b, kind, monkeypatch):
+        import recloud.geometry as geometry
+        clouds = cloud_batch(np.random.default_rng(40 + KINDS.index(kind)), kind, b or 1, self.W)
+        seeds = distinct_start_seeds(b or 1, self.W)
+        rngs = [np.random.default_rng(s) for s in seeds]
+        if b is None:  # one (w, 3) cloud and its generator
+            clouds, rngs = clouds[0], rngs[0]
+        handed = []
+
+        def spy(points, query, k, sq=None):
+            handed.append((query, sq))
+            return knn(points, query, k, sq=sq)
+
+        monkeypatch.setattr(geometry, "knn", spy)
+        ps = patchify(clouds, self.N, self.K, rngs)
+        [(centers, sq)] = handed
+        assert centers.tobytes() == ps.centers.tobytes()
+        cols = np.ascontiguousarray(np.swapaxes(clouds, -1, -2))
+        assert sq.tobytes() == _sqdist_to(cols, centers).tobytes()
+        fresh = knn(clouds, centers, self.K)
+        assert fresh.indices.tobytes() == ps.indices.tobytes()
+        assert fresh.sq_distances.tobytes() == knn(clouds, centers, self.K, sq=sq).sq_distances.tobytes()
+
+    def test_batch_errors(self):
+        clouds = cloud_batch(np.random.default_rng(50), "random", 3, 10)
+        with pytest.raises(ValueError, match="one generator per cloud"):
+            farthest_point_sample(clouds, 4, [np.random.default_rng(0)] * 2)
+        with pytest.raises(ValueError, match="rows"):
+            farthest_point_sample(clouds, 4, [np.random.default_rng(0)] * 3,
+                                  rows=np.empty((3, 4, 9)))
+        with pytest.raises(ValueError, match="query"):
+            knn(clouds, clouds[0, :2], 3)
+        with pytest.raises(ValueError, match="distances"):
+            knn(clouds, clouds[:, :2], 3, sq=np.zeros((3, 2, 9)))
+        with pytest.raises(ValueError, match="shape"):
+            as_cloud(clouds)
+        assert as_cloud(clouds, batch=True).shape == (3, 10, 3)
+
+
 class TestPatchNormalization:
     def test_round_trip(self):
         rng = np.random.default_rng(16)

@@ -620,6 +620,29 @@ class TestMicroBatches:
                 assert self.run(dataset, cfg, tmp_path, micro, monkeypatch) == want, \
                     (batch_size, micro)
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_grouped_micro_batch_equals_each_cloud_grouped_alone(self, dataset, tmp_path,
+                                                                monkeypatch, precision):
+        # the paper's patch-dae shape: patch mask, both terms, fold local head
+        import recloud.trainer as tr
+        cfg = tiny_cfg(epochs=2, batch_size=5, precision=precision, **MICRO_BATCH_CONFIGS[0])
+        want_calls = []
+
+        def alone(points, c, rngs):
+            want_calls.append(len(rngs))
+            return [prepare_sample(p, c, r) for p, r in zip(points, rngs)]
+
+        (tmp_path / "grouped").mkdir()
+        (tmp_path / "alone").mkdir()
+        got = self.run(dataset, cfg, tmp_path / "grouped", 4, monkeypatch)
+        monkeypatch.setattr(tr, "prepare_sample", alone)
+        assert self.run(dataset, cfg, tmp_path / "alone", 4, monkeypatch) == got
+        # the run hands prepare_sample whole micro-batches
+        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed)[0])
+        sizes = [min(4, b - lo) for b in (min(5, n - s) for s in range(0, n, 5))
+                 for lo in range(0, b, 4)]
+        assert max(sizes) == 4 and want_calls == sizes * cfg.epochs
+
     @pytest.mark.parametrize("encoder", ["transformer", "pointnet"])
     def test_features_independent_of_micro_batch(self, dataset, monkeypatch, encoder):
         import recloud.evaluation as ev
