@@ -248,8 +248,9 @@ class AdamW:
     def __init__(self, params: list[Parameter], beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8, weight_decay: float = 0.05):
         self.params = list(params)
-        self.moment1 = [np.zeros_like(p.data) for p in self.params]
-        self.moment2 = [np.zeros_like(p.data) for p in self.params]
+        # calloc'd: the pages of a moment that ``restore`` replaces are never touched
+        self.moment1 = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.moment2 = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from recloud import autograd as ag
+from recloud import losses
 from recloud.autograd import Tensor, backward, finite_difference_check
 from recloud.losses import chamfer
 
@@ -352,10 +353,11 @@ def chamfer_clouds(rng, lead, p, q, kind):
 
 
 KINDS = ("random", "integer grid", "duplicates", "nan")
-# p > 128 spans several row blocks, so the running column minimum is exercised;
-# the batch of three 1024-point targets takes blocks of fewer rows
+# p = 1300 against 257 targets and the batch of three 1024-point targets
+# span several row blocks, so the running column minimum is exercised
 SHAPES = [((), 1, 1), ((), 1, 40), ((), 40, 1), ((), 64, 64), ((), 300, 257),
-          ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5), ((3,), 200, 1024)]
+          ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5), ((3,), 200, 1024),
+          ((), 1300, 257)]
 
 
 class TestChamferNode:
@@ -440,6 +442,115 @@ class TestChamferNode:
         both = Tensor(a, requires_grad=True)
         backward(chamfer(both, Tensor(b, requires_grad=True)))
         assert tb.grad is None and ta.grad.tobytes() == both.grad.tobytes()
+
+    @staticmethod
+    def block_rows(b):
+        """Rows of the first cloud per distance block of ``chamfer`` against
+        ``b``, by its block rule: as many as fit in ``_BLOCK_BYTES`` across
+        the batch."""
+        return max(1, losses._BLOCK_BYTES // (b.size // 3 * b.itemsize))
+
+    def assert_equals_composition(self, a, b):
+        blocks = -(-a.shape[-2] // self.block_rows(b))
+        assert blocks >= 3, f"the case spans {blocks} row blocks"
+        weights = np.random.default_rng(44).standard_normal(a.shape[:-2]).astype(a.dtype)
+        got = self.run(chamfer, a, b, weights)
+        want = self.run(composed_chamfer, a, b, weights)
+        for x, y in zip(got, want):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+    @classmethod
+    def placed_clouds(cls, dtype, placed):
+        """A batch of two integer clouds, the first far from the second
+        (every distance exact, every placed distance below every other),
+        spanning three whole row blocks and part of a fourth. ``placed``
+        maps ``rows`` to (column, row, offset) triples: each puts a row of
+        the first cloud at ``offset`` from a column's point of the second.
+        Returns the clouds and the row count per block."""
+        q = 16
+        rows = cls.block_rows(np.empty((2, q, 3), dtype))
+        rng = np.random.default_rng(45)
+        a = rng.integers(100, 200, (2, 3 * rows + 9, 3)).astype(dtype)
+        b = rng.integers(-50, 50, (2, q, 3)).astype(dtype)
+        for col, row, offset in placed(rows):
+            a[:, row] = b[:, col] + offset
+        return a, b, rows
+
+    @staticmethod
+    def column_picks(a, b):
+        """Each column's pick over the whole distance array: its first NaN,
+        else its first minimum."""
+        return np.argmin(ag.pairwise_sqdist(Tensor(a), Tensor(b)).data, axis=-2)
+
+    def test_column_minimum_moves_in_later_blocks(self):
+        def placed(rows):
+            return [(0, 1, (0, 0, 2)),              # block 0, distance 4
+                    (0, rows + 2, (0, 1, 1)),       # block 1, distance 2
+                    (0, 2 * rows + 3, (0, 0, 1)),   # block 2, distance 1
+                    (1, 3 * rows + 1, (0, 0, 0))]   # first near point in the last block
+        for dtype in (np.float64, np.float32):
+            a, b, rows = self.placed_clouds(dtype, placed)
+            picks = self.column_picks(a, b)
+            assert (picks[:, 0] == 2 * rows + 3).all() and (picks[:, 1] == 3 * rows + 1).all()
+            self.assert_equals_composition(a, b)
+
+    def test_equal_minimum_in_later_block_keeps_first_pick(self):
+        def placed(rows):
+            return [(2, 4, (1, 0, 0)),              # all at distance 1: block 0 keeps it
+                    (2, 2 * rows + 5, (-1, 0, 0)),
+                    (2, 3 * rows + 2, (0, -1, 0)),
+                    (3, rows + 6, (0, 0, 1)),       # block 1 moves it; the first row
+                    (3, 2 * rows, (0, 1, 0))]       # of block 2 only equals it
+        for dtype in (np.float64, np.float32):
+            a, b, rows = self.placed_clouds(dtype, placed)
+            picks = self.column_picks(a, b)
+            assert (picks[:, 2] == 4).all() and (picks[:, 3] == rows + 6).all()
+            self.assert_equals_composition(a, b)
+
+    def test_first_nan_after_finite_minimum(self):
+        for dtype in (np.float64, np.float32):
+            a, b, rows = self.placed_clouds(dtype, lambda rows: [(0, 0, (0, 0, 0))])
+            a[:, 2 * rows + 7, 1] = np.nan  # every column's first NaN, in block 2
+            a[:, 3 * rows + 1, 0] = np.nan  # a later NaN must not take the pick
+            assert (self.column_picks(a, b) == 2 * rows + 7).all()
+            self.assert_equals_composition(a, b)
+
+    def test_overflowed_column_keeps_first_index(self):
+        # squares past the dtype's range are +inf: a column at +inf from
+        # every row keeps index 0, as argmin gives; the others are +inf
+        # through the first block and take their minimum from a later one
+        for dtype in (np.float64, np.float32):
+            a, b, rows = self.placed_clouds(dtype, lambda rows: [])
+            big = 2 * np.sqrt(np.finfo(dtype).max)
+            a[:, :rows + 3, 0] = big
+            b[:, 5, 2] = -big
+            with np.errstate(over="ignore"):
+                picks = self.column_picks(a, b)
+                assert (picks[:, 5] == 0).all()
+                assert (np.delete(picks, 5, axis=-1) >= rows + 3).all()
+                self.assert_equals_composition(a, b)
+
+    def test_cloud_ae_shape(self):
+        # the whole-cloud objective's micro-batch: four 1024-point pairs
+        rng = np.random.default_rng(47)
+        for kind in KINDS:
+            a, b = (x.astype(np.float32) for x in chamfer_clouds(rng, (4,), 1024, 1024, kind))
+            self.assert_equals_composition(a, b)
+
+    def test_gradient_fd_across_blocks(self):
+        # both clouds' gradients, each at a batched shape that spans several blocks
+        rng = np.random.default_rng(46)
+        first, second = rng.standard_normal((2, 1024, 3)), rng.standard_normal((2, 960, 3))
+        x = rng.standard_normal((2, 3 * self.block_rows(first) + 10, 3))
+        assert second.shape[-2] > 2 * self.block_rows(x)
+        coords = rng.choice(x.size, 30, replace=False)
+        assert len(np.unique(coords // 3 % x.shape[-2] // self.block_rows(first))) >= 3
+
+        def f(v):
+            return ag.add(total(chamfer(v, first)), total(chamfer(second, v)))
+        # a step of 1e-4 moves the nearest neighbor of some point of the two targets
+        err = finite_difference_check(f, t(x), eps=1e-6, coords=coords)
+        assert err < TOL, f"finite-difference mismatch: {err}"
 
 
 class TestPoolPicksFirstExtremum:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recloud import autograd as ag
+from recloud import losses
 from recloud.autograd import Tensor, backward, finite_difference_check
 from recloud.losses import LossReport, chamfer, loss_all, loss_global, loss_local
 
@@ -184,6 +185,31 @@ class TestChamferMemory:
         assert held < 400 * 400 * 8, f"graph holds {held} bytes"
         backward(loss)
         assert a.grad.shape == b.grad.shape == (400, 3)
+
+    def test_forward_blocks_fit_in_cache(self):
+        # the whole-cloud micro-batch in single precision, four pairs of 1024
+        # points: the forward holds two block-sized arrays at once (the
+        # kernel's two temporaries, or a block and its gathered columns) and,
+        # per point of either cloud, a minimum, its index and the transposed
+        # target; that must fit in the 2 MiB L2 of a core that the block
+        # budget is sized for. The peak may add one block for numpy's own
+        # temporaries, so the bound fails on block size, not on allocation.
+        point = 4 * 1024 * 4  # bytes of one float32 value per point of a cloud
+        block = losses._BLOCK_BYTES // point * point
+        held = 2 * block + 2 * 1024 * 4 * (4 + 8) + 3 * point
+        assert held <= 2 * 1024 * 1024
+        bound = held + block
+        rng = np.random.default_rng(31)
+        a = Tensor(rng.standard_normal((4, 1024, 3)).astype(np.float32))
+        b = rng.standard_normal((4, 1024, 3)).astype(np.float32)
+        chamfer(a, b)
+        tracemalloc.start()
+        try:
+            chamfer(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, f"forward peaked at {peak} bytes, over {bound}"
 
 
 class TestLossGlobal:
