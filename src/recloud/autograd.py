@@ -67,9 +67,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}, requires_grad={self.requires_grad})"
 
@@ -152,19 +149,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def bw(g: np.ndarray) -> None:
         _accumulate(a, _unbroadcast(g, a.data.shape))
         _accumulate(b, _unbroadcast(g, b.data.shape))
-
-    return Tensor(out_data, parents=(a, b), backward_fn=bw)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    try:
-        out_data = a.data * b.data
-    except ValueError:
-        raise ValueError(f"mul: incompatible shapes {_shapes(a, b)}") from None
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
 

@@ -67,7 +67,7 @@ def _build_train_config(args) -> TrainConfig:
     if args.affine is not None:
         overrides["affine_families"] = AFFINE_FAMILIES[args.affine]
     kwargs.update({k: v for k, v in overrides.items() if v is not None})
-    return TrainConfig(**kwargs).resolved()
+    return TrainConfig(**kwargs)
 
 
 def _cmd_synth(args) -> int:
@@ -108,7 +108,7 @@ def _cmd_corrupt(args) -> int:
     else:
         kwargs.update(encoder="pointnet", mask_strategy=args.mask,
                       cluster_size=args.cluster_size, max_clusters=args.max_clusters)
-    cfg = TrainConfig(**kwargs).resolved()
+    cfg = TrainConfig(**kwargs)
 
     pts = read_cloud(args.input)
     if args.num_points:
@@ -120,10 +120,11 @@ def _cmd_corrupt(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    sample = prepare_sample(pts, cfg, stream(args.seed, "sample", 0, 0))
-    transform, plan = sample.transform, sample.plan
-    visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
-               if args.mask == "patch" else sample.visible)
+    # a batch of one
+    sample = prepare_sample(pts[None], cfg, [stream(args.seed, "sample", 0, 0)])
+    transform, plan = sample.transforms[0], sample.plans and sample.plans[0]
+    visible = (denormalize_patches(sample.visible).patches[0].reshape(-1, 3)
+               if args.mask == "patch" else sample.visible[0])
 
     meta: dict = {"transform": transform.matrix.tolist(),
                   "provenance": list(transform.provenance)}

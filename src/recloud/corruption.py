@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import AffineTransform, _sqdist_to, as_cloud
+from .geometry import AffineTransform, as_cloud, knn
 
 if TYPE_CHECKING:
     from .trainer import TrainConfig
@@ -153,15 +153,13 @@ def _split_budget(budget: int, num_clusters: int, rng: np.random.Generator) -> l
 
 def _drop_clusters(pts: np.ndarray, sizes: list[int],
                    rng: np.random.Generator) -> tuple[MaskPlan, np.ndarray]:
-    cols = np.ascontiguousarray(pts.T)
     surviving = np.arange(pts.shape[0], dtype=np.int64)
     dropped: list[np.ndarray] = []
     centers: list[int] = []
     for size in sizes:
         center = int(surviving[rng.integers(len(surviving))])
         centers.append(center)
-        sq = _sqdist_to(cols[:, surviving], pts[center])
-        order = np.argsort(sq, kind="stable")[:size]
+        order = knn(pts[surviving], pts[center], size).indices
         dropped.append(surviving[order])
         keep = np.ones(len(surviving), dtype=bool)
         keep[order] = False

@@ -19,7 +19,7 @@ import numpy as np
 from . import autograd as ag
 from .data import (DatasetManifest, check_seed, normalize_unit_sphere, read_cloud, resample,
                    stream, write_cloud)
-from .geometry import PatchSet, denormalize_patches, normalize_patches, patchify
+from .geometry import denormalize_patches, normalize_patches, patchify
 from .models import CloudAutoencoder
 from .trainer import MICRO_BATCH, Checkpoint, TrainConfig, build_model, prepare_sample, restore
 
@@ -273,7 +273,7 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
     rng = stream(seed, "reconstruct")
     pts = normalize_unit_sphere(resample(np.asarray(points, dtype=np.float64),
                                          cfg.num_points, rng))
-    sample = prepare_sample(pts, cfg, rng)
+    sample = prepare_sample(pts[None], cfg, [rng])  # a batch of one
 
     files: dict[str, Path] = {}
 
@@ -284,21 +284,19 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
 
     emit("clean", pts)
     if isinstance(model, CloudAutoencoder):
-        emit("corrupted", sample.visible)
-        emit("reconstruction", model.reconstruct(sample.visible[None]).data[0])
+        emit("corrupted", sample.visible[0])
+        emit("reconstruction", model.reconstruct(sample.visible).data[0])
         return files
 
-    emit("corrupted", denormalize_patches(sample.visible_patches).patches.reshape(-1, 3))
-    # a batch of one
-    encoded = model.encode_visible(PatchSet.stack([sample.visible_patches]))
-    plan = sample.plan
-    pred = model.predict_patches(encoded, sample.target_centers[None],
-                                 None if plan is None else [plan]).data[0]
+    emit("corrupted", denormalize_patches(sample.visible).patches[0].reshape(-1, 3))
+    encoded = model.encode_visible(sample.visible)
+    pred = model.predict_patches(encoded, sample.centers, sample.plans).data[0]
+    plan, centers, patches = sample.plans and sample.plans[0], sample.centers[0], sample.patches[0]
     rows = np.arange(cfg.num_patches) if plan is None else plan.masked
-    emit("recon_masked", (pred + sample.target_centers[rows][:, None, :]).reshape(-1, 3))
+    emit("recon_masked", (pred + centers[rows][:, None, :]).reshape(-1, 3))
     if plan is not None:
-        emit("recon_visible", (sample.target_patches[plan.visible]
-                               + sample.target_centers[plan.visible][:, None, :]).reshape(-1, 3))
+        emit("recon_visible",
+             (patches[plan.visible] + centers[plan.visible][:, None, :]).reshape(-1, 3))
     emit("recon_centers", model.predict_centers(encoded).data[0])
     return files
 

@@ -88,8 +88,8 @@ def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
     transposed copy of a cloud, to one ``(d,)`` query, giving ``(w,)``, or
     to ``(..., n, d)`` queries, giving ``(..., n, w)`` (equal leading axes).
 
-    The one squared-distance kernel of the package (FPS, k-NN, cluster
-    masks, ``pairwise_sqdist`` and Chamfer). Computed as
+    The one squared-distance kernel of the package (FPS, k-NN and so the
+    cluster masks, ``pairwise_sqdist`` and Chamfer). Computed as
     ``(dx*dx + dy*dy) + dz*dz``: the additions
     ``np.sum((pts - q) ** 2, axis=-1)`` makes over its 3-long axis, so the
     result is the same bit for bit, without the strided ``(..., w, 3)``
@@ -238,7 +238,7 @@ class PatchSet:
     ``patches[i]`` holds the k nearest points (center included) to
     ``centers[i]``; ``indices[i]`` are their source-cloud indices. When
     ``normalized`` is true, patch coordinates are relative to their center.
-    A batch of sets (see :meth:`stack`) carries leading axes on every array.
+    A batch of sets carries leading axes on every array.
     """
 
     centers: np.ndarray
@@ -255,17 +255,6 @@ class PatchSet:
             raise ValueError(f"patches must be (..., n, k, 3) matching centers, got {p.shape}")
         object.__setattr__(self, "centers", c)
         object.__setattr__(self, "patches", p)
-
-    @classmethod
-    def stack(cls, sets: list["PatchSet"]) -> "PatchSet":
-        """A batch of equally shaped sets along a new leading axis."""
-        if len({s.normalized for s in sets}) != 1:
-            raise ValueError("cannot stack normalized and unnormalized patch sets")
-        indices = (None if any(s.indices is None for s in sets)
-                   else np.stack([s.indices for s in sets]))
-        return cls(centers=np.stack([s.centers for s in sets]),
-                   patches=np.stack([s.patches for s in sets]),
-                   indices=indices, normalized=sets[0].normalized)
 
 
 def _gather(pts: np.ndarray, idx: np.ndarray) -> np.ndarray:

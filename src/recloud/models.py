@@ -9,7 +9,7 @@ sample. No operation mixes samples, and the shared weights receive their
 gradients one sample at a time (see ``autograd``), so a batch computes
 exactly what a loop over its samples would, bit for bit.
 
-The two autoencoders are built from one resolved ``TrainConfig``. Layers
+The two autoencoders are built from one ``TrainConfig``. Layers
 draw their parameters in float64, and ``trainer.build_model`` casts each
 one once to the run's ``precision``; from then on the parameters own the
 model's dtype. Geometry (``PatchSet``, point clouds) stays float64;
@@ -280,7 +280,7 @@ class PatchAutoencoder(Module):
 
     def encode_visible(self, visible_patches: PatchSet) -> Tensor:
         """``(B, v, d)`` encoded tokens of a batch of visible (normalized)
-        patch sets (``PatchSet.stack``)."""
+        patch sets, one ``PatchSet`` with a leading batch axis."""
         tokens = self.token_embed(visible_patches)
         pe = self.pos_embed_encoder(visible_patches.centers)
         return self.encoder(tokens, pe)

@@ -9,7 +9,8 @@ is derived statelessly from the seed, epoch and sample index by ``data.stream``
 
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
 and one backward each; every result equals a per-sample loop bit for bit
-(see ``models``).
+(see ``models``). A micro-batch is corrupted into one batch-first
+``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is.
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ class TrainConfig:
     affine_role: str = "corruption"
     objective: str = "decomposed"
     global_weight: float = 1.0
-    mask_strategy: str = "auto"
+    mask_strategy: str = "auto"  # set when built: random (pointnet) or patch
     mask_ratio: float = 0.6
     cluster_size: int = 16
     max_clusters: int = 8
@@ -144,13 +145,9 @@ class TrainConfig:
             raise ValueError(
                 f"mask strategy {self.mask_strategy!r} is invalid for the "
                 f"{self.encoder} encoder (allowed: {', '.join(allowed)})")
-
-    def resolved(self) -> "TrainConfig":
-        """Resolve 'auto' fields to concrete values."""
-        if self.mask_strategy != "auto":
-            return self
-        strategy = "random" if self.encoder == "pointnet" else "patch"
-        return replace(self, mask_strategy=strategy)
+        if self.mask_strategy == "auto":
+            object.__setattr__(self, "mask_strategy",
+                               "random" if self.encoder == "pointnet" else "patch")
 
     @property
     def pointnet_widths(self) -> tuple[int, ...]:
@@ -163,11 +160,11 @@ class TrainConfig:
         return np.float32 if self.precision == "single" else np.float64
 
     def to_text(self) -> str:
-        cfg = self.resolved()
         lines = []
-        for f in sorted(dataclasses.fields(cfg), key=lambda f: f.name):
-            lines.append(f"{f.name} = {getattr(cfg, f.name)!r}" if isinstance(getattr(cfg, f.name), str)
-                         else f"{f.name} = {getattr(cfg, f.name)}")
+        for f in sorted(dataclasses.fields(self), key=lambda f: f.name):
+            value = getattr(self, f.name)
+            lines.append(f"{f.name} = {value!r}" if isinstance(value, str)
+                         else f"{f.name} = {value}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -257,10 +254,6 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.step_count = 0
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
-
     def step(self, lr: float) -> None:
         lr = float(lr)
         self.step_count += 1
@@ -282,139 +275,108 @@ class AdamW:
 
 
 # ---------------------------------------------------------------------------
-# per-sample corruption + loss (the single-step pipeline, replayable in tests)
+# the sample: a corrupted micro-batch and its targets (replayable in tests)
 
 
 @dataclass
-class CloudSample:
-    """Corrupted input and target for the whole-cloud (non-patch) path."""
+class Sample:
+    """One micro-batch of B corrupted clouds with its targets, batch-first.
 
-    visible: np.ndarray
+    ``visible`` is the ``(B, v, 3)`` visible points of the whole-cloud model,
+    or the patch model's normalized, transformed, visible ``PatchSet``;
+    ``target`` is the ``(B, w, 3)`` whole clouds to rebuild. ``centers``
+    (``(B, n, 3)``) and the normalized ``patches`` (``(B, n, k, 3)``) are the
+    patch model's targets, None for the whole-cloud model. ``plans`` is one
+    mask plan per cloud, or None without a mask."""
+
+    visible: np.ndarray | PatchSet
     target: np.ndarray
-    transform: AffineTransform
-    plan: MaskPlan | None
+    transforms: list[AffineTransform]
+    plans: list[MaskPlan] | None
+    centers: np.ndarray | None
+    patches: np.ndarray | None
 
 
-@dataclass
-class PatchSample:
-    """Corrupted patch inputs and targets for the patch-token path."""
-
-    visible_patches: PatchSet       # normalized, transformed, visible subset
-    plan: MaskPlan | None
-    target_centers: np.ndarray      # (n, 3) supervision + decoder guidance
-    target_patches: np.ndarray      # (n, k, 3) normalized supervision
-    target_whole: np.ndarray        # (w, 3) for the direct-objective variant
-    transform: AffineTransform
+def _mask_points(points: np.ndarray, cfg: TrainConfig,
+                 rng: np.random.Generator) -> tuple[MaskPlan, np.ndarray]:
+    if cfg.mask_strategy == "random":
+        return mask_random_clusters(points, cfg.mask_ratio, rng, cfg.max_clusters)
+    if cfg.mask_strategy == "fixed":
+        return mask_fixed_clusters(points, cfg.mask_ratio, cfg.cluster_size, rng)
+    return mask_view_occlusion(points, cfg.mask_ratio, rng)  # TrainConfig admits no other
 
 
-def prepare_cloud_sample(points: np.ndarray, cfg: TrainConfig,
-                         rng: np.random.Generator) -> CloudSample:
-    transform = sample_affine(cfg, rng)
-    corrupted = affine_apply(points, transform)
-    strategy = cfg.resolved().mask_strategy
-    if strategy == "none":
-        plan, visible = None, corrupted
-    elif strategy == "random":
-        plan, visible = mask_random_clusters(corrupted, cfg.mask_ratio, rng, cfg.max_clusters)
-    elif strategy == "fixed":
-        plan, visible = mask_fixed_clusters(corrupted, cfg.mask_ratio, cfg.cluster_size, rng)
-    else:  # "view"; TrainConfig admits no other point mask
-        plan, visible = mask_view_occlusion(corrupted, cfg.mask_ratio, rng)
-    target = corrupted if cfg.affine_role == "augmentation" else points
-    return CloudSample(visible=visible, target=target, transform=transform, plan=plan)
+def _moved(arrays, transforms: list[AffineTransform]) -> np.ndarray:
+    """Each cloud's ``(..., 3)`` points under its own transform, stacked."""
+    return np.stack([affine_apply(a.reshape(-1, 3), t).reshape(a.shape)
+                     for a, t in zip(arrays, transforms, strict=True)])
 
 
-def prepare_patch_samples(clouds: np.ndarray, cfg: TrainConfig,
-                          rngs: list[np.random.Generator]) -> list[PatchSample]:
-    """Samples of a ``(B, w, 3)`` batch; each cloud's generator draws its
-    affine map, then its FPS start, then its mask, and the batch is grouped
-    in one ``patchify`` call."""
+def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Rows ``idx[b]`` of each ``a[b]``: a ``(B, m)`` pick along axis 1."""
+    return a[np.arange(len(a))[:, None], idx]
+
+
+def prepare_sample(clouds: np.ndarray, cfg: TrainConfig,
+                   rngs: list[np.random.Generator]) -> Sample:
+    """The corrupted sample of a ``(B, w, 3)`` batch, one generator per cloud.
+
+    Each generator draws its cloud's affine map, then its FPS start (patch
+    model; the batch is grouped in one ``patchify`` call), then its mask:
+    what it would draw for that cloud alone, in the same order."""
     transforms = [sample_affine(cfg, rng) for rng in rngs]
-    grouped = patchify(clouds, cfg.num_patches, cfg.patch_size, rngs)
-    return [_patch_sample(points, PatchSet(centers=centers, patches=patches, indices=indices,
-                                           normalized=False), transform, cfg, rng)
-            for points, centers, patches, indices, transform, rng
-            in zip(clouds, grouped.centers, grouped.patches, grouped.indices, transforms, rngs)]
+    if cfg.encoder == "pointnet":
+        corrupted = _moved(clouds, transforms)
+        target = corrupted if cfg.affine_role == "augmentation" else clouds
+        if cfg.mask_strategy == "none":
+            return Sample(corrupted, target, transforms, None, None, None)
+        plans, visible = zip(*(_mask_points(c, cfg, r) for c, r in zip(corrupted, rngs)))
+        return Sample(np.stack(visible), target, transforms, list(plans), None, None)
 
-
-def _patch_sample(points: np.ndarray, clean: PatchSet, transform: AffineTransform,
-                  cfg: TrainConfig, rng: np.random.Generator) -> PatchSample:
-    flat = clean.patches.reshape(-1, 3)
-    corrupted = PatchSet(
-        centers=affine_apply(clean.centers, transform),
-        patches=affine_apply(flat, transform).reshape(clean.patches.shape),
-        indices=clean.indices, normalized=False)
-
-    clean_norm = normalize_patches(clean)
-    corrupted_norm = normalize_patches(corrupted)
-
-    strategy = cfg.resolved().mask_strategy
-    plan = (mask_patches(cfg.num_patches, cfg.mask_ratio, rng)
-            if strategy == "patch" else None)
-
+    clean = patchify(clouds, cfg.num_patches, cfg.patch_size, rngs)
+    plans = ([mask_patches(cfg.num_patches, cfg.mask_ratio, rng) for rng in rngs]
+             if cfg.mask_strategy == "patch" else None)
+    corrupted = replace(clean, centers=_moved(clean.centers, transforms),
+                        patches=_moved(clean.patches, transforms))
+    visible = normalize_patches(corrupted)
     if cfg.affine_role == "augmentation":
-        target_centers, target_patches = corrupted.centers, corrupted_norm.patches
-        target_whole = affine_apply(points, transform)
+        targets, target = visible, _moved(clouds, transforms)
     else:
-        target_centers, target_patches = clean.centers, clean_norm.patches
-        target_whole = points
-
-    vis = plan.visible if plan is not None else np.arange(cfg.num_patches)
-    visible_patches = PatchSet(centers=corrupted.centers[vis],
-                               patches=corrupted_norm.patches[vis],
-                               indices=corrupted.indices[vis],
-                               normalized=True)
-    return PatchSample(visible_patches=visible_patches, plan=plan,
-                       target_centers=target_centers, target_patches=target_patches,
-                       target_whole=target_whole, transform=transform)
+        targets, target = normalize_patches(clean), clouds
+    if plans is not None:
+        vis = np.stack([p.visible for p in plans])
+        visible = PatchSet(centers=_rows(visible.centers, vis),
+                           patches=_rows(visible.patches, vis),
+                           indices=_rows(visible.indices, vis), normalized=True)
+    return Sample(visible, target, transforms, plans, targets.centers, targets.patches)
 
 
-def sample_loss(model, samples: list, cfg: TrainConfig) -> tuple[Tensor, list[LossReport]]:
-    """Forward pass and loss of prepared samples, run as one batch.
+def sample_loss(model, sample: Sample, cfg: TrainConfig) -> tuple[Tensor, list[LossReport]]:
+    """Forward pass and loss of a prepared micro-batch.
 
     Returns the ``(B,)`` per-sample totals and one report per sample.
     """
-    if isinstance(samples[0], CloudSample):
-        recon = model.reconstruct(np.stack([s.visible for s in samples]))
-        total = chamfer(recon, np.stack([s.target for s in samples]))
+    if cfg.encoder == "pointnet":
+        total = chamfer(model.reconstruct(sample.visible), sample.target)
         return total, loss_reports(total)
 
-    encoded = model.encode_visible(PatchSet.stack([s.visible_patches for s in samples]))
+    encoded = model.encode_visible(sample.visible)
     if cfg.objective == "whole":
-        total = chamfer(model.predict_whole(encoded), np.stack([s.target_whole for s in samples]))
+        total = chamfer(model.predict_whole(encoded), sample.target)
         return total, loss_reports(total)
-
-    centers = np.stack([s.target_centers for s in samples])
     if cfg.objective == "global-only":
-        total = loss_global(model.predict_centers(encoded), centers)
+        total = loss_global(model.predict_centers(encoded), sample.centers)
         return total, loss_reports(total, global_=total, weight=1.0)
 
-    masked = samples[0].plan is not None
-    pred_patches = model.predict_patches(encoded, centers,
-                                         [s.plan for s in samples] if masked else None)
-    gt_patches = np.stack([s.target_patches[s.plan.masked] if masked else s.target_patches
-                           for s in samples])
-    local = loss_local(pred_patches, gt_patches)
+    plans = sample.plans
+    gt_patches = (sample.patches if plans is None
+                  else _rows(sample.patches, np.stack([p.masked for p in plans])))
+    local = loss_local(model.predict_patches(encoded, sample.centers, plans), gt_patches)
     if cfg.objective == "local-only":
         return local, loss_reports(local, local=local)
 
-    global_ = loss_global(model.predict_centers(encoded), centers)
+    global_ = loss_global(model.predict_centers(encoded), sample.centers)
     return loss_all(local, global_, cfg.global_weight)
-
-
-def prepare_sample(points: np.ndarray, cfg: TrainConfig, rng):
-    """The corrupted sample of one ``(w, 3)`` cloud and its generator, or
-    the list of samples of a ``(B, w, 3)`` batch and its B generators, one
-    per cloud. Each cloud's generator draws what it would draw alone, in the
-    same order."""
-    clouds = np.asarray(points)
-    batch = clouds.ndim == 3
-    clouds, rngs = (clouds, list(rng)) if batch else (clouds[None], [rng])
-    if cfg.encoder == "pointnet":
-        samples = [prepare_cloud_sample(c, cfg, r) for c, r in zip(clouds, rngs, strict=True)]
-    else:
-        samples = prepare_patch_samples(clouds, cfg, rngs)
-    return samples if batch else samples[0]
 
 
 def build_model(cfg: TrainConfig, draw: bool = True):
@@ -426,7 +388,6 @@ def build_model(cfg: TrainConfig, draw: bool = True):
     Without it nothing is drawn or allocated: every parameter is a read-only
     zero view in the config's dtype (``layers.unfilled``) until ``restore``
     gives it its one array from a checkpoint."""
-    cfg = cfg.resolved()
     rng = stream(cfg.seed, "init") if draw else None
     model = (CloudAutoencoder if cfg.encoder == "pointnet" else PatchAutoencoder)(cfg, rng)
     model.cast(cfg.dtype, values=draw)
@@ -627,7 +588,6 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     in it raises ``ValueError`` before the first step. A non-finite loss,
     parameter or moment during the run raises ``DivergenceError``.
     """
-    cfg = cfg.resolved()
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
     clouds, _, _ = load_split(manifest, "train", cfg.num_points, seed=cfg.seed)
@@ -666,10 +626,10 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                 with np.errstate(over="ignore", invalid="ignore"):
                     for mlo in range(0, len(batch), MICRO_BATCH):
                         micro = batch[mlo:mlo + MICRO_BATCH]
-                        samples = prepare_sample(
+                        sample = prepare_sample(
                             np.stack([clouds[idx] for idx in micro]), cfg,
                             [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
-                        totals, micro_reports = sample_loss(model, samples, cfg)
+                        totals, micro_reports = sample_loss(model, sample, cfg)
                         for idx, report in zip(micro, micro_reports):
                             if not np.isfinite(report.total):
                                 raise DivergenceError(

@@ -24,6 +24,21 @@ def mean(x):
     return ag.scale(total(x), 1.0 / x.data.size)
 
 
+def mul(a, b):
+    """The elementwise product ``a * b``, broadcasting: a primitive only the
+    tests use, to weight an output by a constant or square it."""
+    try:
+        out_data = a.data * b.data
+    except ValueError:
+        raise ValueError(f"mul: incompatible shapes {ag._shapes(a, b)}") from None
+
+    def bw(g):
+        ag._accumulate(a, ag._unbroadcast(g * b.data, a.data.shape))
+        ag._accumulate(b, ag._unbroadcast(g * a.data, b.data.shape))
+
+    return Tensor(out_data, parents=(a, b), backward_fn=bw)
+
+
 class TestForwardValues:
     def test_relu(self):
         out = ag.relu(t([-1.0, 0.0, 2.0]))
@@ -56,7 +71,7 @@ class TestBackwardBasics:
 
     def test_square_gradient(self):
         x = t([3.0])
-        backward(total(ag.mul(x, x)))
+        backward(total(mul(x, x)))
         np.testing.assert_allclose(x.grad, [6.0])
 
     def test_two_uses_accumulate(self):
@@ -85,7 +100,7 @@ class TestBackwardBasics:
         # intermediate grads are freed after each sweep, so a second sweep
         # over the same graph adds exactly one more gradient
         x = t([1.0, 2.0])
-        y = total(ag.mul(ag.scale(x, 3.0), x))
+        y = total(mul(ag.scale(x, 3.0), x))
         backward(y)
         np.testing.assert_array_equal(x.grad, [6.0, 12.0])
         backward(y)
@@ -96,7 +111,7 @@ class TestBackwardBasics:
         hidden = ag.scale(x, 2.0)
         kept = ag.scale(x, 3.0)
         kept.requires_grad = True
-        backward(total(ag.mul(hidden, kept)))
+        backward(total(mul(hidden, kept)))
         assert hidden.grad is None
         np.testing.assert_array_equal(kept.grad, hidden.data)
 
@@ -139,7 +154,7 @@ def fd_cases():
     w_ln, w_scatter = Tensor(r(2, 3, 4)), Tensor(r(2, 5, 2))
 
     def sq(y):  # a quadratic reducer: every gradient depends on every input
-        return total(ag.mul(y, y))
+        return total(mul(y, y))
 
     return [
         case("linear_x", lambda x: sq(ag.linear(x, lw, lb)), r(2, 3, 4)),
@@ -147,64 +162,64 @@ def fd_cases():
         case("linear_b", lambda b: sq(ag.linear(lx, lw, b)), r(5)),
         case("linear_no_bias", lambda w: sq(ag.linear(lx, w)), r(4, 5)),
         case("layer_norm_affine_x", lambda x: total(
-            ag.mul(ag.layer_norm(x, ln_gain, ln_shift), w_ln)), r(2, 3, 4)),
+            mul(ag.layer_norm(x, ln_gain, ln_shift), w_ln)), r(2, 3, 4)),
         case("layer_norm_gain", lambda g: sq(ag.layer_norm(lx, g, ln_shift)), r(4)),
         case("layer_norm_shift", lambda b: sq(ag.layer_norm(lx, ln_gain, b)), r(4)),
         case("gather_batched", lambda x: sq(ag.gather_rows(x, [[0, 2, 2], [1, 0, 3]])),
              r(2, 4, 3)),
-        case("scatter_batched", lambda x: total(ag.mul(
+        case("scatter_batched", lambda x: total(mul(
             ag.scatter_rows(x, [[4, 1, 0], [2, 3, 1]], 5), w_scatter)), r(2, 3, 2)),
         case("sum_in_order_axis1", lambda x: sq(ag.sum_in_order(x, axis=1)), r(2, 5, 3)),
-        case("add_broadcast", lambda x: total(ag.mul(ag.add(x, consts["b2"]),
+        case("add_broadcast", lambda x: total(mul(ag.add(x, consts["b2"]),
                                                           ag.add(x, consts["b2"]))), r(4, 3)),
-        case("add_bias_row", lambda x: total(ag.mul(ag.add(consts["b2"], x),
+        case("add_bias_row", lambda x: total(mul(ag.add(consts["b2"], x),
                                                          ag.add(consts["b2"], x))), r(3)),
-        case("mul", lambda x: total(ag.mul(x, consts["b2"])), r(4, 3)),
+        case("mul", lambda x: total(mul(x, consts["b2"])), r(4, 3)),
         case("scale", lambda x: total(ag.scale(x, -2.5)), r(4, 3)),
-        case("matmul_2d", lambda x: total(ag.mul(ag.matmul(x, consts["m2"]),
+        case("matmul_2d", lambda x: total(mul(ag.matmul(x, consts["m2"]),
                                                       ag.matmul(x, consts["m2"]))), r(4, 3)),
         case("matmul_stacked", lambda x: total(ag.matmul(x, consts["m3"])), r(2, 4, 5)),
-        case("concat", lambda x: total(ag.mul(ag.concat([x, consts["cat_other"]], axis=0),
+        case("concat", lambda x: total(mul(ag.concat([x, consts["cat_other"]], axis=0),
                                                    ag.concat([x, consts["cat_other"]], axis=0))),
              r(3, 3)),
-        case("reshape", lambda x: total(ag.mul(ag.reshape(x, (6, 2)),
+        case("reshape", lambda x: total(mul(ag.reshape(x, (6, 2)),
                                                     ag.reshape(x, (6, 2)))), r(3, 4)),
-        case("transpose", lambda x: total(ag.mul(ag.transpose(x, (1, 2, 0)),
+        case("transpose", lambda x: total(mul(ag.transpose(x, (1, 2, 0)),
                                                       ag.transpose(x, (1, 2, 0)))), r(2, 3, 4)),
         case("relu", lambda x: total(ag.relu(x)), r(4, 4) + 0.05),
         case("gelu", lambda x: total(ag.gelu(x)), r(4, 4)),
-        case("softmax", lambda x: total(ag.mul(ag.softmax(x, axis=-1), consts["b2"])),
+        case("softmax", lambda x: total(mul(ag.softmax(x, axis=-1), consts["b2"])),
              r(4, 3)),
-        case("layer_norm", lambda x: total(ag.mul(ag.layer_norm(x), consts["b2"])),
+        case("layer_norm", lambda x: total(mul(ag.layer_norm(x), consts["b2"])),
              r(4, 3)),
         case("max_pool", lambda x: total(ag.max_pool_over_axis(x, axis=1)), r(4, 5)),
         case("min_over_axis", lambda x: total(ag.min_over_axis(x, axis=0)), r(4, 5)),
-        case("mean_pool", lambda x: total(ag.mul(ag.mean_pool_over_axis(x, axis=0),
+        case("mean_pool", lambda x: total(mul(ag.mean_pool_over_axis(x, axis=0),
                                                       ag.mean_pool_over_axis(x, axis=0))),
              r(4, 3)),
         case("gather_repeated", lambda x: total(
-            ag.mul(ag.gather_rows(x, [0, 2, 2, 1]), ag.gather_rows(x, [0, 2, 2, 1]))), r(3, 4)),
+            mul(ag.gather_rows(x, [0, 2, 2, 1]), ag.gather_rows(x, [0, 2, 2, 1]))), r(3, 4)),
         case("scatter", lambda x: total(
-            ag.mul(ag.scatter_rows(x, [4, 1, 0], 6), ag.scatter_rows(x, [4, 1, 0], 6))),
+            mul(ag.scatter_rows(x, [4, 1, 0], 6), ag.scatter_rows(x, [4, 1, 0], 6))),
              r(3, 2)),
         case("pairwise_sqdist", lambda x: mean(ag.pairwise_sqdist(x, consts["b2"])),
              r(5, 3)),
         case("pairwise_sqdist_batched", lambda x: ag.add(
             mean(ag.pairwise_sqdist(x, consts["b3"])),
-            mean(ag.mul(ag.pairwise_sqdist(consts["b3"], x),
+            mean(mul(ag.pairwise_sqdist(consts["b3"], x),
                                ag.pairwise_sqdist(consts["b3"], x)))), r(2, 5, 3)),
-        case("sum_in_order", lambda x: total(ag.mul(ag.sum_in_order(x),
+        case("sum_in_order", lambda x: total(mul(ag.sum_in_order(x),
                                                          ag.sum_in_order(x))), r(5, 3)),
         case("chamfer_composite", lambda x: ag.add(
             mean(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=1)),
             mean(ag.min_over_axis(ag.pairwise_sqdist(x, consts["b2"]), axis=0))),
              r(6, 3)),
         case("chamfer", lambda x: ag.add(chamfer(x, consts["c2"]),
-                                         ag.mul(chamfer(consts["c2"], x), chamfer(consts["c2"], x))),
+                                         mul(chamfer(consts["c2"], x), chamfer(consts["c2"], x))),
              r(6, 3)),
         case("chamfer_batched", lambda x: ag.add(
             total(chamfer(x, consts["c3"])),
-            total(ag.mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
+            total(mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
     ]
 
 
@@ -314,7 +329,7 @@ class TestSparsePairwiseBackward:
                 a, b = (rng.standard_normal(lead + (n, 3)).astype(dtype) for n in (p, q))
                 other = ag.pairwise_sqdist(Tensor(rng.standard_normal(lead + (p, 3)).astype(dtype)),
                                            Tensor(rng.standard_normal(lead + (q, 3)).astype(dtype)))
-                self.check(a, b, lambda d: total(ag.mul(d, other)))
+                self.check(a, b, lambda d: total(mul(d, other)))
 
     def test_constant_side_gets_no_grad(self):
         # Chamfer's target is a constant; the other side's gradient is unchanged
@@ -365,7 +380,7 @@ class TestChamferNode:
     def run(loss_of, a, b, weights):
         ta, tb = Tensor(a, requires_grad=True), Tensor(b, requires_grad=True)
         value = loss_of(ta, tb)
-        backward(total(ag.mul(value, Tensor(weights))))
+        backward(total(mul(value, Tensor(weights))))
         return value.data, ta.grad, tb.grad
 
     def test_equals_composition_bit_for_bit(self):
@@ -641,7 +656,7 @@ class TestBatchAxis:
                              for s in ((b, n, d_in), (d_in, d_out), (d_out,), (b, n, d_out)))
             tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, bias))
             out = ag.linear(tx, tw, tb)
-            backward(total(ag.mul(out, Tensor(g))))
+            backward(total(mul(out, Tensor(g))))
             want_w = want_b = None
             for i in range(b):
                 assert out.data[i].tobytes() == (x[i] @ w + bias).tobytes()
@@ -659,12 +674,12 @@ class TestBatchAxis:
         gain, shift = (rng.standard_normal(128).astype(dtype) for _ in range(2))
         tx, tg, ts = (Tensor(a, requires_grad=True) for a in (x, gain, shift))
         out = ag.layer_norm(tx, tg, ts)
-        backward(total(ag.mul(out, Tensor(g.astype(dtype)))))
+        backward(total(mul(out, Tensor(g.astype(dtype)))))
         rg, rs = Tensor(gain, requires_grad=True), Tensor(shift, requires_grad=True)
         for i in range(4):
             row = Tensor(x[i], requires_grad=True)
-            want = ag.add(ag.mul(ag.layer_norm(row), rg), rs)
-            backward(total(ag.mul(want, Tensor(g[i].astype(dtype)))))
+            want = ag.add(mul(ag.layer_norm(row), rg), rs)
+            backward(total(mul(want, Tensor(g[i].astype(dtype)))))
             assert out.data[i].tobytes() == want.data.tobytes()
             assert tx.grad[i].tobytes() == row.grad.tobytes()
         assert tg.grad.tobytes() == rg.grad.tobytes()

@@ -198,7 +198,7 @@ def tiny_cfg(**overrides) -> TrainConfig:
                 feature_dim=16, encoder_depth=2, decoder_depth=1, num_heads=2, ffn_mult=2,
                 pe_hidden=16, token_hidden=16, fc_hidden=32, fold_hidden=16, seed=7)
     base.update(overrides)
-    return TrainConfig(**base).resolved()
+    return TrainConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -276,7 +276,9 @@ class TestExtraction:
                 cloud = normalize_unit_sphere(
                     resample(read_cloud(manifest.resolve(entry)), cfg.num_points, rng))
                 ps = normalize_patches(patchify(cloud, cfg.num_patches, cfg.patch_size, rng))
-                encoded = model.encode_all(PatchSet.stack([ps]))
+                encoded = model.encode_all(PatchSet(centers=ps.centers[None],
+                                                    patches=ps.patches[None], indices=None,
+                                                    normalized=True))
                 rows.append(np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
                                             ag.mean_pool_over_axis(encoded, axis=1).data],
                                            axis=1))

@@ -21,7 +21,13 @@ def patch_cfg(**overrides):
     base = dict(encoder="transformer", feature_dim=16, encoder_depth=2, decoder_depth=1,
                 num_heads=2, ffn_mult=2, num_patches=8, patch_size=8, pe_hidden=16,
                 token_hidden=16, fc_hidden=32, fold_hidden=16)
-    return TrainConfig(**{**base, **overrides}).resolved()
+    return TrainConfig(**{**base, **overrides})
+
+
+def batch_of_one(ps):
+    """``ps`` as a batch of one set."""
+    return PatchSet(centers=ps.centers[None], patches=ps.patches[None], indices=None,
+                    normalized=ps.normalized)
 
 
 class TestConfigs:
@@ -85,13 +91,13 @@ class TestTokenEmbedder:
         shuffled = ps.patches.copy()
         shuffled[1] = shuffled[1][::-1]
         reordered = PatchSet(centers=ps.centers, patches=shuffled, indices=None, normalized=True)
-        np.testing.assert_array_equal(emb(PatchSet.stack([ps])).data,
-                                      emb(PatchSet.stack([reordered])).data)
+        np.testing.assert_array_equal(emb(batch_of_one(ps)).data,
+                                      emb(batch_of_one(reordered)).data)
 
     def test_shape(self):
         emb = TokenEmbedder(16, 32, rng_())
         ps = self._patches(n=5, k=7)
-        assert emb(PatchSet.stack([ps])).shape == (1, 5, 16)
+        assert emb(batch_of_one(ps)).shape == (1, 5, 16)
 
     def test_identical_patches_identical_tokens(self):
         emb = TokenEmbedder(16, 32, rng_())
@@ -106,7 +112,7 @@ class TestTokenEmbedder:
         rng = np.random.default_rng(5)
         ps = patchify(rng.standard_normal((30, 3)), 3, 4, rng)
         with pytest.raises(ValueError, match="normalized"):
-            emb(PatchSet.stack([ps]))
+            emb(batch_of_one(ps))
 
 
 class TestPositionalEmbed:
@@ -301,10 +307,9 @@ class TestGradientFlow:
         pts = rng.standard_normal((64, 3))
         ps = normalize_patches(patchify(pts, 8, 8, rng))
         plan = mask_patches(8, 0.6, rng)
-        from recloud.geometry import PatchSet
-        vis = PatchSet(centers=ps.centers[plan.visible], patches=ps.patches[plan.visible],
-                       indices=None, normalized=True)
-        encoded = model.encode_visible(PatchSet.stack([vis]))
+        vis = PatchSet(centers=ps.centers[plan.visible][None],
+                       patches=ps.patches[plan.visible][None], indices=None, normalized=True)
+        encoded = model.encode_visible(vis)
         pred = model.predict_patches(encoded, ps.centers[None], [plan])
         local = loss_local(pred, ps.patches[plan.masked][None])
         global_ = loss_global(model.predict_centers(encoded), ps.centers[None])

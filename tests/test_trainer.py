@@ -14,13 +14,12 @@ from recloud.autograd import Tensor, backward
 from recloud.corruption import sample_affine
 from recloud.data import (SynthSpec, load_split, read_cloud, stream, synth_generate,
                           write_cloud)
-from recloud.geometry import affine_apply, denormalize_patches
+from recloud.geometry import PatchSet, affine_apply, denormalize_patches
 from recloud.layers import Parameter
 from recloud.losses import chamfer
-from recloud.trainer import (AdamW, Checkpoint, DivergenceError, TrainConfig, build_model,
-                             cosine_lr, load_checkpoint, parse_config_text,
-                             prepare_sample,
-                             pretrain, restore, sample_loss, save_checkpoint,
+from recloud.trainer import (AdamW, Checkpoint, DivergenceError, Sample, TrainConfig,
+                             build_model, cosine_lr, load_checkpoint, parse_config_text,
+                             prepare_sample, pretrain, restore, sample_loss, save_checkpoint,
                              scheduled_lr, snapshot)
 
 
@@ -30,7 +29,7 @@ def tiny_cfg(**overrides):
                 num_heads=2, ffn_mult=2, pe_hidden=16, token_hidden=16, fc_hidden=32,
                 fold_hidden=16, batch_size=4, seed=7)
     base.update(overrides)
-    return TrainConfig(**base).resolved()
+    return TrainConfig(**base)
 
 
 @pytest.fixture(scope="module")
@@ -88,8 +87,12 @@ class TestTrainConfig:
         TrainConfig(warmup_epochs=0, decoder_depth=0)
 
     def test_auto_mask_resolution(self):
-        assert TrainConfig(encoder="pointnet").resolved().mask_strategy == "random"
-        assert TrainConfig(encoder="transformer").resolved().mask_strategy == "patch"
+        # "auto" is resolved when the config is built, so every config is concrete
+        for encoder, mask in (("pointnet", "random"), ("transformer", "patch")):
+            cfg = TrainConfig(encoder=encoder)
+            assert cfg.mask_strategy == mask
+            assert cfg == TrainConfig(encoder=encoder, mask_strategy=mask)
+            assert f"mask_strategy = {mask!r}\n" in cfg.to_text()
 
 
 class TestCosineSchedule:
@@ -172,11 +175,11 @@ class TestSampleStep:
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         x = clouds[0]
         total, (report,) = sample_loss(
-            model, [prepare_sample(x, cfg, stream(cfg.seed, "sample", 0, 0))], cfg)
+            model, prepare_sample(x[None], cfg, [stream(cfg.seed, "sample", 0, 0)]), cfg)
 
         # manual replay with the same derived rng
         from recloud.corruption import mask_patches
-        from recloud.geometry import PatchSet, normalize_patches, patchify
+        from recloud.geometry import normalize_patches, patchify
         from recloud.losses import loss_all, loss_global, loss_local
         rng = stream(cfg.seed, "sample", 0, 0)
         transform = sample_affine(cfg, rng)
@@ -188,10 +191,10 @@ class TestSampleStep:
         clean_n = normalize_patches(clean)
         corr_n = normalize_patches(corrupted)
         plan = mask_patches(cfg.num_patches, cfg.mask_ratio, rng)
-        vis = PatchSet(centers=corrupted.centers[plan.visible],
-                       patches=corr_n.patches[plan.visible],
+        vis = PatchSet(centers=corrupted.centers[plan.visible][None],
+                       patches=corr_n.patches[plan.visible][None],
                        indices=None, normalized=True)
-        encoded = model.encode_visible(PatchSet.stack([vis]))
+        encoded = model.encode_visible(vis)
         local = loss_local(model.predict_patches(encoded, clean.centers[None], [plan]),
                            clean_n.patches[plan.masked][None])
         global_ = loss_global(model.predict_centers(encoded), clean.centers[None])
@@ -203,7 +206,7 @@ class TestSampleStep:
         cfg = tiny_cfg(global_weight=0.0)
         model = build_model(cfg)
         x = np.random.default_rng(0).standard_normal((64, 3))
-        total, _ = sample_loss(model, [prepare_sample(x, cfg, stream(1, "sample", 0, 0))],
+        total, _ = sample_loss(model, prepare_sample(x[None], cfg, [stream(1, "sample", 0, 0)]),
                                cfg)
         backward(total)
         for name, p in model.named_parameters():
@@ -215,23 +218,23 @@ class TestSampleStep:
         cfg = tiny_cfg(encoder="pointnet", affine_role="augmentation",
                        mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(1).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, stream(2, "sample", 0, 0))
-        np.testing.assert_array_equal(sample.target,
-                                      affine_apply(x, sample.transform))
+        sample = prepare_sample(x[None], cfg, [stream(2, "sample", 0, 0)])
+        np.testing.assert_array_equal(sample.target[0],
+                                      affine_apply(x, sample.transforms[0]))
         np.testing.assert_array_equal(sample.visible, sample.target)
 
     def test_corruption_mode_targets_clean_cloud(self):
         cfg = tiny_cfg(encoder="pointnet", mask_strategy="none", pointnet_hidden="16")
         x = np.random.default_rng(2).standard_normal((64, 3))
-        sample = prepare_sample(x, cfg, stream(3, "sample", 0, 0))
-        np.testing.assert_array_equal(sample.target, x)
+        sample = prepare_sample(x[None], cfg, [stream(3, "sample", 0, 0)])
+        np.testing.assert_array_equal(sample.target[0], x)
 
 
 class TestCorruptCommand:
     """``recloud corrupt`` masks a cloud as the trainer does its first sample."""
 
     @pytest.mark.parametrize("mask", ["none", "random", "fixed", "view", "patch"])
-    def test_writes_the_visible_points_of_prepare_cloud_sample(self, tmp_path, mask):
+    def test_writes_the_visible_points_of_prepare_sample(self, tmp_path, mask):
         rng = np.random.default_rng(8)
         write_cloud(tmp_path / "in.xyz", rng.standard_normal((120, 3)))
         rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
@@ -243,20 +246,20 @@ class TestCorruptCommand:
         cfg = TrainConfig(encoder=encoder, mask_strategy=mask, mask_ratio=0.4,
                           cluster_size=7, max_clusters=5, num_patches=8, patch_size=8,
                           seed=13)
-        sample = prepare_sample(read_cloud(tmp_path / "in.xyz"), cfg,
-                                stream(13, "sample", 0, 0))
+        sample = prepare_sample(read_cloud(tmp_path / "in.xyz")[None], cfg,
+                                [stream(13, "sample", 0, 0)])
         # the patch mask writes the visible patches in absolute coordinates
-        visible = (denormalize_patches(sample.visible_patches).patches.reshape(-1, 3)
-                   if mask == "patch" else sample.visible)
+        visible = (denormalize_patches(sample.visible).patches[0].reshape(-1, 3)
+                   if mask == "patch" else sample.visible[0])
         write_cloud(tmp_path / "want.xyz", visible)
         got = (tmp_path / "out" / "corrupted.xyz").read_bytes()
         assert got == (tmp_path / "want.xyz").read_bytes()
         plan = json.loads((tmp_path / "out" / "plan.json").read_text())
-        assert plan["transform"] == sample.transform.matrix.tolist()
+        assert plan["transform"] == sample.transforms[0].matrix.tolist()
         if mask == "none":
-            assert sample.plan is None and "masked" not in plan
+            assert sample.plans is None and "masked" not in plan
         else:
-            assert plan["masked"] == sample.plan.masked.tolist()
+            assert plan["masked"] == sample.plans[0].masked.tolist()
 
     @pytest.mark.parametrize("extra", [(), ("--num-points", "100")], ids=["as-is", "resampled"])
     @pytest.mark.parametrize("seed", ["-1", str(2**32)])
@@ -578,7 +581,7 @@ class TestReconstructCommand:
 # Configs whose runs must not depend on the micro-batch size (1 is the
 # per-sample loop): every objective, both patch masks and both choices of
 # each head for the transformer; both decoders and all four point masks for
-# PointNet.
+# PointNet; and both affine roles for each encoder.
 MICRO_BATCH_CONFIGS = [
     dict(mask_strategy="patch", objective="decomposed", local_decoder="fold", global_decoder="fc"),
     dict(mask_strategy="patch", objective="whole", local_decoder="fc", global_decoder="fold"),
@@ -593,7 +596,32 @@ MICRO_BATCH_CONFIGS = [
     dict(encoder="pointnet", pointnet_hidden="16", decoder="fc", mask_strategy="view",
          precision="double"),
     dict(encoder="pointnet", pointnet_hidden="16", decoder="fold", mask_strategy="none"),
+    dict(mask_strategy="patch", objective="whole", local_decoder="fold", global_decoder="fc",
+         affine_role="augmentation"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fold", mask_strategy="view",
+         affine_role="augmentation"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fc", mask_strategy="fixed",
+         cluster_size=3, affine_role="augmentation", precision="double"),
+    dict(encoder="pointnet", pointnet_hidden="16", decoder="fc", mask_strategy="none",
+         affine_role="augmentation"),
 ]
+
+
+def join(samples):
+    """One ``Sample`` of the clouds of ``samples``, batches of one, in order."""
+    def cat(arrays):
+        return None if arrays[0] is None else np.concatenate(arrays)
+    visible = [s.visible for s in samples]
+    if isinstance(visible[0], PatchSet):
+        visible = PatchSet(centers=cat([v.centers for v in visible]),
+                           patches=cat([v.patches for v in visible]),
+                           indices=cat([v.indices for v in visible]), normalized=True)
+    else:
+        visible = cat(visible)
+    plans = None if samples[0].plans is None else [p for s in samples for p in s.plans]
+    return Sample(visible, cat([s.target for s in samples]),
+                  [t for s in samples for t in s.transforms], plans,
+                  cat([s.centers for s in samples]), cat([s.patches for s in samples]))
 
 
 class TestMicroBatches:
@@ -630,7 +658,7 @@ class TestMicroBatches:
 
         def alone(points, c, rngs):
             want_calls.append(len(rngs))
-            return [prepare_sample(p, c, r) for p, r in zip(points, rngs)]
+            return join([prepare_sample(p[None], c, [r]) for p, r in zip(points, rngs)])
 
         (tmp_path / "grouped").mkdir()
         (tmp_path / "alone").mkdir()
@@ -679,8 +707,8 @@ class TestPrecisionContract:
         cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision="single")
         model = build_model(cfg)
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
-        sample = prepare_sample(clouds[0], cfg, stream(cfg.seed, "sample", 0, 0))
-        total, _ = sample_loss(model, [sample], cfg)
+        sample = prepare_sample(clouds[0][None], cfg, [stream(cfg.seed, "sample", 0, 0)])
+        total, _ = sample_loss(model, sample, cfg)
         backward(total)
         seen, stack, dtypes = set(), [total], set()
         while stack:
@@ -710,9 +738,9 @@ class TestPrecisionContract:
         for i, x in enumerate(clouds):
             out = {}
             for precision, (cfg, model) in runs.items():
-                sample = prepare_sample(x, cfg, stream(cfg.seed, "sample", 0, i))
+                sample = prepare_sample(x[None], cfg, [stream(cfg.seed, "sample", 0, i)])
                 model.zero_grad()
-                total, _ = sample_loss(model, [sample], cfg)
+                total, _ = sample_loss(model, sample, cfg)
                 backward(total)
                 grads = [p.grad.astype(np.float64).ravel() for p in model.parameters()
                          if p.grad is not None]
