@@ -13,8 +13,9 @@ pools reduce without keeping the pick a backward pass would read.
 
 Where a shared tensor meets per-sample rows (:func:`linear`, the affine
 :func:`layer_norm`), axis 0 is the batch, and the shared tensor's gradient
-is added one sample at a time in batch order: the additions a loop of
-per-sample backward calls makes, so a batched step reproduces it bit for bit.
+is one product or sum over the rows of every sample at once. Its rounding
+therefore depends on how many samples a pass holds; a fixed micro-batch
+(``trainer.MICRO_BATCH``) keeps runs bit-identical.
 
 Verification mode runs in float64; :func:`finite_difference_check` compares
 analytic gradients against central differences.
@@ -26,7 +27,7 @@ shares.
 """
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf
@@ -77,13 +78,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         return
     g = g.astype(t.data.dtype, copy=False)
     t.grad = g if t.grad is None else t.grad + g
-
-
-def _accumulate_per_sample(t: Tensor, gs: Iterable[np.ndarray]) -> None:
-    """Add ``gs[0]``, ``gs[1]``, ... into ``t.grad`` in turn: the gradient of
-    a tensor shared by every sample, one sample at a time in batch order."""
-    for g in gs:
-        _accumulate(t, g)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -184,10 +178,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     The forward is one stacked product ``x.reshape(B, -1, d_in) @ w``, which
     numpy runs as one gemm per sample, so every row equals the product of
     its sample alone bit for bit. (A flattened ``(B*n, d_in) @ w`` does not:
-    BLAS takes another path for a one-row sample.) The backward skips ``x``
-    when it needs no gradient, and adds the per-sample ``x^T g`` and row
-    sums of ``g`` into ``w`` and ``b`` one sample at a time; each ``x^T g``
-    is made as it is added, so a large ``w`` never has B gradients alive.
+    BLAS takes another path for a one-row sample.) The backward takes one
+    product each for the gradients of ``x`` and ``w`` and one row sum for
+    ``b`` over the ``(B*n, d)`` rows of all samples, and skips ``x`` when it
+    needs no gradient.
     """
     xs, ws = x.data.shape, w.data.shape
     if (x.data.ndim < 2 or w.data.ndim != 2 or xs[-1] != ws[0]
@@ -200,13 +194,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
         out_data += b.data
 
     def bw(g: np.ndarray) -> None:
-        g3 = g.reshape(out_data.shape)
+        g2 = g.reshape(-1, ws[1])
         if x._needs:
-            _accumulate(x, (g3 @ w.data.T).reshape(xs))
+            _accumulate(x, (g2 @ w.data.T).reshape(xs))
         if w._needs:
-            _accumulate_per_sample(w, (xi.T @ gi for xi, gi in zip(x3, g3)))
+            _accumulate(w, x3.reshape(-1, ws[0]).T @ g2)
         if b is not None and b._needs:
-            _accumulate_per_sample(b, g3.sum(axis=1))
+            _accumulate(b, g2.sum(axis=0))
 
     parents = (x, w) if b is None else (x, w, b)
     return Tensor(out_data.reshape(xs[:-1] + ws[1:]), parents=parents, backward_fn=bw)
@@ -289,8 +283,8 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = Non
     """Normalize to zero mean / unit variance along the last axis, then
     ``y * gain + shift`` when both ``(d,)`` tensors are given.
 
-    With the affine, axis 0 of ``a`` is the batch: the gradients of ``gain``
-    and ``shift`` are added one sample at a time.
+    With the affine, ``a`` is ``(B, ..., d)``, and the gradients of ``gain``
+    and ``shift`` are sums over all its rows at once.
     """
     x = a.data
     affine = gain is not None
@@ -307,11 +301,11 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = Non
 
     def bw(g: np.ndarray) -> None:
         if affine:
-            rows = (x.shape[0], -1, x.shape[-1])
+            d = x.shape[-1]
             if gain._needs:
-                _accumulate_per_sample(gain, (g * y).reshape(rows).sum(axis=1))
+                _accumulate(gain, (g * y).reshape(-1, d).sum(axis=0))
             if shift._needs:
-                _accumulate_per_sample(shift, g.reshape(rows).sum(axis=1))
+                _accumulate(shift, g.reshape(-1, d).sum(axis=0))
             g = g * gain.data
         if a._needs:
             g_mean = g.mean(axis=-1, keepdims=True)

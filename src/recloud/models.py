@@ -5,9 +5,9 @@ Every component is built from the autograd primitives, takes an explicit
 construction RNG (so initialization is reproducible; with none it draws
 nothing and its weights are ``layers.unfilled`` zeros for a checkpoint to
 fill), and runs batch-first: axis 0 of every input and output is the
-sample. No operation mixes samples, and the shared weights receive their
-gradients one sample at a time (see ``autograd``), so a batch computes
-exactly what a loop over its samples would, bit for bit.
+sample. No forward operation mixes samples, so every output row of a
+batch equals that of its sample alone, bit for bit; the shared weights'
+gradients are summed over the whole batch at once (see ``autograd``).
 
 The two autoencoders are built from one ``TrainConfig``. Layers
 draw their parameters in float64, and ``trainer.build_model`` casts each
@@ -144,8 +144,9 @@ class PatchDecoder(Module):
         m = masked.shape[1]
         if m == 0:
             return vis
-        ones = Tensor(np.ones((b, m, 1), dtype=self.mask_token.data.dtype))
-        dup = ag.linear(ones, self.mask_token.tensor)  # (B, m, d), one stored vector
+        # broadcast the stored token over the masked rows; add's backward sums them back
+        token = self.mask_token.tensor
+        dup = ag.add(Tensor(np.zeros((b, m, 1), token.dtype)), token)  # (B, m, d)
         return ag.add(vis, ag.scatter_rows(dup, masked, n))
 
     def __call__(self, encoded: Tensor, pe_all: Tensor,

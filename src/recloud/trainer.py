@@ -8,9 +8,9 @@ is derived statelessly from the seed, epoch and sample index by ``data.stream``
 (one table of purposes, ``data.STREAMS``), which makes checkpoint resume exact.
 
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
-and one backward each; every result equals a per-sample loop bit for bit
-(see ``models``). A micro-batch is corrupted into one batch-first
-``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is.
+and one backward each, whose gradients add up in micro-batch order. A
+micro-batch is corrupted into one batch-first ``Sample``
+(``prepare_sample``), which ``sample_loss`` reads as it is.
 """
 from __future__ import annotations
 
@@ -43,9 +43,11 @@ OBJECTIVES = ("decomposed", "whole", "local-only", "global-only")
 
 
 # Samples per forward/backward pass (and per batch of feature extraction).
-# Of 1, 2, 4 and 8 on the benchmark's patch-dae workload (2-CPU AVX-512
-# Xeon), 4 and 8 ran fastest, about 1.3x the per-sample rate, and 8 raised
-# peak memory by 33-41 MB over 4.
+# It also fixes how a step's gradient is rounded: a shared weight's gradient
+# is one sum over a micro-batch's rows, so a run is bit-identical only at
+# the same MICRO_BATCH. Of 1, 2, 4 and 8 on the benchmark's patch-dae
+# workload (2-CPU AVX-512 Xeon), 4 and 8 ran fastest, about 1.3x the
+# per-sample rate, and 8 raised peak memory by 33-41 MB over 4.
 MICRO_BATCH = 4
 
 # TrainConfig fields holding an "lo:hi" range

@@ -148,3 +148,27 @@ def probe_accuracy_oracle(xtr: np.ndarray, ytr: list, xte: np.ndarray, yte: list
         scores[:, ci] = xte @ w + b
     truth = np.asarray([classes.index(label) for label in yte])
     return float(np.mean(np.argmax(scores, axis=1) == truth))
+
+
+def linear_grads_oracle(x: np.ndarray, w: np.ndarray, g: np.ndarray):
+    """Gradients ``(gx, gw, gb)`` of ``sum(g * (x @ w + b))`` for a
+    ``(B, n, d_in)`` batch, in float64, one sample at a time: each sample's
+    own products, and the shared ``w`` and ``b`` summed over the samples."""
+    x, w, g = (np.asarray(a, dtype=np.float64) for a in (x, w, g))
+    gx = np.stack([gi @ w.T for gi in g])
+    gw = sum(xi.T @ gi for xi, gi in zip(x, g))
+    gb = sum(gi.sum(axis=0) for gi in g)
+    return gx, gw, gb
+
+
+def layer_norm_grads_oracle(x: np.ndarray, g: np.ndarray, eps: float = 1e-5):
+    """Gradients ``(g_gain, g_shift)`` of ``sum(g * (norm(x) * gain + shift))``
+    for a ``(B, n, d)`` batch, in float64, summed one sample at a time."""
+    x, g = np.asarray(x, dtype=np.float64), np.asarray(g, dtype=np.float64)
+    g_gain = g_shift = 0.0
+    for xi, gi in zip(x, g):
+        centered = xi - xi.mean(axis=-1, keepdims=True)
+        y = centered / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+        g_gain = g_gain + (gi * y).sum(axis=0)
+        g_shift = g_shift + gi.sum(axis=0)
+    return g_gain, g_shift

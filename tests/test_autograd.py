@@ -6,7 +6,7 @@ from recloud import losses
 from recloud.autograd import Tensor, backward, finite_difference_check
 from recloud.losses import chamfer
 
-from oracles import sqdist
+from oracles import layer_norm_grads_oracle, linear_grads_oracle, sqdist
 
 TOL = 1e-3
 
@@ -156,7 +156,7 @@ def fd_cases():
     def sq(y):  # a quadratic reducer: every gradient depends on every input
         return total(mul(y, y))
 
-    return [
+    cases = [
         case("linear_x", lambda x: sq(ag.linear(x, lw, lb)), r(2, 3, 4)),
         case("linear_w", lambda w: sq(ag.linear(lx, w, lb)), r(4, 5)),
         case("linear_b", lambda b: sq(ag.linear(lx, lw, b)), r(5)),
@@ -220,6 +220,15 @@ def fd_cases():
         case("chamfer_batched", lambda x: ag.add(
             total(chamfer(x, consts["c3"])),
             total(mul(chamfer(consts["c3"], x), chamfer(consts["c3"], x)))), r(2, 5, 3)),
+    ]
+    # one-row samples, the shape of the global and whole heads: the flat
+    # weight gradient then takes another BLAS path than a stacked one would
+    one = Tensor(r(2, 1, 4), requires_grad=True)
+    return cases + [
+        case("linear_w_one_row", lambda w: sq(ag.linear(one, w, lb)), r(4, 5)),
+        case("linear_b_one_row", lambda b: sq(ag.linear(one, lw, b)), r(5)),
+        case("layer_norm_gain_one_row", lambda g: sq(ag.layer_norm(one, g, ln_shift)), r(4)),
+        case("layer_norm_shift_one_row", lambda b: sq(ag.layer_norm(one, ln_gain, b)), r(4)),
     ]
 
 
@@ -640,16 +649,26 @@ class TestDeterminism:
 
 
 class TestBatchAxis:
-    """A batched node equals its per-sample computation bit for bit, with the
-    shared tensors' gradients added one sample at a time."""
+    """A batched node's forward rows equal its per-sample computation bit
+    for bit; the gradients of the shared tensors, summed over the whole
+    batch at once, match a per-sample float64 reference within a tolerance
+    of its largest magnitude."""
 
     # (batch, rows, d_in, d_out): model shapes, with the one-row FC head and
     # the fold head's three-wide last layer
     SHAPES = [(4, 26, 128, 128), (4, 1, 128, 256), (3, 1216, 64, 3), (2, 26, 512, 128),
               (4, 832, 3, 128)]
+    # measured worst |got - ref| / max|ref|: 2.7e-15 in float64, 1.9e-6 in float32
+    GRAD_TOL = {np.float32: 1e-5, np.float64: 1e-12}
+
+    @classmethod
+    def assert_close(cls, got, want, dtype):
+        assert got.dtype == dtype
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= cls.GRAD_TOL[dtype], err
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_linear_equals_per_sample_gemms(self, dtype):
+    def test_linear_matches_per_sample_reference(self, dtype):
         rng = np.random.default_rng(51)
         for b, n, d_in, d_out in self.SHAPES:
             x, w, bias, g = (rng.standard_normal(s).astype(dtype)
@@ -657,33 +676,28 @@ class TestBatchAxis:
             tx, tw, tb = (Tensor(a, requires_grad=True) for a in (x, w, bias))
             out = ag.linear(tx, tw, tb)
             backward(total(mul(out, Tensor(g))))
-            want_w = want_b = None
             for i in range(b):
                 assert out.data[i].tobytes() == (x[i] @ w + bias).tobytes()
-                assert tx.grad[i].tobytes() == (g[i] @ w.T).tobytes()
-                gw, gb = x[i].T @ g[i], g[i].sum(axis=0)
-                want_w = gw if want_w is None else want_w + gw
-                want_b = gb if want_b is None else want_b + gb
-            assert tw.grad.tobytes() == want_w.tobytes()
-            assert tb.grad.tobytes() == want_b.tobytes()
+            for got, want in zip((tx.grad, tw.grad, tb.grad), linear_grads_oracle(x, w, g)):
+                self.assert_close(got, want, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_layer_norm_equals_per_sample_composition(self, dtype):
+    def test_layer_norm_matches_per_sample_reference(self, dtype):
         rng = np.random.default_rng(52)
         x, g = rng.standard_normal((4, 26, 128)).astype(dtype), rng.standard_normal((4, 26, 128))
         gain, shift = (rng.standard_normal(128).astype(dtype) for _ in range(2))
         tx, tg, ts = (Tensor(a, requires_grad=True) for a in (x, gain, shift))
         out = ag.layer_norm(tx, tg, ts)
         backward(total(mul(out, Tensor(g.astype(dtype)))))
-        rg, rs = Tensor(gain, requires_grad=True), Tensor(shift, requires_grad=True)
         for i in range(4):
             row = Tensor(x[i], requires_grad=True)
-            want = ag.add(mul(ag.layer_norm(row), rg), rs)
+            want = ag.add(mul(ag.layer_norm(row), Tensor(gain)), Tensor(shift))
             backward(total(mul(want, Tensor(g[i].astype(dtype)))))
             assert out.data[i].tobytes() == want.data.tobytes()
             assert tx.grad[i].tobytes() == row.grad.tobytes()
-        assert tg.grad.tobytes() == rg.grad.tobytes()
-        assert ts.grad.tobytes() == rs.grad.tobytes()
+        want_gain, want_shift = layer_norm_grads_oracle(x, g.astype(dtype))
+        self.assert_close(tg.grad, want_gain, dtype)
+        self.assert_close(ts.grad, want_shift, dtype)
 
     def test_batched_rows_equal_per_entry_rows(self):
         rng = np.random.default_rng(53)

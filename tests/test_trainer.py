@@ -578,10 +578,11 @@ class TestReconstructCommand:
                           "recon_masked": n * k, "recon_centers": n}
 
 
-# Configs whose runs must not depend on the micro-batch size (1 is the
-# per-sample loop): every objective, both patch masks and both choices of
-# each head for the transformer; both decoders and all four point masks for
-# PointNet; and both affine roles for each encoder.
+# Configs whose runs must rerun bit for bit at the fixed micro-batch size and
+# agree across sizes (1 is the per-sample loop) up to rounding: every
+# objective, both patch masks and both choices of each head for the
+# transformer; both decoders and all four point masks for PointNet; and both
+# affine roles for each encoder.
 MICRO_BATCH_CONFIGS = [
     dict(mask_strategy="patch", objective="decomposed", local_decoder="fold", global_decoder="fc"),
     dict(mask_strategy="patch", objective="whole", local_decoder="fc", global_decoder="fold"),
@@ -625,7 +626,9 @@ def join(samples):
 
 
 class TestMicroBatches:
-    """One forward/backward per micro-batch changes no bit of a run."""
+    """A run does not depend on the micro-batch size beyond the rounding of
+    its gradient sums, and reruns bit for bit at the fixed ``MICRO_BATCH``;
+    grouping and feature extraction do not depend on it at all."""
 
     @staticmethod
     def run(dataset, cfg, tmp_path, micro, monkeypatch):
@@ -637,16 +640,50 @@ class TestMicroBatches:
                         out / "checkpoint.ckpt")
         return (out / "checkpoint.ckpt").read_bytes(), (out / "metrics.csv").read_bytes()
 
+    @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("overrides", MICRO_BATCH_CONFIGS,
                              ids=lambda o: "-".join(str(v) for v in o.values()))
-    def test_checkpoint_and_metrics_independent_of_micro_batch(self, dataset, tmp_path,
-                                                               monkeypatch, overrides):
+    def test_rerun_at_fixed_micro_batch_is_byte_identical(self, dataset, tmp_path, monkeypatch,
+                                                         overrides, precision):
+        import recloud.trainer as tr
+        # batch 5 runs micro-batches of 4 and 1, so each step adds two gradients
+        cfg = tiny_cfg(epochs=2, batch_size=5, **{**overrides, "precision": precision})
+        runs = []
+        for name in ("first", "second"):
+            (tmp_path / name).mkdir()
+            runs.append(self.run(dataset, cfg, tmp_path / name, tr.MICRO_BATCH, monkeypatch))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("overrides", MICRO_BATCH_CONFIGS,
+                             ids=lambda o: "-".join(str(v) for v in o.values()))
+    def test_double_runs_agree_across_micro_batches(self, dataset, tmp_path, monkeypatch,
+                                                    overrides):
+        # a shared weight's gradient is one sum over a micro-batch's rows, so
+        # only its rounding may depend on the micro-batch size
+        def run(cfg, micro):
+            self.run(dataset, cfg, tmp_path, micro, monkeypatch)
+            out = tmp_path / f"b{cfg.batch_size}-m{micro}"
+            metrics = np.loadtxt(out / "metrics.csv", delimiter=",", skiprows=1, ndmin=2)
+            return load_checkpoint(out / "checkpoint.ckpt"), metrics
+
         for batch_size, micros in ((5, (4, 64)), (3, (4,))):
-            cfg = tiny_cfg(epochs=2, batch_size=batch_size, **overrides)
-            want = self.run(dataset, cfg, tmp_path, 1, monkeypatch)
+            cfg = tiny_cfg(epochs=2, batch_size=batch_size, **{**overrides, "precision": "double"})
+            want, want_metrics = run(cfg, 1)
             for micro in micros:
-                assert self.run(dataset, cfg, tmp_path, micro, monkeypatch) == want, \
-                    (batch_size, micro)
+                got, metrics = run(cfg, micro)
+                assert (got.config_text, got.fingerprint, got.epoch, got.step) == \
+                    (want.config_text, want.fingerprint, want.epoch, want.step)
+                for field in ("params", "moments1", "moments2"):
+                    arrays, want_arrays = getattr(got, field), getattr(want, field)
+                    assert arrays.keys() == want_arrays.keys()
+                    for name, arr in arrays.items():
+                        assert arr.dtype == np.float64
+                        np.testing.assert_allclose(arr, want_arrays[name], rtol=0, atol=1e-12,
+                                                   err_msg=f"{field} {name} at micro {micro}")
+                # epoch and lr columns equal, the three loss columns to rtol 1e-12
+                np.testing.assert_array_equal(metrics[:, [0, 4]], want_metrics[:, [0, 4]])
+                np.testing.assert_allclose(metrics[:, 1:4], want_metrics[:, 1:4],
+                                           rtol=1e-12, atol=0)
 
     @pytest.mark.parametrize("precision", ["single", "double"])
     def test_grouped_micro_batch_equals_each_cloud_grouped_alone(self, dataset, tmp_path,
