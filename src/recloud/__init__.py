@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .autograd import Tensor, backward, finite_difference_check
 from .corruption import (MaskPlan, mask_fixed_clusters, mask_patches, mask_random_clusters,
                          mask_view_occlusion, sample_affine)
-from .geometry import (AffineTransform, Neighborhood, PatchSet, affine_apply,
+from .geometry import (AffineTransform, PatchSet, affine_apply,
                        denormalize_patches, farthest_point_sample, knn,
                        normalize_patches, patchify)
 from .losses import LossReport, chamfer, loss_all, loss_global, loss_local
@@ -17,7 +17,7 @@ __all__ = [
     "Tensor", "backward", "finite_difference_check",
     "MaskPlan", "mask_fixed_clusters", "mask_patches",
     "mask_random_clusters", "mask_view_occlusion", "sample_affine",
-    "AffineTransform", "Neighborhood", "PatchSet", "affine_apply",
+    "AffineTransform", "PatchSet", "affine_apply",
     "denormalize_patches", "farthest_point_sample", "knn",
     "normalize_patches", "patchify",
     "LossReport", "chamfer", "loss_all", "loss_global", "loss_local",

@@ -159,7 +159,7 @@ def _drop_clusters(pts: np.ndarray, sizes: list[int],
     for size in sizes:
         center = int(surviving[rng.integers(len(surviving))])
         centers.append(center)
-        order = knn(pts[surviving], pts[center], size).indices
+        order = knn(pts[surviving], pts[center], size)
         dropped.append(surviving[order])
         keep = np.ones(len(surviving), dtype=bool)
         keep[order] = False

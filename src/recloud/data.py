@@ -119,12 +119,18 @@ def _read_ply(path: Path) -> np.ndarray:
         parts = line.strip().split()
         if not parts or parts[0] == "comment":
             continue
+        if len(parts) < {"format": 2, "element": 3, "property": 3}.get(parts[0], 1):
+            raise ValueError(f"{path}:{lineno}: incomplete header line {line.strip()!r}")
         if parts[0] == "format":
             if parts[1] not in ("ascii", "binary_little_endian"):
                 raise ValueError(f"{path}:{lineno}: unsupported ply format {parts[1]!r}")
             fmt = parts[1]
         elif parts[0] == "element":
-            elements.append((parts[1], int(parts[2]), []))
+            try:
+                elements.append((parts[1], int(parts[2]), []))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: element count {parts[2]!r} is not an "
+                                 "integer") from None
         elif parts[0] == "property":
             if not elements:
                 raise ValueError(f"{path}:{lineno}: property before any element")
@@ -331,8 +337,6 @@ class DatasetManifest:
     def __init__(self, root: Path, entries: list[ManifestEntry]):
         self.root = Path(root)
         self.entries = list(entries)
-        labels = sorted({e.label for e in entries})
-        self.labels = tuple(labels)
 
     def __len__(self) -> int:
         return len(self.entries)

@@ -9,6 +9,7 @@ exactly equivariant under any global orthogonal rotation of the features
 """
 from __future__ import annotations
 
+import csv
 import json
 import zlib
 from dataclasses import dataclass
@@ -31,7 +32,6 @@ class FeatureTable:
     ids: list[str]
     labels: list[str]
     features: np.ndarray
-    fingerprint: str = ""
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -50,14 +50,16 @@ class FeatureTable:
         idx = list(row_indices)
         return FeatureTable(ids=[self.ids[i] for i in idx],
                             labels=[self.labels[i] for i in idx],
-                            features=self.features[idx], fingerprint=self.fingerprint)
+                            features=self.features[idx])
 
     def to_csv(self, path: str | Path) -> None:
-        header = "id,label," + ",".join(f"f_{i}" for i in range(self.dim))
-        lines = [header]
-        for sid, label, row in zip(self.ids, self.labels, self.features):
-            lines.append(f"{sid},{label}," + ",".join(repr(float(v)) for v in row))
-        Path(path).write_text("\n".join(lines) + "\n")
+        """One header row, then one row per sample; an id or label holding a
+        comma, quote or newline is quoted, as ``csv`` reads it."""
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["id", "label"] + [f"f_{i}" for i in range(self.dim)])
+            for sid, label, row in zip(self.ids, self.labels, self.features):
+                writer.writerow([sid, label] + [repr(float(v)) for v in row])
 
 
 def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
@@ -108,7 +110,7 @@ def extract_features(checkpoint: Checkpoint, manifest: DatasetManifest | str | P
                   for entry, rng in zip(chunk, rngs)]
         rows.append(_encoder_features(model, cfg, clouds, rngs))
     return FeatureTable(ids=ids, labels=[entry.label for entry in entries],
-                        features=np.concatenate(rows), fingerprint=checkpoint.fingerprint)
+                        features=np.concatenate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -157,11 +159,17 @@ def _probe_accuracies(train: FeatureTable, test: FeatureTable, regularizations,
     if unknown:
         raise ValueError(f"test labels not seen in training: {sorted(unknown)}")
 
-    # global scalar normalization only: rotation-invariant conditioning
-    scale = float(np.mean(np.linalg.norm(train.features, axis=1)))
+    # center on the train mean, then one global scale: rotation-invariant
+    # conditioning. Without the centering, a common offset far above the
+    # classes' spread scales every row to nearly one vector, which the
+    # solver's bounded weights cannot separate.
+    mean = train.features.mean(axis=0)
+    xtr = train.features - mean
+    xte = test.features - mean
+    scale = float(np.mean(np.linalg.norm(xtr, axis=1)))
     scale = scale if scale > 0 else 1.0
-    xtr = train.features / scale
-    xte = test.features / scale
+    xtr /= scale
+    xte /= scale
 
     n, k = xtr.shape[0], len(classes)
     y = np.where(np.asarray(train.labels)[:, None] == np.asarray(classes), 1.0, -1.0)

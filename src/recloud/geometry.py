@@ -11,7 +11,9 @@ micro-batch of them (one generator per cloud), and give each cloud exactly
 what it would get alone. A batch takes each FPS step together, one distance
 row and one ``argmax`` for all its clouds, and ``patchify`` hands the rows FPS
 computed for its picks to ``knn`` as the centers' distances, so grouping a
-cloud computes each distance once.
+cloud computes each distance once. ``knn`` returns only neighbor indices, as
+grouping needs nothing else; the tests check its rows against a brute-force
+oracle.
 """
 from __future__ import annotations
 
@@ -158,40 +160,16 @@ def farthest_point_sample(points: np.ndarray, n: int, rng,
     return selected if pts.ndim == 3 else selected[0]
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """Result of a k-NN query: indices sorted by ascending squared distance.
-
-    ``indices`` and ``sq_distances`` are ``(k,)`` for one query,
-    ``(n, k)`` for n queries, one row per query, and ``(B, n, k)`` for the
-    queries of a batch of clouds.
-    """
-
-    indices: np.ndarray
-    sq_distances: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        d = np.asarray(self.sq_distances, dtype=np.float64)
-        if idx.ndim not in (1, 2, 3) or d.shape != idx.shape:
-            raise ValueError("indices and distances must be matching 1-D to 3-D arrays")
-        if np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
-            raise ValueError("neighbor indices must be distinct")
-        if np.any(np.diff(d, axis=-1) < 0):
-            raise ValueError("neighbor distances must be non-decreasing")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "sq_distances", d)
-
-
 def knn(points: np.ndarray, query: np.ndarray, k: int,
-        sq: np.ndarray | None = None) -> Neighborhood:
-    """The ``k`` nearest points to each query by squared Euclidean distance.
+        sq: np.ndarray | None = None) -> np.ndarray:
+    """The int64 indices of the ``k`` nearest points to each query by squared
+    Euclidean distance, nearest first: ``query.shape[:-1] + (k,)``.
 
-    For one ``(w, 3)`` cloud, ``query`` is one ``(3,)`` point, giving ``(k,)``
-    rows, or ``(n, 3)`` points, giving ``(n, k)`` rows; for a ``(B, w, 3)``
-    batch it is ``(B, n, 3)``, giving ``(B, n, k)``. ``sq``, the queries'
-    ``(..., n, w)`` squared distances to the points as ``_sqdist_to`` gives
-    them (``farthest_point_sample``'s ``rows`` for its picks), is used
+    For one ``(w, 3)`` cloud, ``query`` is one ``(3,)`` point, giving ``(k,)``,
+    or ``(n, 3)`` points, giving ``(n, k)``, one row per query; for a
+    ``(B, w, 3)`` batch it is ``(B, n, 3)``, giving ``(B, n, k)``. ``sq``, the
+    queries' ``(..., n, w)`` squared distances to the points as ``_sqdist_to``
+    gives them (``farthest_point_sample``'s ``rows`` for its picks), is used
     instead of computing them again. Ties are broken by lowest index, so each
     row equals the first ``k`` entries of a stable argsort of its distances.
     """
@@ -225,10 +203,7 @@ def knn(points: np.ndarray, query: np.ndarray, k: int,
     idx = (np.flatnonzero(take) % w).reshape(-1, k)  # ascending index within each row
     # a stable sort of the index-ordered selection keeps lowest-index ties first
     order = np.argsort(np.take_along_axis(sq, idx, axis=1), axis=1, kind="stable")
-    idx = np.take_along_axis(idx, order, axis=1)
-    dist = np.take_along_axis(sq, idx, axis=1)
-    shape = q.shape[:-1] + (k,)
-    return Neighborhood(indices=idx.reshape(shape), sq_distances=dist.reshape(shape))
+    return np.take_along_axis(idx, order, axis=1).reshape(q.shape[:-1] + (k,))
 
 
 @dataclass(frozen=True)
@@ -273,7 +248,7 @@ def patchify(points: np.ndarray, num_patches: int, patch_size: int, rng) -> Patc
     rows = np.empty(pts.shape[:-2] + (num_patches, pts.shape[-2]))
     center_idx = farthest_point_sample(pts, num_patches, rng, rows=rows)
     centers = _gather(pts, center_idx)
-    idx = knn(pts, centers, patch_size, sq=rows).indices
+    idx = knn(pts, centers, patch_size, sq=rows)
     return PatchSet(centers=centers, patches=_gather(pts, idx), indices=idx, normalized=False)
 
 

@@ -94,9 +94,6 @@ class Module:
         for p in self.parameters():
             p.tensor = Tensor(p.data)
 
-    def num_parameters(self) -> int:
-        return sum(p.data.size for p in self.parameters())
-
 
 def unfilled(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     """Read-only zeros of ``shape`` that allocate nothing (every element is

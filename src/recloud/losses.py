@@ -139,20 +139,20 @@ def loss_global(pred_centers: Tensor, gt_centers) -> Tensor:
 @dataclass(frozen=True)
 class LossReport:
     """Per-step loss summary: total = local + weight * global when the
-    decomposed objective is active."""
+    decomposed objective is active, the weight being the config's
+    ``global_weight`` (1.0 for the global-only objective)."""
 
     total: float
     local: float
     global_: float
-    weight: float
 
 
 def loss_reports(total: Tensor, local: Tensor | None = None,
-                 global_: Tensor | None = None, weight: float = 0.0) -> list[LossReport]:
+                 global_: Tensor | None = None) -> list[LossReport]:
     """One float report per sample (entry) of ``total``; an absent term is 0.0."""
     zero = np.zeros(total.data.size)
     terms = [t.data.reshape(-1) if t is not None else zero for t in (total, local, global_)]
-    return [LossReport(total=float(t), local=float(l), global_=float(g), weight=float(weight))
+    return [LossReport(total=float(t), local=float(l), global_=float(g))
             for t, l, g in zip(*terms)]
 
 
@@ -166,4 +166,4 @@ def loss_all(local: Tensor, global_: Tensor, weight: float) -> tuple[Tensor, lis
     if weight < 0:
         raise ValueError(f"global weight must be non-negative, got {weight}")
     total = ag.add(local, ag.scale(global_, weight))
-    return total, loss_reports(total, local, global_, weight)
+    return total, loss_reports(total, local, global_)

@@ -368,7 +368,7 @@ def sample_loss(model, sample: Sample, cfg: TrainConfig) -> tuple[Tensor, list[L
         return total, loss_reports(total)
     if cfg.objective == "global-only":
         total = loss_global(model.predict_centers(encoded), sample.centers)
-        return total, loss_reports(total, global_=total, weight=1.0)
+        return total, loss_reports(total, global_=total)
 
     plans = sample.plans
     gt_patches = (sample.patches if plans is None
@@ -657,8 +657,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
             ordered = [reports[i] for i in sorted(reports)]
             mean = LossReport(total=float(np.mean([r.total for r in ordered])),
                               local=float(np.mean([r.local for r in ordered])),
-                              global_=float(np.mean([r.global_ for r in ordered])),
-                              weight=cfg.global_weight)
+                              global_=float(np.mean([r.global_ for r in ordered])))
             if metrics is not None:
                 metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
                               f"{mean.global_!r},{lr!r}\n")

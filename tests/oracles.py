@@ -137,7 +137,10 @@ def svm_train_oracle(x: np.ndarray, y: np.ndarray, lam: float,
 def probe_accuracy_oracle(xtr: np.ndarray, ytr: list, xte: np.ndarray, yte: list,
                           c: float, iters: int = 500) -> float:
     """One-vs-rest accuracy from one ``svm_train_oracle`` solve per class,
-    on features scaled by the mean train row norm."""
+    on features centered on the train mean row, then scaled by the mean
+    centered train row norm."""
+    mean = np.mean(xtr, axis=0)
+    xtr, xte = xtr - mean, xte - mean
     scale = float(np.mean(np.linalg.norm(xtr, axis=1))) or 1.0
     xtr, xte = xtr / scale, xte / scale
     classes = sorted(set(ytr))

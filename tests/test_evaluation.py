@@ -1,4 +1,5 @@
 import copy
+import csv
 import json
 import zlib
 from dataclasses import replace
@@ -93,15 +94,29 @@ class TestProbe:
         assert linear_probe(train, test) == 1.0
         assert probe_with_sweep(train, test)[0] == 1.0
 
+    def test_common_offset_does_not_hide_separable_classes(self):
+        # 4 classes 0.01 apart, each with spread 0.001, all shifted by 100:
+        # scaled without centering, every row is nearly one vector
+        rng = np.random.default_rng(1)
+        labels = [f"c{i % 4}" for i in range(80)]
+        x = (100.0 + 0.01 * np.eye(4, 8)[[i % 4 for i in range(80)]]
+             + 0.001 * rng.normal(size=(80, 8)))
+        train, test = table(x[:60], labels[:60]), table(x[60:], labels[60:], prefix="q")
+        assert linear_probe(train, test) == 1.0
+        assert probe_with_sweep(train, test)[0] == 1.0
+        assert fewshot_eval(table(x, labels), EpisodeSpec(shots=5, queries=10,
+                                                          repetitions=3))[0] == 1.0
+
     def test_rotation_equivariant(self):
         train, test = random_tables(4, 3, rows=24, dim=8)
         q, _ = np.linalg.qr(np.random.default_rng(9).normal(size=(8, 8)))
-        scale = np.mean(np.linalg.norm(train.features, axis=1))
+        centered = train.features - train.features.mean(axis=0)
+        scale = np.mean(np.linalg.norm(centered, axis=1))
         names = sorted(set(train.labels))
         y = np.where(np.asarray(train.labels)[:, None] == np.asarray(names), 1.0, -1.0)
         lam = np.full(3, 1.0 / len(train.ids))
-        w, b = ev._svm_train(train.features / scale, y, lam, 500)
-        wq, bq = ev._svm_train(train.features @ q / scale, y, lam, 500)
+        w, b = ev._svm_train(centered / scale, y, lam, 500)
+        wq, bq = ev._svm_train(centered @ q / scale, y, lam, 500)
         np.testing.assert_allclose(wq, w @ q, rtol=0, atol=1e-9)
         np.testing.assert_allclose(bq, b, rtol=0, atol=1e-9)
         rotated = (table(train.features @ q, train.labels),
@@ -143,6 +158,25 @@ class TestProbe:
         test = table(np.ones((1, 2)), ["a"], prefix="q")
         for seed in range(3):
             assert probe_with_sweep(train, test, seed=seed)[1] == 1.0
+
+
+class TestFeatureCsv:
+    def test_plain_fields_are_written_as_they_are(self, tmp_path):
+        feats = table(np.array([[0.5, -1e-300], [2.0, 3.25]]), ["a", "b"])
+        feats.to_csv(tmp_path / "f.csv")
+        assert (tmp_path / "f.csv").read_text() == (
+            "id,label,f_0,f_1\nr0,a,0.5,-1e-300\nr1,b,2.0,3.25\n")
+
+    def test_ids_and_labels_with_commas_and_quotes_round_trip(self, tmp_path):
+        x = np.random.default_rng(3).normal(size=(2, 3))
+        feats = FeatureTable(ids=['a,b.xyz', 'say "hi".xyz'], labels=['x,"y"', "plain"],
+                             features=x)
+        feats.to_csv(tmp_path / "f.csv")
+        with open(tmp_path / "f.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["id", "label", "f_0", "f_1", "f_2"]
+        assert [r[:2] for r in rows[1:]] == [['a,b.xyz', 'x,"y"'], ['say "hi".xyz', "plain"]]
+        assert np.array([[float(v) for v in r[2:]] for r in rows[1:]]).tobytes() == x.tobytes()
 
 
 class TestProbeErrors:

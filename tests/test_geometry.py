@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloud.geometry import (AffineTransform, Neighborhood, _sqdist_to, affine_apply,
+from recloud.geometry import (AffineTransform, _sqdist_to, affine_apply,
                               as_cloud, denormalize_patches, farthest_point_sample,
                               knn, normalize_patches, patchify)
 
@@ -12,6 +12,18 @@ from oracles import fps_oracle, knn_oracle, sqdist
 
 def random_cloud(rng, w):
     return rng.standard_normal((w, 3))
+
+
+def assert_knn_rows(pts, queries, rows):
+    """Each ``knn`` row holds distinct indices in non-decreasing distance,
+    the lowest index first among equal distances, and is the oracle's; the
+    distances are computed here, not taken from ``knn``."""
+    assert rows.dtype == np.int64 and len(rows) == len(queries)
+    for row, q in zip(rows.tolist(), queries):
+        assert len(set(row)) == len(row)
+        keys = [(sqdist(pts[i], q), i) for i in row]
+        assert all(a < b for a, b in zip(keys, keys[1:]))  # by distance, then index
+        assert row == knn_oracle(pts, q, len(row))
 
 
 class TestCloudValidation:
@@ -140,21 +152,19 @@ class TestFarthestPointSample:
 class TestKnn:
     def test_query_on_cloud_point(self):
         pts = random_cloud(np.random.default_rng(9), 12)
-        hood = knn(pts, pts[5], 1)
-        assert hood.indices.tolist() == [5]
-        assert hood.sq_distances[0] == 0.0
+        idx = knn(pts, pts[5], 1)
+        assert idx.dtype == np.int64 and idx.tolist() == [5]
+        assert sqdist(pts[idx[0]], pts[5]) == 0.0
 
     def test_collinear(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
-        hood = knn(pts, [0.0, 0, 0], 2)
-        assert hood.indices.tolist() == [0, 1]
+        assert knn(pts, [0.0, 0, 0], 2).tolist() == [0, 1]
 
     def test_k_equals_w(self):
         rng = np.random.default_rng(10)
         pts = random_cloud(rng, 8)
         q = rng.standard_normal(3)
-        hood = knn(pts, q, 8)
-        assert hood.indices.tolist() == knn_oracle(pts, q, 8)
+        assert knn(pts, q, 8).tolist() == knn_oracle(pts, q, 8)
 
     def test_errors(self):
         pts = random_cloud(np.random.default_rng(11), 4)
@@ -169,33 +179,15 @@ class TestKnn:
             pts = np.round(rng.standard_normal((w, 3)) * 2) / 2
             q = np.round(rng.standard_normal(3) * 2) / 2
             k = int(rng.integers(1, w + 1))
-            hood = knn(pts, q, k)
-            assert hood.indices.tolist() == knn_oracle(pts, q, k)
-            assert np.all(np.diff(hood.sq_distances) >= 0)
-
-    def test_neighborhood_invariants_enforced(self):
-        with pytest.raises(ValueError, match="distinct"):
-            Neighborhood(np.array([1, 1]), np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="non-decreasing"):
-            Neighborhood(np.array([1, 2]), np.array([1.0, 0.0]))
-
-    def test_neighborhood_invariants_enforced_per_row(self):
-        good_d = np.array([[0.0, 1.0, 2.0], [0.0, 0.0, 1.0]])
-        Neighborhood(np.array([[0, 1, 2], [2, 1, 0]]), good_d)
-        with pytest.raises(ValueError, match="distinct"):
-            Neighborhood(np.array([[0, 1, 2], [3, 1, 3]]), good_d)
-        with pytest.raises(ValueError, match="non-decreasing"):
-            Neighborhood(np.array([[0, 1, 2], [2, 1, 0]]),
-                         np.array([[0.0, 1.0, 2.0], [0.0, 1.0, 0.5]]))
+            assert_knn_rows(pts, [q], knn(pts, q, k)[None])
 
 
 class TestBatchedKnn:
     @staticmethod
     def check_rows(pts, queries, k):
-        hood = knn(pts, queries, k)
-        assert hood.indices.shape == hood.sq_distances.shape == (len(queries), k)
-        for row, q in zip(hood.indices, queries):
-            assert row.tolist() == knn_oracle(pts, q, k)
+        rows = knn(pts, queries, k)
+        assert rows.shape == (len(queries), k)
+        assert_knn_rows(pts, queries, rows)
 
     def test_rows_match_oracle(self):
         rng = np.random.default_rng(30)
@@ -235,20 +227,19 @@ class TestBatchedKnn:
             queries = np.concatenate([pts[rng.integers(len(pts), size=5)],
                                       np.round(random_cloud(rng, 3) * 2) / 2])
             k = int(rng.integers(2, 40))
-            hood = knn(pts, queries, k)
-            for row, dist, q in zip(hood.indices, hood.sq_distances, queries):
-                want = knn_oracle(pts, q, k)
-                assert row.tolist() == want
-                assert dist.tolist() == [sqdist(pts[i], q) for i in want]
-                kth = sqdist(pts[want[-1]], q)
+            rows = knn(pts, queries, k)
+            assert_knn_rows(pts, queries, rows)
+            for row, q in zip(rows, queries):
+                kth = sqdist(pts[row[-1]], q)
                 surplus_rows += sum(sqdist(p, q) <= kth for p in pts) > k
         assert surplus_rows > 20
 
     def test_single_query_shapes(self):
         pts = random_cloud(np.random.default_rng(32), 10)
-        assert knn(pts, pts[3], 4).indices.shape == (4,)
-        assert knn(pts, pts[3:4], 4).indices.shape == (1, 4)
-        assert knn(pts, pts[3], 4).indices.tolist() == knn(pts, pts[3:4], 4).indices[0].tolist()
+        assert knn(pts, pts[3], 4).shape == (4,)
+        assert knn(pts, pts[3:4], 4).shape == (1, 4)
+        assert knn(pts, pts[3], 4).tolist() == knn(pts, pts[3:4], 4)[0].tolist()
+        assert knn(pts[None], pts[None, 3:5], 4).shape == (1, 2, 4)
 
     def test_bad_query_shape_rejected(self):
         pts = random_cloud(np.random.default_rng(33), 10)
@@ -369,9 +360,19 @@ class TestBatchedGrouping:
         assert centers.tobytes() == ps.centers.tobytes()
         cols = np.ascontiguousarray(np.swapaxes(clouds, -1, -2))
         assert sq.tobytes() == _sqdist_to(cols, centers).tobytes()
-        fresh = knn(clouds, centers, self.K)
-        assert fresh.indices.tobytes() == ps.indices.tobytes()
-        assert fresh.sq_distances.tobytes() == knn(clouds, centers, self.K, sq=sq).sq_distances.tobytes()
+        assert knn(clouds, centers, self.K).tobytes() == ps.indices.tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_knn_of_a_batch_matches_the_oracle_per_cloud(self, kind):
+        rng = np.random.default_rng(45 + KINDS.index(kind))
+        clouds = cloud_batch(rng, kind, 3, self.W)
+        queries = np.concatenate([clouds[:, rng.integers(self.W, size=4)],
+                                  np.round(rng.standard_normal((3, 2, 3)) * 2) / 2], axis=1)
+        for k in (1, self.K, self.W):
+            rows = knn(clouds, queries, k)
+            assert rows.shape == (3, 6, k)
+            for pts, q, r in zip(clouds, queries, rows):
+                assert_knn_rows(pts, q, r)
 
     def test_batch_errors(self):
         clouds = cloud_batch(np.random.default_rng(50), "random", 3, 10)

@@ -249,7 +249,7 @@ class TestLossAll:
         for _ in range(100):
             l, g, w = rng.random(), rng.random(), rng.random() * 3
             total, (report,) = loss_all(Tensor(np.asarray(l)), Tensor(np.asarray(g)), w)
-            assert report.total == report.local + report.weight * report.global_
+            assert report.total == report.local + w * report.global_
             assert float(total.data) == report.total
 
     def test_negative_weight_rejected(self):

@@ -271,6 +271,21 @@ class TestCorruptCommand:
         assert "seed must be in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad,lineno", [("format", 2), ("element vertex", 3),
+                                            ("property float", 4), ("element vertex two", 3)],
+                             ids=["format", "element", "property", "count"])
+    def test_incomplete_ply_header_exits_bad_config(self, tmp_path, capsys, bad, lineno):
+        header = ["ply", "format ascii 1.0", "element vertex 2",
+                  "property float x", "property float y", "property float z"]
+        header[lineno - 1] = bad
+        path = tmp_path / "in.ply"
+        path.write_text("\n".join(header + ["end_header", "0 0 0", "1 2 3"]) + "\n")
+        rc = cli.main(["corrupt", "--input", str(path), "--out", str(tmp_path / "out"),
+                       "--mask", "random"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert f"error: invalid-config: {path}:{lineno}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPretrainLoop:
     def test_frozen_run_constant_loss(self, dataset, tmp_path):
@@ -923,7 +938,7 @@ class TestInitStream:
         for name, p in model.named_parameters():
             h.update(name.encode() + b"\0" + str(p.data.dtype).encode() + b"\0"
                      + p.data.tobytes())
-        assert model.num_parameters() == count
+        assert sum(p.data.size for p in model.parameters()) == count
         assert h.hexdigest() == digest
 
     def test_an_allocated_model_has_zeros_where_a_fresh_one_draws(self):
