@@ -9,7 +9,7 @@ from .corruption import (MaskPlan, mask_fixed_clusters, mask_patches, mask_rando
 from .geometry import (AffineTransform, PatchSet, affine_apply,
                        denormalize_patches, farthest_point_sample, knn,
                        normalize_patches, patchify)
-from .losses import LossReport, chamfer, loss_all, loss_global, loss_local
+from .losses import LossReport, chamfer, loss_global, loss_local
 from .trainer import (AdamW, Checkpoint, TrainConfig, cosine_lr, load_checkpoint,
                       pretrain, save_checkpoint)
 
@@ -20,7 +20,7 @@ __all__ = [
     "AffineTransform", "PatchSet", "affine_apply",
     "denormalize_patches", "farthest_point_sample", "knn",
     "normalize_patches", "patchify",
-    "LossReport", "chamfer", "loss_all", "loss_global", "loss_local",
+    "LossReport", "chamfer", "loss_global", "loss_local",
     "AdamW", "Checkpoint", "TrainConfig", "cosine_lr", "load_checkpoint",
     "pretrain", "save_checkpoint",
 ]

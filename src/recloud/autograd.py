@@ -41,7 +41,12 @@ _INV_SQRT2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
 class Tensor:
-    """A shape-tagged dense array with an optional gradient."""
+    """A shape-tagged dense array with an optional gradient.
+
+    ``_needs`` marks a tensor a gradient can reach. For a leaf it equals
+    ``requires_grad``, so ``layers.Module.freeze`` clears both to make a
+    ``layers.Parameter`` (the trainable subclass) a constant.
+    """
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward_fn", "_needs")
 

@@ -4,8 +4,9 @@ Subcommands: synth, corrupt, pretrain, probe, fewshot, reconstruct. Every
 run echoes its fully resolved configuration (as reusable ``key = value``
 lines) before executing, writes only under ``--out``, and derives all
 randomness from ``--seed`` by ``data.stream``; probe features are keyed by
-each sample's id instead. Exit codes: 0 success, 2 usage, 3 missing file,
-4 invalid configuration, 5 degenerate masking.
+each sample's id instead. Exit codes: 0 success, 1 a diverging pretrain
+run (its last finite checkpoint is written) or an internal error, 2 usage,
+3 missing file, 4 invalid configuration, 5 degenerate masking.
 """
 from __future__ import annotations
 

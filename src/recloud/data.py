@@ -8,6 +8,7 @@ at 32-bit float precision.
 """
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,8 @@ _PLY_SCALAR_SIZES = {
     "float": 4, "float32": 4, "double": 8, "float64": 8,
 }
 _PLY_FLOAT_TYPES = {"float": "<f4", "float32": "<f4", "double": "<f8", "float64": "<f8"}
+# the header's last line, newline included; "end_header" inside a comment is not it
+_PLY_HEADER_END = re.compile(rb"^end_header[ \t]*\r?\n", re.MULTILINE)
 
 
 def _fmt(v: float) -> str:
@@ -103,13 +106,11 @@ def _read_xyz_lines(path: Path) -> np.ndarray:
 
 def _read_ply(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    try:
-        header_end = raw.index(b"end_header")
-    except ValueError:
-        raise ValueError(f"{path}: missing end_header") from None
-    newline = raw.index(b"\n", header_end)
-    header_lines = raw[:header_end].decode("ascii", errors="replace").splitlines()
-    body = raw[newline + 1:]
+    end = _PLY_HEADER_END.search(raw)
+    if end is None:
+        raise ValueError(f"{path}: missing end_header line")
+    header_lines = raw[:end.start()].decode("ascii", errors="replace").splitlines()
+    body = raw[end.end():]
 
     if not header_lines or header_lines[0].strip() != "ply":
         raise ValueError(f"{path}:1: not a ply file")

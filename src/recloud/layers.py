@@ -9,41 +9,32 @@ from . import autograd as ag
 from .autograd import Tensor
 
 
-class Parameter:
-    """A trainable tensor.
+class Parameter(Tensor):
+    """A trainable tensor, named by its path in the model.
 
-    The parameter owns the dtype of its values: layers draw their values in
-    float64, ``build_model`` casts each parameter once to the run's
+    Layers hand the parameter itself to the autograd primitives, so it is a
+    leaf of every graph it enters and its ``grad`` accumulates there;
+    :meth:`Module.freeze` makes it a constant in place.
+
+    The parameter owns the dtype of its values: layers draw their values
+    in float64, ``build_model`` casts each parameter once to the run's
     precision (a model built without drawing holds :func:`unfilled` views
     in it), and every array written in from outside (a checkpoint's
     values, or the optimizer moments restored beside them) goes through
     :meth:`conform`. The optimizer moments live on ``trainer.AdamW``.
     """
 
-    def __init__(self, data: np.ndarray, name: str = ""):
-        self.tensor = Tensor(np.asarray(data), requires_grad=True)
-        self.name = name
+    __slots__ = ("name",)
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.tensor.data
-
-    @data.setter
-    def data(self, value: np.ndarray) -> None:
-        self.tensor.data = self.conform(value)
+    def __init__(self, data: np.ndarray):
+        super().__init__(data, requires_grad=True)
+        self.name = ""  # its path in the model, set by ``Module.named_parameters``
 
     def conform(self, value: np.ndarray) -> np.ndarray:
         """A private copy of ``value`` in this parameter's shape and dtype."""
-        if value.shape != self.tensor.data.shape:
-            raise ValueError(f"parameter {self.name!r}: shape {value.shape} != {self.tensor.data.shape}")
-        return value.astype(self.tensor.data.dtype)
-
-    @property
-    def grad(self) -> np.ndarray | None:
-        return self.tensor.grad
-
-    def zero_grad(self) -> None:
-        self.tensor.grad = None
+        if value.shape != self.data.shape:
+            raise ValueError(f"parameter {self.name!r}: shape {value.shape} != {self.data.shape}")
+        return value.astype(self.data.dtype)
 
 
 class Module:
@@ -77,22 +68,21 @@ class Module:
 
     def zero_grad(self) -> None:
         for p in self.parameters():
-            p.zero_grad()
+            p.grad = None
 
     def cast(self, dtype, values: bool = True) -> None:
         """Give every parameter ``dtype``; a model is cast once, when built.
         Without ``values`` each parameter becomes an :func:`unfilled` view in
         ``dtype``, for ``trainer.restore`` to give it its one array."""
         for p in self.parameters():
-            data = (p.data.astype(dtype, copy=False) if values
-                    else unfilled(p.data.shape, dtype))
-            p.tensor = Tensor(data, requires_grad=True)
+            p.data = (p.data.astype(dtype, copy=False) if values
+                      else unfilled(p.data.shape, dtype))
 
     def freeze(self) -> None:
         """Make every parameter a constant, for inference: a forward pass
         then records no graph (see ``autograd.Tensor``)."""
         for p in self.parameters():
-            p.tensor = Tensor(p.data)
+            p.requires_grad = p._needs = False
 
 
 def unfilled(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -118,7 +108,7 @@ class Linear(Module):
         self.bias = Parameter(np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.linear(x, self.weight.tensor, self.bias.tensor)
+        return ag.linear(x, self.weight, self.bias)
 
 
 class LayerNorm(Module):
@@ -127,7 +117,7 @@ class LayerNorm(Module):
         self.shift = Parameter(np.zeros(dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ag.layer_norm(x, self.gain.tensor, self.shift.tensor)
+        return ag.layer_norm(x, self.gain, self.shift)
 
 
 class FeedForward(Module):

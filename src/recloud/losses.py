@@ -138,32 +138,10 @@ def loss_global(pred_centers: Tensor, gt_centers) -> Tensor:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Per-step loss summary: total = local + weight * global when the
-    decomposed objective is active, the weight being the config's
-    ``global_weight`` (1.0 for the global-only objective)."""
+    """One epoch's mean loss over the train split, per term: total = local +
+    weight * global under the decomposed objective, the weight being the
+    config's ``global_weight``. A term the objective lacks reads 0.0."""
 
     total: float
     local: float
     global_: float
-
-
-def loss_reports(total: Tensor, local: Tensor | None = None,
-                 global_: Tensor | None = None) -> list[LossReport]:
-    """One float report per sample (entry) of ``total``; an absent term is 0.0."""
-    zero = np.zeros(total.data.size)
-    terms = [t.data.reshape(-1) if t is not None else zero for t in (total, local, global_)]
-    return [LossReport(total=float(t), local=float(l), global_=float(g))
-            for t, l, g in zip(*terms)]
-
-
-def loss_all(local: Tensor, global_: Tensor, weight: float) -> tuple[Tensor, list[LossReport]]:
-    """Combine the local and global terms: total = local + weight * global.
-
-    Returns the differentiable per-sample totals plus one float report per
-    sample whose fields satisfy the decomposition identity in the same
-    evaluation order.
-    """
-    if weight < 0:
-        raise ValueError(f"global weight must be non-negative, got {weight}")
-    total = ag.add(local, ag.scale(global_, weight))
-    return total, loss_reports(total, local, global_)

@@ -145,8 +145,8 @@ class PatchDecoder(Module):
         if m == 0:
             return vis
         # broadcast the stored token over the masked rows; add's backward sums them back
-        token = self.mask_token.tensor
-        dup = ag.add(Tensor(np.zeros((b, m, 1), token.dtype)), token)  # (B, m, d)
+        dup = ag.add(Tensor(np.zeros((b, m, 1), self.mask_token.dtype)),
+                     self.mask_token)  # (B, m, d)
         return ag.add(vis, ag.scatter_rows(dup, masked, n))
 
     def __call__(self, encoded: Tensor, pe_all: Tensor,

@@ -34,7 +34,7 @@ from .corruption import (ALL_FAMILIES, MaskPlan, enabled_families, mask_fixed_cl
 from .data import DatasetManifest, check_seed, load_split, stream
 from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
-from .losses import LossReport, chamfer, loss_all, loss_global, loss_local, loss_reports
+from .losses import LossReport, chamfer, loss_global, loss_local
 from .models import HEAD_KINDS, CloudAutoencoder, PatchAutoencoder
 
 POINT_MASKS = ("random", "fixed", "view", "none")
@@ -353,32 +353,34 @@ def prepare_sample(clouds: np.ndarray, cfg: TrainConfig,
     return Sample(visible, target, transforms, plans, targets.centers, targets.patches)
 
 
-def sample_loss(model, sample: Sample, cfg: TrainConfig) -> tuple[Tensor, list[LossReport]]:
+def sample_loss(model, sample: Sample,
+                cfg: TrainConfig) -> tuple[Tensor, Tensor | None, Tensor | None]:
     """Forward pass and loss of a prepared micro-batch.
 
-    Returns the ``(B,)`` per-sample totals and one report per sample.
+    Returns ``(total, local, global_)``, each a ``(B,)`` per-sample Tensor,
+    with None for a term the objective lacks: the decomposed total is
+    local + ``global_weight`` * global, and a single-term objective's total
+    is its one term (the whole-cloud losses have neither term).
     """
     if cfg.encoder == "pointnet":
-        total = chamfer(model.reconstruct(sample.visible), sample.target)
-        return total, loss_reports(total)
+        return chamfer(model.reconstruct(sample.visible), sample.target), None, None
 
     encoded = model.encode_visible(sample.visible)
     if cfg.objective == "whole":
-        total = chamfer(model.predict_whole(encoded), sample.target)
-        return total, loss_reports(total)
+        return chamfer(model.predict_whole(encoded), sample.target), None, None
     if cfg.objective == "global-only":
-        total = loss_global(model.predict_centers(encoded), sample.centers)
-        return total, loss_reports(total, global_=total)
+        global_ = loss_global(model.predict_centers(encoded), sample.centers)
+        return global_, None, global_
 
     plans = sample.plans
     gt_patches = (sample.patches if plans is None
                   else _rows(sample.patches, np.stack([p.masked for p in plans])))
     local = loss_local(model.predict_patches(encoded, sample.centers, plans), gt_patches)
     if cfg.objective == "local-only":
-        return local, loss_reports(local, local=local)
+        return local, local, None
 
     global_ = loss_global(model.predict_centers(encoded), sample.centers)
-    return loss_all(local, global_, cfg.global_weight)
+    return ag.add(local, ag.scale(global_, cfg.global_weight)), local, global_
 
 
 def build_model(cfg: TrainConfig, draw: bool = True):
@@ -447,7 +449,7 @@ def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
         missing = sorted(names ^ set(ckpt.params))
         raise ValueError(f"checkpoint does not match the model: mismatched names {missing[:5]}")
     for i, (name, p) in enumerate(named):
-        p.data = ckpt.params[name]
+        p.data = p.conform(ckpt.params[name])
         if opt is not None:
             opt.moment1[i] = p.conform(ckpt.moments1[name])
             opt.moment2[i] = p.conform(ckpt.moments2[name])
@@ -559,6 +561,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         params[name] = _read_array(r)
         m1[name] = _read_array(r)
         m2[name] = _read_array(r)
+    if r.pos != len(r.blob):
+        raise ValueError(f"{path}: {len(r.blob) - r.pos} bytes after the last array")
     return Checkpoint(config_text=config_text, fingerprint=fingerprint, epoch=epoch,
                       step=step, rng_state=rng_state, params=params, moments1=m1,
                       moments2=m2)
@@ -583,12 +587,15 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
              epoch_callback=None) -> Checkpoint:
     """Run the pretraining loop over the manifest's train split.
 
-    Returns the final checkpoint; writes one LossReport row per epoch to
-    ``metrics_path`` when given, appending on a resume. ``resume`` continues
-    a saved run exactly (derived RNG streams are stateless in the epoch index);
-    its model is built without drawing, and a non-finite parameter or moment
-    in it raises ``ValueError`` before the first step. A non-finite loss,
-    parameter or moment during the run raises ``DivergenceError``.
+    Returns the final checkpoint. Each epoch's mean loss over the train
+    split, a ``LossReport`` averaged in sample-id order from the terms
+    ``sample_loss`` returns, is written as one row to ``metrics_path`` when
+    given (appending on a resume) and handed to ``epoch_callback(epoch,
+    report, lr)``. ``resume`` continues a saved run exactly (derived RNG
+    streams are stateless in the epoch index); its model is built without
+    drawing, and a non-finite parameter or moment in it raises
+    ``ValueError`` before the first step. A non-finite loss, parameter or
+    moment during the run raises ``DivergenceError``.
     """
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
@@ -619,7 +626,8 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
         for epoch in range(start_epoch, cfg.epochs):
             lr = scheduled_lr(cfg, epoch)
             order = stream(cfg.seed, "shuffle", epoch).permutation(len(clouds))
-            reports: dict[int, LossReport] = {}
+            # each sample's (total, local, global) in its column; an absent term is 0
+            terms = np.zeros((3, len(clouds)))
             for lo in range(0, len(order), cfg.batch_size):
                 batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
                 model.zero_grad()
@@ -631,16 +639,18 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                         sample = prepare_sample(
                             np.stack([clouds[idx] for idx in micro]), cfg,
                             [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
-                        totals, micro_reports = sample_loss(model, sample, cfg)
-                        for idx, report in zip(micro, micro_reports):
-                            if not np.isfinite(report.total):
-                                raise DivergenceError(
-                                    f"non-finite loss at epoch {epoch + 1}, sample {idx}; "
-                                    f"aborting with the checkpoint from epoch "
-                                    f"{last_finite.epoch}", last_finite)
-                            reports[idx] = report
-                        backward(ag.scale(ag.sum_in_order(totals), 1.0 / len(batch)))
-                        del totals  # free this graph before the next one is built
+                        losses = sample_loss(model, sample, cfg)
+                        for row, term in zip(terms, losses):
+                            if term is not None:
+                                row[micro] = term.data
+                        diverged = ~np.isfinite(terms[0, micro])
+                        if diverged.any():
+                            raise DivergenceError(
+                                f"non-finite loss at epoch {epoch + 1}, sample "
+                                f"{micro[int(diverged.argmax())]}; aborting with the checkpoint "
+                                f"from epoch {last_finite.epoch}", last_finite)
+                        backward(ag.scale(ag.sum_in_order(losses[0]), 1.0 / len(batch)))
+                        del losses  # free this graph before the next one is built
                     opt.step(lr)
 
             # a step can overflow a weight or a moment while every loss of
@@ -652,12 +662,9 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
                     f"non-finite values in {bad} after epoch {epoch + 1}; aborting "
                     f"with the checkpoint from epoch {last_finite.epoch}", last_finite)
             last_finite = state
-            # average in canonical sample order so the epoch metric does not
-            # depend on the shuffle (float summation is order-sensitive)
-            ordered = [reports[i] for i in sorted(reports)]
-            mean = LossReport(total=float(np.mean([r.total for r in ordered])),
-                              local=float(np.mean([r.local for r in ordered])),
-                              global_=float(np.mean([r.global_ for r in ordered])))
+            # average in sample-id order so the epoch metric does not depend
+            # on the shuffle (float summation is order-sensitive)
+            mean = LossReport(*(float(row.mean()) for row in terms))
             if metrics is not None:
                 metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
                               f"{mean.global_!r},{lr!r}\n")

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from recloud import autograd as ag
 from recloud import losses
 from recloud.autograd import Tensor, backward, finite_difference_check
-from recloud.losses import LossReport, chamfer, loss_all, loss_global, loss_local
+from recloud.losses import chamfer, loss_global, loss_local
+from recloud.trainer import TrainConfig, build_model, prepare_sample, sample_loss
 
 from oracles import chamfer_oracle
 
@@ -231,30 +232,43 @@ class TestLossGlobal:
             float(loss_global(pred, gt[perm]).data), rel=1e-12)
 
 
-class TestLossAll:
-    def test_weight_zero_reduces_to_local(self):
-        local = Tensor(np.asarray(0.7))
-        global_ = Tensor(np.asarray(123.0))
-        total, (report,) = loss_all(local, global_, 0.0)
-        assert float(total.data) == 0.7
-        assert report.total == report.local == 0.7
+def _terms(objective="decomposed", encoder="transformer", **overrides):
+    """``sample_loss``'s terms on a two-cloud micro-batch of a tiny model."""
+    cfg = TrainConfig(encoder=encoder, objective=objective, num_points=48, num_patches=6,
+                      patch_size=8, feature_dim=8, encoder_depth=2, decoder_depth=1,
+                      num_heads=2, ffn_mult=2, pe_hidden=8, token_hidden=8, fc_hidden=16,
+                      fold_hidden=8, pointnet_hidden="8", seed=3, **overrides)
+    clouds = np.random.default_rng(4).standard_normal((2, 48, 3))
+    rngs = [np.random.default_rng(s) for s in (5, 6)]
+    return sample_loss(build_model(cfg), prepare_sample(clouds, cfg, rngs), cfg)
 
-    def test_simple_sum(self):
-        total, (report,) = loss_all(Tensor(np.asarray(0.2)), Tensor(np.asarray(0.3)), 1.0)
-        assert float(total.data) == pytest.approx(0.5, abs=1e-15)
-        assert report.total == pytest.approx(0.5, abs=1e-15)
 
-    def test_report_identity_bit_exact(self):
-        rng = np.random.default_rng(14)
-        for _ in range(100):
-            l, g, w = rng.random(), rng.random(), rng.random() * 3
-            total, (report,) = loss_all(Tensor(np.asarray(l)), Tensor(np.asarray(g)), w)
-            assert report.total == report.local + w * report.global_
-            assert float(total.data) == report.total
+class TestSampleLossTerms:
+    """``sample_loss`` returns (total, local, global_), None for an absent term."""
+
+    def test_whole_cloud_objectives_have_no_terms(self):
+        for total, local, global_ in (_terms(encoder="pointnet"), _terms("whole")):
+            assert total.shape == (2,) and local is None and global_ is None
+
+    def test_global_only_total_is_its_global_term(self):
+        total, local, global_ = _terms("global-only")
+        assert total.shape == (2,) and local is None and global_ is total
+
+    def test_local_only_total_is_its_local_term(self):
+        total, local, global_ = _terms("local-only")
+        assert total.shape == (2,) and local is total and global_ is None
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("weight", [0.0, 0.3, 2.5])
+    def test_decomposed_total_is_local_plus_weighted_global(self, precision, weight):
+        total, local, global_ = _terms(global_weight=weight, precision=precision)
+        assert total.shape == local.shape == global_.shape == (2,)
+        assert total.dtype == local.dtype == global_.dtype
+        assert total.data.tobytes() == (local.data + weight * global_.data).tobytes()
 
     def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            loss_all(Tensor(np.asarray(0.0)), Tensor(np.asarray(0.0)), -0.1)
+        with pytest.raises(ValueError, match="global_weight must be at least 0"):
+            TrainConfig(global_weight=-0.1)
 
 
 class TestLossWhole:

@@ -141,7 +141,7 @@ class TestAdamW:
 
     def test_unit_grad_first_step_magnitude(self):
         p = self._param(0.0)
-        p.tensor.grad = np.ones(4)
+        p.grad = np.ones(4)
         AdamW([p], weight_decay=0.0).step(0.01)
         # bias-corrected first step moves by ~lr
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
@@ -149,7 +149,7 @@ class TestAdamW:
     def test_moments_update(self):
         p = self._param(0.0)
         opt = AdamW([p], weight_decay=0.0)
-        p.tensor.grad = np.full(4, 2.0)
+        p.grad = np.full(4, 2.0)
         opt.step(0.01)
         np.testing.assert_allclose(opt.moment1[0], 0.2)
         np.testing.assert_allclose(opt.moment2[0], 0.004)
@@ -157,7 +157,7 @@ class TestAdamW:
 
     def test_float64_lr_keeps_float32(self):
         p = Parameter(np.full(4, 1.0, dtype=np.float32))
-        p.tensor.grad = np.full(4, 0.5, dtype=np.float32)
+        p.grad = np.full(4, 0.5, dtype=np.float32)
         opt = AdamW([p], weight_decay=0.05)
         opt.step(np.float64(0.01))
         for arr in (p.data, opt.moment1[0], opt.moment2[0]):
@@ -174,13 +174,13 @@ class TestSampleStep:
         from recloud.data import load_split
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         x = clouds[0]
-        total, (report,) = sample_loss(
+        total, got_local, got_global = sample_loss(
             model, prepare_sample(x[None], cfg, [stream(cfg.seed, "sample", 0, 0)]), cfg)
 
         # manual replay with the same derived rng
         from recloud.corruption import mask_patches
         from recloud.geometry import normalize_patches, patchify
-        from recloud.losses import loss_all, loss_global, loss_local
+        from recloud.losses import loss_global, loss_local
         rng = stream(cfg.seed, "sample", 0, 0)
         transform = sample_affine(cfg, rng)
         clean = patchify(x, cfg.num_patches, cfg.patch_size, rng)
@@ -198,16 +198,17 @@ class TestSampleStep:
         local = loss_local(model.predict_patches(encoded, clean.centers[None], [plan]),
                            clean_n.patches[plan.masked][None])
         global_ = loss_global(model.predict_centers(encoded), clean.centers[None])
-        expected, _ = loss_all(local, global_, cfg.global_weight)
-        assert total.data.tobytes() == expected.data.tobytes()
-        assert report.total == float(expected.data[0])
+        assert got_local.data.tobytes() == local.data.tobytes()
+        assert got_global.data.tobytes() == global_.data.tobytes()
+        expected = local.data + cfg.global_weight * global_.data
+        assert total.data.tobytes() == expected.tobytes()
 
     def test_lambda_zero_keeps_center_head_grads_zero(self):
         cfg = tiny_cfg(global_weight=0.0)
         model = build_model(cfg)
         x = np.random.default_rng(0).standard_normal((64, 3))
-        total, _ = sample_loss(model, prepare_sample(x[None], cfg, [stream(1, "sample", 0, 0)]),
-                               cfg)
+        total, *_ = sample_loss(model, prepare_sample(x[None], cfg, [stream(1, "sample", 0, 0)]),
+                                cfg)
         backward(total)
         for name, p in model.named_parameters():
             if name.startswith("center_head"):
@@ -284,6 +285,32 @@ class TestCorruptCommand:
                        "--mask", "random"])
         assert rc == cli.EXIT_BAD_CONFIG
         assert f"error: invalid-config: {path}:{lineno}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_end_header_in_a_comment_does_not_end_the_header(self, tmp_path, eol):
+        header = ["ply", "format ascii 1.0", "element vertex 3", "property float x",
+                  "property float y", "property float z", "end_header"]
+        body = ["0 0 0", "1 2 3", "-1 0.5 2"]
+        outputs = []
+        for name, extra in (("plain", []), ("comment", ["comment exported up to end_header"])):
+            path = tmp_path / f"{name}.ply"
+            path.write_bytes(eol.join(header[:1] + extra + header[1:] + body).encode() + b"\n")
+            rc = cli.main(["corrupt", "--input", str(path), "--out", str(tmp_path / name),
+                           "--mask", "none", "--seed", "3"])
+            assert rc == 0
+            outputs.append((tmp_path / name / "corrupted.xyz").read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_header_without_an_end_header_line_exits_bad_config(self, tmp_path, capsys):
+        path = tmp_path / "in.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
+                        "property float y\nproperty float z\nend_header")
+        rc = cli.main(["corrupt", "--input", str(path), "--out", str(tmp_path / "out"),
+                       "--mask", "random"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert (f"error: invalid-config: {path}: missing end_header line"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
 
@@ -462,6 +489,24 @@ class TestNonFiniteCli:
                        "--config", str(tmp_path / "c.cfg"), "--epochs", "1",
                        "--num-points", "64"])
         assert rc == cli.EXIT_BAD_CONFIG
+
+
+class TestDivergenceCli:
+    """A run whose loss leaves the finite range exits 1 with its last finite
+    checkpoint written."""
+
+    def test_pretrain_exits_error_and_keeps_the_last_finite_checkpoint(
+            self, dataset, tmp_path, capsys):
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--epochs", "3", "--num-points", "64",
+                       "--encoder", "pointnet", "--lr", "1e30"])
+        assert rc == cli.EXIT_ERROR == 1
+        assert re.search(r"^error: divergence: non-finite loss at epoch 1, sample \d+; ",
+                         capsys.readouterr().err, re.MULTILINE)
+        ckpt = load_checkpoint(tmp_path / "run" / "checkpoint.ckpt")
+        assert ckpt.epoch == 0
+        for arrays in (ckpt.params, ckpt.moments1, ckpt.moments2):
+            assert all(np.isfinite(a).all() for a in arrays.values())
 
 
 class TestResumeCheck:
@@ -760,7 +805,7 @@ class TestPrecisionContract:
         model = build_model(cfg)
         clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         sample = prepare_sample(clouds[0][None], cfg, [stream(cfg.seed, "sample", 0, 0)])
-        total, _ = sample_loss(model, sample, cfg)
+        total, *_ = sample_loss(model, sample, cfg)
         backward(total)
         seen, stack, dtypes = set(), [total], set()
         while stack:
@@ -792,7 +837,7 @@ class TestPrecisionContract:
             for precision, (cfg, model) in runs.items():
                 sample = prepare_sample(x[None], cfg, [stream(cfg.seed, "sample", 0, i)])
                 model.zero_grad()
-                total, _ = sample_loss(model, sample, cfg)
+                total, *_ = sample_loss(model, sample, cfg)
                 backward(total)
                 grads = [p.grad.astype(np.float64).ravel() for p in model.parameters()
                          if p.grad is not None]
@@ -899,6 +944,20 @@ class TestCheckpointFile:
         path.write_bytes(path.read_bytes()[:100])
         with pytest.raises(ValueError, match="truncated"):
             load_checkpoint(path)
+
+    def test_trailing_bytes(self, tmp_path, capsys):
+        cfg = tiny_cfg()
+        model = build_model(cfg)
+        ck = snapshot(model, AdamW(model.parameters()), cfg, epoch=0)
+        path = tmp_path / "t.ckpt"
+        save_checkpoint(ck, path)
+        path.write_bytes(path.read_bytes() + b"7 bytes")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: 7 bytes after the last array")):
+            load_checkpoint(path)
+        rc = cli.main(["probe", "--checkpoint", str(path), "--manifest", "unread.tsv",
+                       "--out", str(tmp_path / "probe")])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "error: invalid-config: " in capsys.readouterr().err
 
     def test_restore_into_mismatched_model(self, tmp_path):
         cfg = tiny_cfg()
