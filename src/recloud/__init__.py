@@ -6,9 +6,8 @@ __version__ = "0.1.0"
 from .autograd import Tensor, backward, finite_difference_check
 from .corruption import (MaskPlan, mask_fixed_clusters, mask_patches, mask_random_clusters,
                          mask_view_occlusion, sample_affine)
-from .geometry import (AffineTransform, PatchSet, affine_apply,
-                       denormalize_patches, farthest_point_sample, knn,
-                       normalize_patches, patchify)
+from .geometry import (PatchSet, affine_apply, denormalize_patches, farthest_point_sample,
+                       knn, normalize_patches, patchify)
 from .losses import LossReport, chamfer, loss_global, loss_local
 from .trainer import (AdamW, Checkpoint, TrainConfig, cosine_lr, load_checkpoint,
                       pretrain, save_checkpoint)
@@ -17,8 +16,7 @@ __all__ = [
     "Tensor", "backward", "finite_difference_check",
     "MaskPlan", "mask_fixed_clusters", "mask_patches",
     "mask_random_clusters", "mask_view_occlusion", "sample_affine",
-    "AffineTransform", "PatchSet", "affine_apply",
-    "denormalize_patches", "farthest_point_sample", "knn",
+    "PatchSet", "affine_apply", "denormalize_patches", "farthest_point_sample", "knn",
     "normalize_patches", "patchify",
     "LossReport", "chamfer", "loss_global", "loss_local",
     "AdamW", "Checkpoint", "TrainConfig", "cosine_lr", "load_checkpoint",

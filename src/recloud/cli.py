@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .corruption import ALL_FAMILIES, DegenerateMaskError
+from .corruption import ALL_FAMILIES, COMPOSITION_ORDER, DegenerateMaskError, enabled_families
 from .data import (SynthSpec, check_seed, read_cloud, resample, stream, synth_generate,
                    write_cloud)
 from .evaluation import (EpisodeSpec, check_regularizations, extract_features, fewshot_eval,
@@ -112,7 +112,7 @@ def _cmd_corrupt(args) -> int:
     cfg = TrainConfig(**kwargs)
 
     pts = read_cloud(args.input)
-    if args.num_points:
+    if args.num_points is not None:
         pts = resample(pts, args.num_points, stream(args.seed, "corrupt"))
     _echo_config({"input": args.input, "out": args.out, "mask": args.mask,
                   "alpha": args.alpha, "seed": args.seed,
@@ -123,12 +123,13 @@ def _cmd_corrupt(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     # a batch of one
     sample = prepare_sample(pts[None], cfg, [stream(args.seed, "sample", 0, 0)])
-    transform, plan = sample.transforms[0], sample.plans and sample.plans[0]
+    plan = sample.plans and sample.plans[0]
     visible = (denormalize_patches(sample.visible).patches[0].reshape(-1, 3)
                if args.mask == "patch" else sample.visible[0])
 
-    meta: dict = {"transform": transform.matrix.tolist(),
-                  "provenance": list(transform.provenance)}
+    enabled = enabled_families(cfg.affine_families)
+    meta: dict = {"transform": sample.transforms[0].tolist(),
+                  "provenance": [f for f in COMPOSITION_ORDER if f in enabled]}
     if plan is not None:
         meta["masked"] = plan.masked.tolist()
         meta["cluster_sizes"] = list(plan.cluster_sizes)

@@ -2,7 +2,8 @@
 
 Affine transforms are sampled per sub-family (rotate, translate, reflect,
 shear, scale) and composed in a fixed order so that a seed plus the
-``affine_*`` fields of a ``TrainConfig`` fully determine the matrix.
+``affine_*`` fields of a ``TrainConfig`` fully determine the ``(3, 4)``
+``[A | t]`` array of the map.
 Masking removes either points (cluster and view-occlusion strategies, for
 encoders that consume whole clouds) or patches (index masking, for
 patch-token encoders).
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import AffineTransform, as_cloud, knn
+from .geometry import as_cloud, knn
 
 if TYPE_CHECKING:
     from .trainer import TrainConfig
@@ -74,8 +75,9 @@ def _family_matrix(family: str, cfg: TrainConfig, rng: np.random.Generator) -> n
     return h
 
 
-def sample_affine(cfg: TrainConfig, rng: np.random.Generator) -> AffineTransform:
-    """Sample one affine transform from the config's ``affine_families``.
+def sample_affine(cfg: TrainConfig, rng: np.random.Generator) -> np.ndarray:
+    """Sample one affine map from the config's ``affine_families``: the
+    ``(3, 4)`` float64 array ``[A | t]``.
 
     Component matrices are sampled and composed in the fixed order
     scale -> shear -> reflect -> rotate -> translate (application order).
@@ -83,12 +85,10 @@ def sample_affine(cfg: TrainConfig, rng: np.random.Generator) -> AffineTransform
     """
     enabled = enabled_families(cfg.affine_families)
     h = np.eye(4)
-    provenance = []
     for family in COMPOSITION_ORDER:
         if family in enabled:
             h = _family_matrix(family, cfg, rng) @ h
-            provenance.append(family)
-    return AffineTransform(h[:3, :], provenance=tuple(provenance))
+    return h[:3]
 
 
 @dataclass(frozen=True)

@@ -128,10 +128,13 @@ def _read_ply(path: Path) -> np.ndarray:
             fmt = parts[1]
         elif parts[0] == "element":
             try:
-                elements.append((parts[1], int(parts[2]), []))
+                count = int(parts[2])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: element count {parts[2]!r} is not an "
                                  "integer") from None
+            if count < 0:
+                raise ValueError(f"{path}:{lineno}: element count {count} is negative")
+            elements.append((parts[1], count, []))
         elif parts[0] == "property":
             if not elements:
                 raise ValueError(f"{path}:{lineno}: property before any element")
@@ -314,8 +317,9 @@ class SynthSpec:
             raise ValueError(f"unknown shape families: {sorted(unknown)}")
         if self.samples_per_family < 1 or self.points_per_cloud < 1:
             raise ValueError("counts must be positive")
-        if self.jitter_sigma < 0:
-            raise ValueError("jitter sigma must be non-negative")
+        if not (np.isfinite(self.jitter_sigma) and self.jitter_sigma >= 0):
+            raise ValueError(f"jitter sigma must be finite and non-negative, "
+                             f"got {self.jitter_sigma}")
         check_seed(self.seed)
 
 

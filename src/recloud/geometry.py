@@ -13,7 +13,9 @@ row and one ``argmax`` for all its clouds, and ``patchify`` hands the rows FPS
 computed for its picks to ``knn`` as the centers' distances, so grouping a
 cloud computes each distance once. ``knn`` returns only neighbor indices, as
 grouping needs nothing else; the tests check its rows against a brute-force
-oracle.
+oracle. An affine map is a plain ``(3, 4)`` array ``[A | t]`` (the implied
+homogeneous row ``[0, 0, 0, 1]`` is not stored), and ``affine_apply`` moves a
+batch of clouds by a ``(B, 3, 4)`` stack of them.
 """
 from __future__ import annotations
 
@@ -39,50 +41,33 @@ def as_cloud(points, batch: bool = False) -> np.ndarray:
     return pts
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """A 3x4 affine map: linear 3x3 block plus translation column.
+def affine_apply(points: np.ndarray, matrices: np.ndarray) -> np.ndarray:
+    """Move each cloud of a ``(B, ..., 3)`` batch by its own ``[A | t]`` map,
+    the ``(B, 3, 4)`` stack ``matrices`` holding one per cloud: x' = A x + t.
 
-    The implied homogeneous bottom row [0, 0, 0, 1] is never stored.
-    ``provenance`` records which sub-families contributed to the matrix.
+    The batch is one stacked product: its ``(B, r, 3)`` points times the
+    transposed ``(B, 3, 3)`` linear blocks, plus the ``(B, 1, 3)``
+    translations. Numpy runs it as one gemm per cloud, so each cloud gets the
+    bits of its own ``pts @ A.T + t``. Rejects non-finite results (overflow
+    from pathological maps), naming the first bad cloud and point.
     """
-
-    matrix: np.ndarray
-    provenance: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
-        if m.shape != (3, 4):
-            raise ValueError(f"affine matrix must be 3x4, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("affine matrix contains non-finite entries")
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def linear(self) -> np.ndarray:
-        """The 3x3 linear block."""
-        return self.matrix[:, :3]
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.matrix[:, 3]
-
-
-def affine_apply(points: np.ndarray, transform: AffineTransform) -> np.ndarray:
-    """Apply an affine transform point-wise: x' = A x + t.
-
-    Rejects non-finite results (overflow from pathological matrices).
-    """
-    pts = as_cloud(points)
+    pts = np.asarray(points, dtype=np.float64)
+    maps = np.asarray(matrices, dtype=np.float64)
+    if maps.ndim != 3 or maps.shape[1:] != (3, 4):
+        raise ValueError(f"affine maps must have shape (B, 3, 4), got {maps.shape}")
+    if pts.ndim < 2 or pts.shape[-1] != 3 or len(pts) != len(maps):
+        raise ValueError(f"points must have shape ({len(maps)}, ..., 3) for "
+                         f"{len(maps)} maps, got {pts.shape}")
+    flat = as_cloud(pts.reshape(len(maps), -1, 3), batch=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = pts @ transform.linear.T + transform.translation
+        out = flat @ np.swapaxes(maps[:, :, :3], 1, 2) + maps[:, None, :, 3]
     if not np.all(np.isfinite(out)):
-        bad = int(np.flatnonzero(~np.isfinite(out).all(axis=1))[0])
+        cloud, point = np.argwhere(~np.isfinite(out).all(axis=2))[0]
         raise ValueError(
-            f"affine application produced non-finite coordinates (first bad point "
-            f"index {bad}; matrix max |entry| {np.abs(transform.matrix).max():g})"
+            f"affine application produced non-finite coordinates (first bad point: cloud "
+            f"{cloud}, point {point}; map max |entry| {np.abs(maps[cloud]).max():g})"
         )
-    return out
+    return out.reshape(pts.shape)
 
 
 def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:

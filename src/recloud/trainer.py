@@ -32,7 +32,7 @@ from .corruption import (ALL_FAMILIES, MaskPlan, enabled_families, mask_fixed_cl
                          mask_patches, mask_random_clusters, mask_view_occlusion,
                          parse_range, sample_affine)
 from .data import DatasetManifest, check_seed, load_split, stream
-from .geometry import AffineTransform, PatchSet, affine_apply, normalize_patches, patchify
+from .geometry import PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
 from .losses import LossReport, chamfer, loss_global, loss_local
 from .models import HEAD_KINDS, CloudAutoencoder, PatchAutoencoder
@@ -288,12 +288,13 @@ class Sample:
     or the patch model's normalized, transformed, visible ``PatchSet``;
     ``target`` is the ``(B, w, 3)`` whole clouds to rebuild. ``centers``
     (``(B, n, 3)``) and the normalized ``patches`` (``(B, n, k, 3)``) are the
-    patch model's targets, None for the whole-cloud model. ``plans`` is one
-    mask plan per cloud, or None without a mask."""
+    patch model's targets, None for the whole-cloud model. ``transforms`` is
+    the ``(B, 3, 4)`` stack of the clouds' affine maps ``[A | t]``, one per
+    cloud. ``plans`` is one mask plan per cloud, or None without a mask."""
 
     visible: np.ndarray | PatchSet
     target: np.ndarray
-    transforms: list[AffineTransform]
+    transforms: np.ndarray
     plans: list[MaskPlan] | None
     centers: np.ndarray | None
     patches: np.ndarray | None
@@ -308,12 +309,6 @@ def _mask_points(points: np.ndarray, cfg: TrainConfig,
     return mask_view_occlusion(points, cfg.mask_ratio, rng)  # TrainConfig admits no other
 
 
-def _moved(arrays, transforms: list[AffineTransform]) -> np.ndarray:
-    """Each cloud's ``(..., 3)`` points under its own transform, stacked."""
-    return np.stack([affine_apply(a.reshape(-1, 3), t).reshape(a.shape)
-                     for a, t in zip(arrays, transforms, strict=True)])
-
-
 def _rows(a: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Rows ``idx[b]`` of each ``a[b]``: a ``(B, m)`` pick along axis 1."""
     return a[np.arange(len(a))[:, None], idx]
@@ -326,9 +321,9 @@ def prepare_sample(clouds: np.ndarray, cfg: TrainConfig,
     Each generator draws its cloud's affine map, then its FPS start (patch
     model; the batch is grouped in one ``patchify`` call), then its mask:
     what it would draw for that cloud alone, in the same order."""
-    transforms = [sample_affine(cfg, rng) for rng in rngs]
+    transforms = np.stack([sample_affine(cfg, rng) for rng in rngs])
     if cfg.encoder == "pointnet":
-        corrupted = _moved(clouds, transforms)
+        corrupted = affine_apply(clouds, transforms)
         target = corrupted if cfg.affine_role == "augmentation" else clouds
         if cfg.mask_strategy == "none":
             return Sample(corrupted, target, transforms, None, None, None)
@@ -338,11 +333,11 @@ def prepare_sample(clouds: np.ndarray, cfg: TrainConfig,
     clean = patchify(clouds, cfg.num_patches, cfg.patch_size, rngs)
     plans = ([mask_patches(cfg.num_patches, cfg.mask_ratio, rng) for rng in rngs]
              if cfg.mask_strategy == "patch" else None)
-    corrupted = replace(clean, centers=_moved(clean.centers, transforms),
-                        patches=_moved(clean.patches, transforms))
+    corrupted = replace(clean, centers=affine_apply(clean.centers, transforms),
+                        patches=affine_apply(clean.patches, transforms))
     visible = normalize_patches(corrupted)
     if cfg.affine_role == "augmentation":
-        targets, target = visible, _moved(clouds, transforms)
+        targets, target = visible, affine_apply(clouds, transforms)
     else:
         targets, target = normalize_patches(clean), clouds
     if plans is not None:

@@ -1,0 +1,134 @@
+"""Print the sha256 of every output a set of small runs writes, so that two
+checkouts can be compared byte for byte.
+
+    PYTHONPATH=src python tests/output_hashes.py > h.json
+
+Run it in each checkout and compare the two files (``cmp a.json b.json``).
+The one JSON object maps a name to a hash. For every config of ``CONFIGS``
+(every objective of the patch model and every mask of the PointNet model)
+in ``single`` and ``double`` precision it holds the final and epoch-1
+checkpoints and ``metrics.csv`` of a two-epoch run, the checkpoint and
+``metrics.csv`` of the same run resumed from epoch 1, the train and test
+feature arrays and CSVs, and the files ``reconstruct_export`` writes. It
+also holds the ``corrupted.xyz`` and ``plan.json`` that ``recloud corrupt``
+writes for every mask under three affine options. The file name keeps
+pytest from collecting it; ``test_output_hashes.py`` runs it on one config.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+from recloud import cli
+from recloud import trainer as tr
+from recloud.data import SynthSpec, read_cloud, synth_generate, write_cloud
+from recloud.evaluation import extract_features, reconstruct_export
+
+TINY = dict(epochs=2, num_points=64, num_patches=8, patch_size=8, feature_dim=16,
+            encoder_depth=2, decoder_depth=1, num_heads=2, ffn_mult=2, pe_hidden=16,
+            token_hidden=16, fc_hidden=32, fold_hidden=16, pointnet_hidden="16",
+            batch_size=4, seed=7)
+CONFIGS = {
+    "decomposed": dict(encoder="transformer"),
+    "whole-unmasked": dict(encoder="transformer", objective="whole", mask_strategy="none"),
+    "global-only": dict(encoder="transformer", objective="global-only", global_weight=0.3),
+    "local-only": dict(encoder="transformer", objective="local-only"),
+    "augmentation": dict(encoder="transformer", affine_role="augmentation", global_weight=2.5),
+    "pointnet-random": dict(encoder="pointnet", mask_strategy="random"),
+    "pointnet-fixed-fold": dict(encoder="pointnet", mask_strategy="fixed", cluster_size=3,
+                                decoder="fold"),
+    "pointnet-view": dict(encoder="pointnet", mask_strategy="view"),
+    "pointnet-none": dict(encoder="pointnet", mask_strategy="none"),
+}
+PRECISIONS = ("single", "double")
+CORRUPT_MASKS = ("none", "random", "fixed", "view", "patch")
+CORRUPT_OPTIONS = {"full": [], "none": ["--affine", "none"],
+                   "rotate-resampled": ["--affine", "rotate", "--num-points", "100"]}
+
+
+def _sha(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _pretrain(manifest, cfg, out: Path, resume=None) -> tr.Checkpoint:
+    """``pretrain`` into ``out``, saving its epoch-1 state as ``epoch1.ckpt``."""
+    out.mkdir(parents=True)
+    snapshot = tr.snapshot
+
+    def keep_epoch1(model, opt, c, epoch):
+        state = snapshot(model, opt, c, epoch)
+        if epoch == 1:
+            tr.save_checkpoint(state, out / "epoch1.ckpt")
+        return state
+
+    tr.snapshot = keep_epoch1
+    try:
+        ckpt = tr.pretrain(manifest, cfg, metrics_path=out / "metrics.csv", resume=resume)
+    finally:
+        tr.snapshot = snapshot
+    tr.save_checkpoint(ckpt, out / "checkpoint.ckpt")
+    return ckpt
+
+
+def run_hashes(work: Path, configs=CONFIGS, precisions=PRECISIONS,
+               corrupt_masks=CORRUPT_MASKS) -> dict[str, str]:
+    """Run every config under ``work`` and hash what it writes."""
+    manifest = synth_generate(SynthSpec(samples_per_family=4, points_per_cloud=64, seed=5),
+                              work / "data")
+    cloud = read_cloud(manifest.resolve(manifest.split("test")[0]))
+    hashes: dict[str, str] = {}
+    for name, overrides in configs.items():
+        for precision in precisions:
+            key = f"{name}/{precision}"
+            cfg = tr.TrainConfig(**{**TINY, **overrides, "precision": precision})
+            run = work / key
+            ckpt = _pretrain(manifest, cfg, run / "straight")
+            _pretrain(manifest, cfg, run / "resumed",
+                      resume=tr.load_checkpoint(run / "straight" / "epoch1.ckpt"))
+            for path in sorted((run / "straight").iterdir()):
+                hashes[f"{key}/{path.name}"] = _sha(path)
+            for path in sorted((run / "resumed").iterdir()):
+                if path.name != "epoch1.ckpt":  # it is the straight run's, read back
+                    hashes[f"{key}/resumed/{path.name}"] = _sha(path)
+            for split in ("train", "test"):
+                table = extract_features(ckpt, manifest, split)
+                table.to_csv(run / f"features-{split}.csv")
+                hashes[f"{key}/features-{split}"] = hashlib.sha256(
+                    table.features.tobytes()).hexdigest()
+                hashes[f"{key}/features-{split}.csv"] = _sha(run / f"features-{split}.csv")
+            for stage, path in sorted(reconstruct_export(ckpt, cloud, run / "recon",
+                                                         seed=3).items()):
+                hashes[f"{key}/recon/{stage}"] = _sha(path)
+
+    write_cloud(work / "in.xyz", np.random.default_rng(8).standard_normal((120, 3)))
+    for mask in corrupt_masks:
+        for option, extra in CORRUPT_OPTIONS.items():
+            out = work / "corrupt" / f"{mask}-{option}"
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = cli.main(["corrupt", "--input", str(work / "in.xyz"), "--out", str(out),
+                               "--mask", mask, "--alpha", "0.4", "--cluster-size", "7",
+                               "--patches", "8", "--patch-size", "8", "--seed", "13", *extra])
+            if rc != 0:
+                raise RuntimeError(f"recloud corrupt --mask {mask} ({option}) exited {rc}")
+            for path in sorted(out.iterdir()):
+                hashes[f"corrupt/{mask}-{option}/{path.name}"] = _sha(path)
+    return hashes
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as work:
+        hashes = run_hashes(Path(work))
+    json.dump(hashes, sys.stdout, indent=1, sort_keys=True)
+    print()
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

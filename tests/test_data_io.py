@@ -252,6 +252,20 @@ class TestSynthGenerate:
         for fa in sorted(a.iterdir()):
             assert fa.read_bytes() == (b / fa.name).read_bytes()
 
+    @pytest.mark.parametrize("jitter", [float("nan"), float("inf"), -0.01])
+    def test_jitter_must_be_finite_and_non_negative(self, jitter):
+        with pytest.raises(ValueError, match="jitter sigma must be finite and non-negative"):
+            SynthSpec(jitter_sigma=jitter)
+
+    @pytest.mark.parametrize("jitter", ["nan", "inf"])
+    def test_cli_non_finite_jitter_exits_bad_config(self, tmp_path, capsys, jitter):
+        from recloud import cli
+        rc = cli.main(["synth", "--out", str(tmp_path / "data"), "--jitter", jitter])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert ("error: invalid-config: jitter sigma must be finite and non-negative, "
+                f"got {jitter}" in capsys.readouterr().err)
+        assert not (tmp_path / "data").exists()
+
     def test_torus_geometry(self):
         from recloud.data import _sample_torus
         pts = _sample_torus(300, np.random.default_rng(1))

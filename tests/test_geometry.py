@@ -3,8 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloud.geometry import (AffineTransform, _sqdist_to, affine_apply,
-                              as_cloud, denormalize_patches, farthest_point_sample,
+from recloud.geometry import (_sqdist_to, affine_apply, as_cloud, denormalize_patches, farthest_point_sample,
                               knn, normalize_patches, patchify)
 
 from oracles import fps_oracle, knn_oracle, sqdist
@@ -43,48 +42,80 @@ class TestCloudValidation:
 
 
 class TestAffineApply:
+    """``affine_apply`` moves each cloud of a batch by its own ``(3, 4)`` map;
+    a single cloud is a batch of one."""
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         pts = random_cloud(rng, 32)
-        out = affine_apply(pts, AffineTransform(np.eye(3, 4)))
-        np.testing.assert_array_equal(out, pts)
+        out = affine_apply(pts[None], np.eye(3, 4)[None])
+        np.testing.assert_array_equal(out[0], pts)
 
     def test_rotation_90_about_z(self):
         m = np.zeros((3, 4))
         m[0, 1] = -1.0
         m[1, 0] = 1.0
         m[2, 2] = 1.0
-        out = affine_apply(np.array([[1.0, 0.0, 0.0]]), AffineTransform(m))
-        np.testing.assert_allclose(out, [[0.0, 1.0, 0.0]], atol=1e-15)
+        out = affine_apply(np.array([[[1.0, 0.0, 0.0]]]), m[None])
+        np.testing.assert_allclose(out[0], [[0.0, 1.0, 0.0]], atol=1e-15)
 
     def test_pure_translation(self):
         m = np.hstack([np.eye(3), np.array([[1.0], [2.0], [3.0]])])
-        out = affine_apply(np.array([[0.0, 0.0, 0.0]]), AffineTransform(m))
-        np.testing.assert_array_equal(out, [[1.0, 2.0, 3.0]])
+        out = affine_apply(np.array([[[0.0, 0.0, 0.0]]]), m[None])
+        np.testing.assert_array_equal(out[0], [[1.0, 2.0, 3.0]])
 
     def test_count_preserved(self):
         rng = np.random.default_rng(1)
         pts = random_cloud(rng, 77)
-        out = affine_apply(pts, AffineTransform(rng.standard_normal((3, 4))))
-        assert out.shape == (77, 3)
+        out = affine_apply(pts[None], rng.standard_normal((1, 3, 4)))
+        assert out.shape == (1, 77, 3)
 
     def test_overflow_rejected(self):
         m = np.hstack([np.eye(3) * 1e308, np.zeros((3, 1))])
-        with pytest.raises(ValueError, match="non-finite"):
-            affine_apply(np.full((2, 3), 1e10), AffineTransform(m))
+        pts = np.zeros((3, 2, 3))
+        pts[2, 1] = 1e10
+        with pytest.raises(ValueError, match=r"non-finite coordinates \(first bad point: "
+                                             r"cloud 2, point 1;"):
+            affine_apply(pts, np.stack([np.eye(3, 4), np.eye(3, 4), m]))
 
     def test_composition_matches_matrix_product(self):
         # applying t1 then t2 equals the single composed transform
         rng = np.random.default_rng(2)
         for _ in range(200):
-            t1 = AffineTransform(rng.uniform(-2, 2, size=(3, 4)))
-            t2 = AffineTransform(rng.uniform(-2, 2, size=(3, 4)))
-            pts = random_cloud(rng, 16)
+            t1 = rng.uniform(-2, 2, size=(1, 3, 4))
+            t2 = rng.uniform(-2, 2, size=(1, 3, 4))
+            pts = random_cloud(rng, 16)[None]
             two_step = affine_apply(affine_apply(pts, t1), t2)
             h1, h2 = np.eye(4), np.eye(4)
-            h1[:3], h2[:3] = t1.matrix, t2.matrix
-            one_step = affine_apply(pts, AffineTransform((h2 @ h1)[:3]))
+            h1[:3], h2[:3] = t1[0], t2[0]
+            one_step = affine_apply(pts, (h2 @ h1)[None, :3])
             np.testing.assert_allclose(one_step, two_step, rtol=1e-9, atol=1e-12)
+
+    def test_batch_equals_each_clouds_own_product_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        pts = rng.standard_normal((3, 5, 4, 3)) * 7.0
+        maps = rng.standard_normal((3, 3, 4))
+        out = affine_apply(pts, maps)
+        assert out.shape == pts.shape and out.dtype == np.float64
+        for b in range(3):
+            want = pts[b] @ maps[b, :, :3].T + maps[b, :, 3]
+            assert out[b].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("points,maps", [
+        (np.zeros((2, 6, 2)), np.zeros((2, 3, 4))),  # (B, w, 2): not reshaped to (B, -1, 3)
+        (np.zeros((2, 5, 3)), np.zeros((1, 3, 4))),  # B - 1 maps
+        (np.zeros((5, 3)), np.zeros((1, 3, 4))),  # a cloud without its batch axis
+        (np.zeros((1, 5, 3)), np.zeros((1, 4, 4))),  # not a (3, 4) map
+    ], ids=["two-coordinates", "one-map-short", "unbatched", "square-map"])
+    def test_shape_mismatch_rejected(self, points, maps):
+        with pytest.raises(ValueError, match="must have shape"):
+            affine_apply(points, maps)
+
+    def test_non_finite_input_rejected(self):
+        pts = np.zeros((2, 4, 3))
+        pts[1, 2, 0] = np.nan
+        with pytest.raises(ValueError, match="point cloud contains non-finite"):
+            affine_apply(pts, np.stack([np.eye(3, 4)] * 2))
 
 
 class TestSqdistTo:

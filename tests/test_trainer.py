@@ -184,8 +184,9 @@ class TestSampleStep:
         rng = stream(cfg.seed, "sample", 0, 0)
         transform = sample_affine(cfg, rng)
         clean = patchify(x, cfg.num_patches, cfg.patch_size, rng)
-        corrupted = PatchSet(centers=affine_apply(clean.centers, transform),
-                             patches=affine_apply(clean.patches.reshape(-1, 3), transform)
+        linear, shift = transform[:, :3].T, transform[:, 3]
+        corrupted = PatchSet(centers=clean.centers @ linear + shift,
+                             patches=(clean.patches.reshape(-1, 3) @ linear + shift)
                              .reshape(clean.patches.shape),
                              indices=clean.indices, normalized=False)
         clean_n = normalize_patches(clean)
@@ -221,7 +222,7 @@ class TestSampleStep:
         x = np.random.default_rng(1).standard_normal((64, 3))
         sample = prepare_sample(x[None], cfg, [stream(2, "sample", 0, 0)])
         np.testing.assert_array_equal(sample.target[0],
-                                      affine_apply(x, sample.transforms[0]))
+                                      affine_apply(x[None], sample.transforms)[0])
         np.testing.assert_array_equal(sample.visible, sample.target)
 
     def test_corruption_mode_targets_clean_cloud(self):
@@ -256,7 +257,8 @@ class TestCorruptCommand:
         got = (tmp_path / "out" / "corrupted.xyz").read_bytes()
         assert got == (tmp_path / "want.xyz").read_bytes()
         plan = json.loads((tmp_path / "out" / "plan.json").read_text())
-        assert plan["transform"] == sample.transforms[0].matrix.tolist()
+        assert sample.transforms.shape == (1, 3, 4)
+        assert plan["transform"] == sample.transforms[0].tolist()
         if mask == "none":
             assert sample.plans is None and "masked" not in plan
         else:
@@ -301,6 +303,57 @@ class TestCorruptCommand:
             assert rc == 0
             outputs.append((tmp_path / name / "corrupted.xyz").read_bytes())
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("fmt", ["ascii", "binary_little_endian"])
+    def test_negative_element_count_exits_bad_config(self, tmp_path, capsys, fmt):
+        header = ["ply", f"format {fmt} 1.0", "element junk -4", "property float a",
+                  "element vertex 3", "property float x", "property float y",
+                  "property float z", "end_header"]
+        vertices = np.array([[0, 0, 0], [1, 2, 3], [-1, 0.5, 2]], dtype="<f4")
+        body = (b"7\n" + b"".join(b"%g %g %g\n" % tuple(v) for v in vertices)
+                if fmt == "ascii" else np.float32(7).tobytes() + vertices.tobytes())
+        path = tmp_path / "in.ply"
+        path.write_bytes("\n".join(header).encode() + b"\n" + body)
+        rc = cli.main(["corrupt", "--input", str(path), "--out", str(tmp_path / "out"),
+                       "--mask", "none", "--affine", "none"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert (f"error: invalid-config: {path}:3: element count -4 is negative"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_non_positive_num_points_exits_bad_config(self, tmp_path, capsys, count):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((50, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "none", "--num-points", count])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "target count must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("affine,families", [
+        ([], ["scale", "shear", "reflect", "rotate", "translate"]),
+        (["--affine", "none"], []),
+        (["--affine", "rotate"], ["rotate"])], ids=["default", "none", "rotate"])
+    def test_plan_provenance_lists_the_enabled_families_in_composition_order(
+            self, tmp_path, affine, families):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((50, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "none", "--seed", "3", *affine])
+        assert rc == 0
+        plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+        assert plan["provenance"] == families
+        if not families:
+            assert plan["transform"] == np.eye(3, 4).tolist()
+
+    def test_overflowing_affine_map_exits_bad_config(self, tmp_path, capsys):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((50, 3)))
+        spec = tmp_path / "affine.txt"
+        spec.write_text("affine_scale = 1.7e308:1.7e308\naffine_shear = 0.25:0.25\n")
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "none", "--affine-spec", str(spec)])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert ("error: invalid-config: affine application produced non-finite coordinates "
+                "(first bad point: cloud 0, point 0;" in capsys.readouterr().err)
 
     def test_header_without_an_end_header_line_exits_bad_config(self, tmp_path, capsys):
         path = tmp_path / "in.ply"
@@ -681,7 +734,7 @@ def join(samples):
         visible = cat(visible)
     plans = None if samples[0].plans is None else [p for s in samples for p in s.plans]
     return Sample(visible, cat([s.target for s in samples]),
-                  [t for s in samples for t in s.transforms], plans,
+                  np.concatenate([s.transforms for s in samples]), plans,
                   cat([s.centers for s in samples]), cat([s.patches for s in samples]))
 
 
