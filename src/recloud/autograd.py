@@ -11,7 +11,7 @@ one graph adds exactly one more gradient. A result no gradient can reach
 records no graph, so a frozen model's forward pass is inference only: its
 pools reduce without keeping the pick a backward pass would read.
 
-Where a shared tensor meets per-sample rows (:func:`linear`, the affine
+Where a shared tensor meets per-sample rows (:func:`linear`,
 :func:`layer_norm`), axis 0 is the batch, and the shared tensor's gradient
 is one product or sum over the rows of every sample at once. Its rounding
 therefore depends on how many samples a pass holds; a fixed micro-batch
@@ -177,7 +177,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``x @ w + b`` on the last axis of a ``(B, ..., d_in)`` batch.
 
     The forward is one stacked product ``x.reshape(B, -1, d_in) @ w``, which
@@ -189,14 +189,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     needs no gradient.
     """
     xs, ws = x.data.shape, w.data.shape
-    if (x.data.ndim < 2 or w.data.ndim != 2 or xs[-1] != ws[0]
-            or (b is not None and b.data.shape != ws[1:])):
-        shapes = _shapes(x, w) if b is None else _shapes(x, w, b)
-        raise ValueError(f"linear expects (B, ..., d_in), (d_in, d_out) and (d_out,), got {shapes}")
+    if x.data.ndim < 2 or w.data.ndim != 2 or xs[-1] != ws[0] or b.data.shape != ws[1:]:
+        raise ValueError(f"linear expects (B, ..., d_in), (d_in, d_out) and (d_out,), "
+                         f"got {_shapes(x, w, b)}")
     x3 = x.data.reshape(xs[0], -1, ws[0])
     out_data = x3 @ w.data
-    if b is not None:
-        out_data += b.data
+    out_data += b.data
 
     def bw(g: np.ndarray) -> None:
         g2 = g.reshape(-1, ws[1])
@@ -204,11 +202,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
             _accumulate(x, (g2 @ w.data.T).reshape(xs))
         if w._needs:
             _accumulate(w, x3.reshape(-1, ws[0]).T @ g2)
-        if b is not None and b._needs:
+        if b._needs:
             _accumulate(b, g2.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor(out_data.reshape(xs[:-1] + ws[1:]), parents=parents, backward_fn=bw)
+    return Tensor(out_data.reshape(xs[:-1] + ws[1:]), parents=(x, w, b), backward_fn=bw)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -238,9 +235,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
-def transpose(a: Tensor, axes: tuple[int, ...] | None = None) -> Tensor:
-    if axes is None:
-        axes = tuple(reversed(range(a.data.ndim)))
+def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inverse = tuple(np.argsort(axes))
     out_data = np.transpose(a.data, axes)
 
@@ -283,19 +278,13 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return Tensor(y, parents=(a,), backward_fn=bw)
 
 
-def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = None,
-               eps: float = 1e-5) -> Tensor:
-    """Normalize to zero mean / unit variance along the last axis, then
-    ``y * gain + shift`` when both ``(d,)`` tensors are given.
-
-    With the affine, ``a`` is ``(B, ..., d)``, and the gradients of ``gain``
-    and ``shift`` are sums over all its rows at once.
+def layer_norm(a: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize a ``(B, ..., d)`` batch to zero mean / unit variance along
+    the last axis, then ``y * gain + shift`` with ``(d,)`` tensors; the
+    gradients of ``gain`` and ``shift`` are sums over all its rows at once.
     """
     x = a.data
-    affine = gain is not None
-    if affine != (shift is not None):
-        raise ValueError("layer_norm takes both gain and shift, or neither")
-    if affine and (x.ndim < 2 or gain.data.shape != x.shape[-1:] or shift.data.shape != x.shape[-1:]):
+    if x.ndim < 2 or gain.data.shape != x.shape[-1:] or shift.data.shape != x.shape[-1:]:
         raise ValueError(f"layer_norm expects (B, ..., d) with (d,) gain and shift, "
                          f"got {_shapes(a, gain, shift)}")
     mean = x.mean(axis=-1, keepdims=True)
@@ -305,20 +294,17 @@ def layer_norm(a: Tensor, gain: Tensor | None = None, shift: Tensor | None = Non
     y = centered * inv
 
     def bw(g: np.ndarray) -> None:
-        if affine:
-            d = x.shape[-1]
-            if gain._needs:
-                _accumulate(gain, (g * y).reshape(-1, d).sum(axis=0))
-            if shift._needs:
-                _accumulate(shift, g.reshape(-1, d).sum(axis=0))
-            g = g * gain.data
+        d = x.shape[-1]
+        if gain._needs:
+            _accumulate(gain, (g * y).reshape(-1, d).sum(axis=0))
+        if shift._needs:
+            _accumulate(shift, g.reshape(-1, d).sum(axis=0))
+        g = g * gain.data
         if a._needs:
             g_mean = g.mean(axis=-1, keepdims=True)
             gy_mean = (g * y).mean(axis=-1, keepdims=True)
             _accumulate(a, inv * (g - g_mean - y * gy_mean))
 
-    if not affine:
-        return Tensor(y, parents=(a,), backward_fn=bw)
     return Tensor(y * gain.data + shift.data, parents=(a, gain, shift), backward_fn=bw)
 
 
@@ -396,21 +382,14 @@ def sum_in_order(a: Tensor, axis: int = 0) -> Tensor:
     return Tensor(out_data, parents=(a,), backward_fn=bw)
 
 
-def _row_key(idx: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The index of rows ``idx`` along axis 0 for 1-D ``idx``; for ``(B, r)``
-    ``idx``, of rows ``idx[i]`` along axis 1 of batch entry ``i``."""
-    if idx.ndim == 1:
-        return (idx,)
-    return (np.arange(idx.shape[0])[:, None], idx)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
-    """Select rows along axis 0 (1-D ``indices``), or per batch entry along
-    axis 1 (``(B, r)`` indices); repeated indices accumulate in backward."""
+    """Rows ``indices[i]`` along axis 1 of batch entry ``i``, for ``(B, r)``
+    indices into a ``(B, n, ...)`` tensor; repeated indices accumulate in
+    backward."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim not in (1, 2) or a.data.ndim < idx.ndim or a.data.shape[:idx.ndim - 1] != idx.shape[:-1]:
+    if idx.ndim != 2 or a.data.ndim < 2 or a.data.shape[0] != idx.shape[0]:
         raise ValueError(f"gather_rows: indices of shape {idx.shape} do not fit {a.data.shape}")
-    key = _row_key(idx)
+    key = (np.arange(idx.shape[0])[:, None], idx)
     out_data = a.data[key]
 
     def bw(g: np.ndarray) -> None:
@@ -422,21 +401,18 @@ def gather_rows(a: Tensor, indices) -> Tensor:
 
 
 def scatter_rows(a: Tensor, indices, num_rows: int) -> Tensor:
-    """Place row j of ``a`` at ``indices[j]`` in a zero tensor of ``num_rows``
-    rows; with ``(B, r)`` indices, row j of entry i at ``indices[i, j]`` of
-    entry i (axis 1).
-
-    Indices must be distinct (within each entry).
-    """
+    """Place row j of batch entry i of a ``(B, r, ...)`` tensor at
+    ``indices[i, j]`` along axis 1 of a zero tensor of ``num_rows`` rows, for
+    ``(B, r)`` indices, distinct within each entry."""
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim not in (1, 2) or a.data.shape[:idx.ndim] != idx.shape:
+    if idx.ndim != 2 or a.data.shape[:2] != idx.shape:
         raise ValueError(
             f"scatter_rows: need one index per row, got {idx.shape} for {a.data.shape}")
     if np.any(np.diff(np.sort(idx, axis=-1), axis=-1) == 0):
         raise ValueError("scatter_rows indices must be distinct")
-    key = _row_key(idx)
+    key = (np.arange(idx.shape[0])[:, None], idx)
     shape = a.data.shape
-    out_data = np.zeros(shape[:idx.ndim - 1] + (num_rows,) + shape[idx.ndim:], dtype=a.data.dtype)
+    out_data = np.zeros(shape[:1] + (num_rows,) + shape[2:], dtype=a.data.dtype)
     out_data[key] = a.data
 
     def bw(g: np.ndarray) -> None:

@@ -119,8 +119,6 @@ def _cmd_corrupt(args) -> int:
                   "affine_families": cfg.affine_families,
                   "input_points": len(pts)})
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     # a batch of one
     sample = prepare_sample(pts[None], cfg, [stream(args.seed, "sample", 0, 0)])
     plan = sample.plans and sample.plans[0]
@@ -134,6 +132,8 @@ def _cmd_corrupt(args) -> int:
         meta["masked"] = plan.masked.tolist()
         meta["cluster_sizes"] = list(plan.cluster_sizes)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     write_cloud(out / "corrupted.xyz", visible)
     (out / "plan.json").write_text(json.dumps(meta) + "\n")
     print(f"wrote {len(visible)} visible points to {out / 'corrupted.xyz'}")
@@ -143,9 +143,9 @@ def _cmd_corrupt(args) -> int:
 def _cmd_pretrain(args) -> int:
     cfg = _build_train_config(args)
     print(cfg.to_text(), end="")
+    resume = load_checkpoint(args.resume) if args.resume else None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    resume = load_checkpoint(args.resume) if args.resume else None
     try:
         ckpt = pretrain(args.manifest, cfg, metrics_path=out / "metrics.csv", resume=resume)
     except DivergenceError as exc:
@@ -165,10 +165,10 @@ def _cmd_probe(args) -> int:
                   "out": args.out, "random_init": args.random_init,
                   "regularization": args.regularization, "sweep": args.sweep,
                   "seed": args.seed})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     train = extract_features(ckpt, args.manifest, split="train", random_init=args.random_init)
     test = extract_features(ckpt, args.manifest, split="test", random_init=args.random_init)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     train.to_csv(out / "features_train.csv")
     test.to_csv(out / "features_test.csv")
     if args.sweep:
@@ -191,10 +191,10 @@ def _cmd_fewshot(args) -> int:
                   "out": args.out, "ways": spec.ways, "shots": spec.shots,
                   "queries": spec.queries, "repetitions": spec.repetitions,
                   "split": args.split, "seed": spec.seed})
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     features = extract_features(ckpt, args.manifest, split=args.split)
     mean, std, accs = fewshot_eval(features, spec)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "fewshot_report.json").write_text(fewshot_report(mean, std, accs))
     print(f"few-shot accuracy {mean:.4f} +/- {std:.4f} over {spec.repetitions} episodes")
     return EXIT_OK

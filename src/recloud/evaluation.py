@@ -268,20 +268,22 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
                        seed: int = 0) -> dict[str, Path]:
     """Corrupt one cloud, reconstruct it, and write the stages as xyz files.
 
-    Writes clean and corrupted inputs always; the reconstruction is one
-    cloud for the global encoder, or visible patches, predicted masked
-    patches, and predicted centers for the patch-token encoder.
+    Writes clean and corrupted inputs always, then what the trained heads
+    give: one ``reconstruction`` cloud for the global encoder and the
+    ``whole`` objective; ``recon_masked`` and ``recon_visible`` patches under
+    ``decomposed`` and ``local-only``; ``recon_centers`` under ``decomposed``
+    and ``global-only``.
     """
     cfg = checkpoint.config
     model = build_model(cfg, draw=False)
     restore(model, checkpoint)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     rng = stream(seed, "reconstruct")
     pts = normalize_unit_sphere(resample(np.asarray(points, dtype=np.float64),
                                          cfg.num_points, rng))
     sample = prepare_sample(pts[None], cfg, [rng])  # a batch of one
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
 
     files: dict[str, Path] = {}
 
@@ -298,14 +300,19 @@ def reconstruct_export(checkpoint: Checkpoint, points: np.ndarray, out_dir: str 
 
     emit("corrupted", denormalize_patches(sample.visible).patches[0].reshape(-1, 3))
     encoded = model.encode_visible(sample.visible)
-    pred = model.predict_patches(encoded, sample.centers, sample.plans).data[0]
-    plan, centers, patches = sample.plans and sample.plans[0], sample.centers[0], sample.patches[0]
-    rows = np.arange(cfg.num_patches) if plan is None else plan.masked
-    emit("recon_masked", (pred + centers[rows][:, None, :]).reshape(-1, 3))
-    if plan is not None:
-        emit("recon_visible",
-             (patches[plan.visible] + centers[plan.visible][:, None, :]).reshape(-1, 3))
-    emit("recon_centers", model.predict_centers(encoded).data[0])
+    if cfg.objective == "whole":
+        emit("reconstruction", model.predict_whole(encoded).data[0])
+    if cfg.objective in ("decomposed", "local-only"):
+        pred = model.predict_patches(encoded, sample.centers, sample.plans).data[0]
+        plan, centers, patches = (sample.plans and sample.plans[0], sample.centers[0],
+                                  sample.patches[0])
+        rows = np.arange(cfg.num_patches) if plan is None else plan.masked
+        emit("recon_masked", (pred + centers[rows][:, None, :]).reshape(-1, 3))
+        if plan is not None:
+            emit("recon_visible",
+                 (patches[plan.visible] + centers[plan.visible][:, None, :]).reshape(-1, 3))
+    if cfg.objective in ("decomposed", "global-only"):
+        emit("recon_centers", model.predict_centers(encoded).data[0])
     return files
 
 

@@ -57,11 +57,6 @@ class Module:
                 for i, item in enumerate(value):
                     if isinstance(item, Module):
                         yield from item.named_parameters(prefix=f"{path}.{i}.")
-                    elif isinstance(item, Parameter):
-                        sub = f"{path}.{i}"
-                        if not item.name:
-                            item.name = sub
-                        yield sub, item
 
     def parameters(self) -> list[Parameter]:
         return [p for _, p in self.named_parameters()]

@@ -260,10 +260,6 @@ class PatchAutoencoder(Module):
     """
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None):
-        if cfg.decoder_depth >= cfg.encoder_depth:
-            raise ValueError(
-                f"decoder depth {cfg.decoder_depth} must be smaller than "
-                f"encoder depth {cfg.encoder_depth}")
         if not 0.0 < cfg.mask_ratio < 1.0:
             raise ValueError(f"mask ratio must be in (0, 1), got {cfg.mask_ratio}")
         d, ffn = cfg.feature_dim, cfg.ffn_mult

@@ -147,6 +147,13 @@ class TrainConfig:
             raise ValueError(
                 f"mask strategy {self.mask_strategy!r} is invalid for the "
                 f"{self.encoder} encoder (allowed: {', '.join(allowed)})")
+        if self.encoder == "transformer":
+            if self.decoder_depth >= self.encoder_depth:
+                raise ValueError(f"decoder depth {self.decoder_depth} must be smaller than "
+                                 f"encoder depth {self.encoder_depth}")
+            if self.feature_dim % self.num_heads:
+                raise ValueError(f"feature_dim {self.feature_dim} is not divisible by "
+                                 f"num_heads {self.num_heads}")
         if self.mask_strategy == "auto":
             object.__setattr__(self, "mask_strategy",
                                "random" if self.encoder == "pointnet" else "patch")

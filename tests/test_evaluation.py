@@ -11,7 +11,7 @@ from oracles import probe_accuracy_oracle, svm_train_oracle
 from recloud import autograd as ag
 from recloud import cli
 from recloud import evaluation as ev
-from recloud.data import (SynthSpec, normalize_unit_sphere, read_cloud, resample, stream,
+from recloud.data import (DatasetManifest, SynthSpec, normalize_unit_sphere, read_cloud, resample, stream,
                           synth_generate)
 from recloud.geometry import PatchSet, normalize_patches, patchify
 from recloud.evaluation import (EpisodeSpec, FeatureTable, fewshot_eval, linear_probe,
@@ -360,6 +360,29 @@ class TestProbeCommand:
         assert rc == cli.EXIT_BAD_CONFIG
         assert "seed must be in" in capsys.readouterr().err
         assert not out.exists()  # rejected before extraction writes anything
+
+
+class TestFailedEvaluationCreatesNoOut:
+    def test_probe_without_train_rows(self, probe_setup, capsys):
+        root, manifest, _ = probe_setup
+        test_only = manifest.root / "test_only.tsv"
+        DatasetManifest(manifest.root, manifest.split("test")).save(test_only)
+        out = root / "probe-no-train"
+        rc = cli.main(["probe", "--checkpoint", str(root / "init.ckpt"),
+                       "--manifest", str(test_only), "--out", str(out)])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "manifest split 'train' is empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fewshot_with_too_few_rows_per_class(self, probe_setup, capsys):
+        root, manifest, _ = probe_setup
+        out = root / "fewshot-short"
+        rc = cli.main(["fewshot", "--checkpoint", str(root / "init.ckpt"),
+                       "--manifest", str(manifest.root / "manifest.tsv"), "--out", str(out),
+                       "--ways", "4", "--shots", "2", "--queries", "5"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "fewer than shots+queries=7" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(2**32)])

@@ -83,6 +83,15 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})
 
+    def test_transformer_config_its_model_can_build(self):
+        # the patch model needs a shallower decoder and heads that divide the
+        # dim; the PointNet model reads neither field
+        with pytest.raises(ValueError, match="smaller"):
+            TrainConfig(encoder="transformer", encoder_depth=2, decoder_depth=2)
+        with pytest.raises(ValueError, match="divisible"):
+            TrainConfig(encoder="transformer", num_heads=3)
+        TrainConfig(encoder="pointnet", encoder_depth=2, decoder_depth=2, num_heads=3)
+
     def test_zero_warmup_and_decoder_depth_allowed(self):
         TrainConfig(warmup_epochs=0, decoder_depth=0)
 
@@ -355,6 +364,18 @@ class TestCorruptCommand:
         assert ("error: invalid-config: affine application produced non-finite coordinates "
                 "(first bad point: cloud 0, point 0;" in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("args,code,err", [
+        (["--mask", "random", "--alpha", "0.001"], cli.EXIT_DEGENERATE_MASK, "degenerate-mask"),
+        (["--mask", "patch", "--patches", "8", "--patch-size", "80"], cli.EXIT_BAD_CONFIG,
+         "invalid-config")], ids=["empty-mask", "patches-larger-than-cloud"])
+    def test_failed_corruption_creates_no_out(self, tmp_path, capsys, args, code, err):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((50, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), *args])
+        assert rc == code
+        assert f"error: {err}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_header_without_an_end_header_line_exits_bad_config(self, tmp_path, capsys):
         path = tmp_path / "in.ply"
         path.write_text("ply\nformat ascii 1.0\nelement vertex 1\nproperty float x\n"
@@ -618,11 +639,30 @@ class TestModelConfigCli:
     """A model the config cannot describe is a bad configuration (exit 4); a
     mask that leaves no point visible is a degenerate mask (exit 5)."""
 
+    @pytest.mark.parametrize("lines,err", [
+        ("encoder_depth = 2\ndecoder_depth = 2\n", "decoder depth 2 must be smaller"),
+        ("feature_dim = 30\nnum_heads = 4\n", "divisible"),
+        ("num_heads = 3\n", "divisible")],
+        ids=["decoder-not-shallower", "heads-do-not-divide-dim", "three-heads"])
+    def test_transformer_config_is_rejected_before_out_exists(self, dataset, tmp_path, capsys,
+                                                              lines, err):
+        (tmp_path / "c.cfg").write_text(lines)
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg"),
+                       "--encoder", "transformer", "--epochs", "1", "--num-points", "64"])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert err in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_missing_resume_checkpoint_creates_no_out(self, dataset, tmp_path, capsys):
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--encoder", "pointnet",
+                       "--resume", str(tmp_path / "nope.ckpt")])
+        assert rc == cli.EXIT_MISSING_FILE
+        assert "error: missing-file: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     @pytest.mark.parametrize("lines,args,code,err", [
-        pytest.param("encoder_depth = 2\ndecoder_depth = 2\n", ["--encoder", "transformer"], 4,
-                     "decoder depth", id="decoder-not-shallower"),
-        pytest.param("feature_dim = 30\nnum_heads = 4\n", ["--encoder", "transformer"], 4,
-                     "divisible", id="heads-do-not-divide-dim"),
         pytest.param("pointnet_hidden = 16,0\n", ["--encoder", "pointnet"], 4,
                      "pointnet_hidden", id="zero-width"),
         pytest.param("", ["--encoder", "transformer", "--alpha", "1.0"], 4,
@@ -689,6 +729,18 @@ class TestReconstructCommand:
         n, k = cfg.num_patches, cfg.patch_size
         assert counts == {"clean": cfg.num_points, "corrupted": n * k,
                           "recon_masked": n * k, "recon_centers": n}
+
+    @pytest.mark.parametrize("objective", ["whole", "global-only", "local-only"])
+    def test_only_the_trained_heads(self, dataset, tmp_path, objective):
+        cfg, counts = self.export(dataset, tmp_path, objective, mask_strategy="patch",
+                                  objective=objective)
+        n, k = cfg.num_patches, cfg.patch_size
+        m = int(np.floor(cfg.mask_ratio * n))
+        heads = {"whole": {"reconstruction": cfg.num_points},
+                 "global-only": {"recon_centers": n},
+                 "local-only": {"recon_masked": m * k, "recon_visible": (n - m) * k}}
+        assert counts == {"clean": cfg.num_points, "corrupted": (n - m) * k,
+                          **heads[objective]}
 
 
 # Configs whose runs must rerun bit for bit at the fixed micro-batch size and
