@@ -30,7 +30,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from .geometry import _sqdist_to
 
@@ -256,6 +255,10 @@ def relu(a: Tensor) -> Tensor:
 
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) Gaussian error linear unit."""
+    # imported on first use: scipy.special takes about 0.3 s to import, which
+    # a process running no GELU (the PointNet model, a helper of its
+    # pretraining) does not pay
+    from scipy.special import erf
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
 

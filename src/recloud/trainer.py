@@ -8,9 +8,13 @@ is derived statelessly from the seed, epoch and sample index by ``data.stream``
 (one table of purposes, ``data.STREAMS``), which makes checkpoint resume exact.
 
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
-and one backward each, whose gradients add up in micro-batch order. A
-micro-batch is corrupted into one batch-first ``Sample``
-(``prepare_sample``), which ``sample_loss`` reads as it is.
+and one backward each from zeroed gradients, whose gradients add up in
+micro-batch order. A micro-batch is corrupted into one batch-first
+``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is.
+With more than one usable CPU, helper processes compute the later
+micro-batches of each batch, one contiguous share each, while the trainer
+computes the first; as the sum keeps its order, a run is bit-identical for
+any number of helpers.
 """
 from __future__ import annotations
 
@@ -19,8 +23,14 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import os
+import pickle
+import signal
 import struct
+import subprocess
+import sys
+import traceback
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -47,7 +57,9 @@ OBJECTIVES = ("decomposed", "whole", "local-only", "global-only")
 # is one sum over a micro-batch's rows, so a run is bit-identical only at
 # the same MICRO_BATCH. Of 1, 2, 4 and 8 on the benchmark's patch-dae
 # workload (2-CPU AVX-512 Xeon), 4 and 8 ran fastest, about 1.3x the
-# per-sample rate, and 8 raised peak memory by 33-41 MB over 4.
+# per-sample rate, and 8 raised peak memory by 33-41 MB over 4. It also
+# bounds the helper processes of ``pretrain``: one fewer than a batch's
+# micro-batches, at most.
 MICRO_BATCH = 4
 
 # TrainConfig fields holding an "lo:hi" range
@@ -583,6 +595,189 @@ class DivergenceError(RuntimeError):
         self.checkpoint = checkpoint
 
 
+def _micro_batch(model, clouds, cfg: TrainConfig, epoch: int, batch_size: int,
+                 micro: list[int]) -> tuple[list, list | None]:
+    """One micro-batch of a step of ``batch_size`` samples, from zeroed
+    gradients: its ``(total, local, global_)`` loss terms as arrays (None
+    for an absent term) and, when its total is finite, each parameter's
+    gradient after the backward pass (None where the loss does not reach),
+    else None."""
+    model.zero_grad()
+    sample = prepare_sample(np.stack([clouds[idx] for idx in micro]), cfg,
+                            [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
+    losses = sample_loss(model, sample, cfg)
+    rows = [None if term is None else term.data for term in losses]
+    if not np.isfinite(rows[0]).all():
+        return rows, None
+    backward(ag.scale(ag.sum_in_order(losses[0]), 1.0 / batch_size))
+    return rows, [p.grad for p in model.parameters()]
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where helpers could not share
+    memory with it (no ``os.memfd_create``)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
+
+
+def _shared_state(values: list, clouds: tuple, slots: int, fd: int | None = None):
+    """The arrays ``pretrain`` shares with its helpers, each at a 64-byte
+    boundary of one memory file: a new zero-filled one when ``fd`` is None,
+    else the file ``fd`` names. ``values`` holds the parameters' ``(shape,
+    dtype)`` pairs and ``clouds`` that of the stacked clouds. Returns the
+    file's descriptor, the parameters' arrays, the clouds' array, and
+    ``slots`` gradient slots, each one array per parameter."""
+    specs = values + [clouds] + values * slots
+    offsets, end = [], 0
+    for shape, dtype in specs:
+        offsets.append(-(-end // 64) * 64)
+        end = offsets[-1] + math.prod(shape) * np.dtype(dtype).itemsize
+    if fd is None:
+        fd = os.memfd_create("recloud-pretrain")
+        os.ftruncate(fd, end)
+    region = mmap.mmap(fd, end)
+    arrays = [np.ndarray(shape, dtype, region, offset)
+              for (shape, dtype), offset in zip(specs, offsets)]
+    n = len(values)
+    return fd, arrays[:n], arrays[n], [arrays[lo:lo + n] for lo in range(n + 1, len(arrays), n)]
+
+
+# Thread counts of the BLAS and OpenMP builds numpy may load. A helper runs
+# one thread: the trainer and the helpers take one usable CPU each.
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def _helper_died(proc: subprocess.Popen):
+    raise RuntimeError(f"pretraining helper {proc.pid} exited with code {proc.wait()}")
+
+
+@contextlib.contextmanager
+def _helpers(model, clouds: list[np.ndarray], cfg: TrainConfig):
+    """Start ``min(usable CPUs, micro-batches per batch) - 1`` helper
+    processes for ``model``'s run on ``clouds``, and yield
+    ``micro_batches(epoch, batch)``. That generator gives each micro-batch
+    of ``batch`` as ``(micro, *_micro_batch(...))``, in micro-batch order:
+    the first contiguous share computed here as it is consumed, each next
+    share in a helper. The helpers are closed and waited for on exit.
+
+    A helper is a fresh interpreter (``_helper_main``), never a fork: a fork
+    copies each page either process writes, inherits the caller's BLAS
+    threads, and ``multiprocessing``'s other start methods re-run the
+    caller's ``__main__``. The parameters' values, the stacked clouds and
+    one gradient slot per micro-batch a helper computes in a step live in
+    one memory file the helpers map, so ``AdamW``'s in-place step is what
+    they read at the next step; a helper sends back only the loss terms and
+    which parameters have a gradient, or the exception it raised, which is
+    raised here with the helper's traceback as its cause."""
+    per_batch = -(-min(cfg.batch_size, len(clouds)) // MICRO_BATCH)
+    workers = min(_usable_cpus(), per_batch)
+    params = model.parameters()
+    procs: list[subprocess.Popen] = []
+
+    def send(proc, message) -> None:
+        try:
+            proc.stdin.write(pickle.dumps(message))
+            proc.stdin.flush()
+        except BrokenPipeError:
+            _helper_died(proc)
+
+    def micro_batches(epoch: int, batch: list[int]):
+        micros = [batch[lo:lo + MICRO_BATCH] for lo in range(0, len(batch), MICRO_BATCH)]
+        sharing = min(workers, len(micros))  # the last batch may be short
+        bounds = [len(micros) * j // sharing for j in range(sharing + 1)]
+        shares = list(zip(procs, bounds[1:], bounds[2:]))
+        for proc, lo, hi in shares:
+            send(proc, (epoch, len(batch), micros[lo:hi], lo - bounds[1]))
+        for micro in micros[:bounds[1]]:
+            yield micro, *_micro_batch(model, clouds, cfg, epoch, len(batch), micro)
+        for proc, lo, hi in shares:
+            try:
+                results, error = pickle.load(proc.stdout)
+            except (EOFError, pickle.UnpicklingError):
+                _helper_died(proc)
+            for micro, (rows, has), slot in zip(micros[lo:hi], results, slots[lo - bounds[1]:]):
+                # a slot is rewritten only at the next step, after the
+                # optimizer has read it
+                yield micro, rows, (None if has is None
+                                    else [g if h else None for g, h in zip(slot, has)])
+            if error is not None:
+                exc, trace = error
+                raise exc from RuntimeError(f"in pretraining helper {proc.pid}:\n{trace}")
+
+    if workers == 1:
+        slots = []
+        yield micro_batches
+        return
+    # the helpers compute all but the first ``per_batch // workers``
+    # micro-batches of a full step, and no more of a short one
+    layout = ([(p.data.shape, p.data.dtype) for p in params],
+              ((len(clouds),) + clouds[0].shape, clouds[0].dtype),
+              per_batch - per_batch // workers)
+    fd, values, stacked, slots = _shared_state(*layout)
+    for p, shared in zip(params, values):
+        shared[...] = p.data
+        p.data = shared
+    stacked[...] = clouds
+    clouds[:] = stacked  # each cloud a view of the shared copy, which is the only one
+    code = (f"import sys; sys.path[:] = {sys.path!r}; "
+            f"from {__name__} import {_helper_main.__name__} as main; main()")
+    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
+    try:
+        for _ in range(workers - 1):
+            procs.append(subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, pass_fds=(fd,), env=env))
+            send(procs[-1], (cfg, fd, layout))
+        os.close(fd)
+        fd = None
+        yield micro_batches
+    finally:
+        if fd is not None:
+            os.close(fd)
+        for proc in procs:
+            proc.communicate()  # closes its input, so it exits once its step is done
+
+
+def _helper_main() -> None:
+    """A helper process of ``pretrain`` (see ``_helpers``): computes the
+    shares of micro-batches its trainer sends and writes their gradients
+    into the shared slots, until its input ends because the trainer closed
+    it, exited or was killed."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the trainer's to handle
+    np.seterr(over="ignore", invalid="ignore")  # as in the trainer's loop
+    inbox, outbox = sys.stdin.buffer, sys.stdout.buffer
+    sys.stdout = sys.stderr  # the output pipe carries replies only
+    cfg, fd, layout = pickle.load(inbox)
+    _, values, clouds, slots = _shared_state(*layout, fd)
+    os.close(fd)
+    model = build_model(cfg, draw=False)
+    for p, shared in zip(model.parameters(), values):
+        shared.flags.writeable = False
+        p.data = shared
+    while True:
+        try:
+            epoch, batch_size, micros, first = pickle.load(inbox)
+        except EOFError:
+            return
+        results, error = [], None
+        try:
+            for micro, slot in zip(micros, slots[first:]):
+                rows, grads = _micro_batch(model, clouds, cfg, epoch, batch_size, micro)
+                if grads is None:  # the trainer stops at this micro-batch's loss
+                    results.append((rows, None))
+                    break
+                results.append((rows, [g is not None for g in grads]))
+                for shared, g in zip(slot, grads):
+                    if g is not None:
+                        shared[...] = g
+        except Exception as exc:  # re-raised by the trainer, in micro-batch order
+            error = exc, traceback.format_exc()
+        try:
+            outbox.write(pickle.dumps((results, error)))
+            outbox.flush()
+        except BrokenPipeError:
+            os._exit(0)  # the trainer is gone; drop the reply it cannot read
+
+
 def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
              metrics_path: str | Path | None = None,
              resume: Checkpoint | None = None,
@@ -592,12 +787,13 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     Returns the final checkpoint. Each epoch's mean loss over the train
     split, a ``LossReport`` averaged in sample-id order from the terms
     ``sample_loss`` returns, is written as one row to ``metrics_path`` when
-    given (appending on a resume) and handed to ``epoch_callback(epoch,
-    report, lr)``. ``resume`` continues a saved run exactly (derived RNG
-    streams are stateless in the epoch index); its model is built without
-    drawing, and a non-finite parameter or moment in it raises
-    ``ValueError`` before the first step. A non-finite loss, parameter or
-    moment during the run raises ``DivergenceError``.
+    given (appending on a resume; its directory is made once every check
+    has passed) and handed to ``epoch_callback(epoch, report, lr)``.
+    ``resume`` continues a saved run exactly (derived RNG streams are
+    stateless in the epoch index); its model is built without drawing, and
+    a non-finite parameter or moment in it raises ``ValueError`` before the
+    first step. A non-finite loss, parameter or moment during the run raises
+    ``DivergenceError``; an exception in a helper process is raised here.
     """
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
@@ -619,12 +815,16 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     bad = None if resume is None else _first_non_finite(last_finite)
     if bad is not None:
         raise ValueError(f"resume checkpoint holds non-finite values in {bad}")
+    if metrics_path is not None:
+        Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
     # each row is written as its epoch ends, so a run that stops early keeps
     # the rows of the epochs it finished; a resumed run appends to its file
-    with (open(metrics_path, "a" if resume is not None else "w")
-          if metrics_path is not None else contextlib.nullcontext()) as metrics:
+    with _helpers(model, clouds, cfg) as micro_batches, \
+            (open(metrics_path, "a" if resume is not None else "w")
+             if metrics_path is not None else contextlib.nullcontext()) as metrics:
         if metrics is not None and metrics.tell() == 0:
             metrics.write("epoch,total,local,global,lr\n")
+        params = model.parameters()
         for epoch in range(start_epoch, cfg.epochs):
             lr = scheduled_lr(cfg, epoch)
             order = stream(cfg.seed, "shuffle", epoch).permutation(len(clouds))
@@ -632,27 +832,25 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
             terms = np.zeros((3, len(clouds)))
             for lo in range(0, len(order), cfg.batch_size):
                 batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
-                model.zero_grad()
+                grads = [None] * len(params)
                 # overflow happens only on a run that is diverging; the
                 # non-finite loss check below is the safety net
                 with np.errstate(over="ignore", invalid="ignore"):
-                    for mlo in range(0, len(batch), MICRO_BATCH):
-                        micro = batch[mlo:mlo + MICRO_BATCH]
-                        sample = prepare_sample(
-                            np.stack([clouds[idx] for idx in micro]), cfg,
-                            [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
-                        losses = sample_loss(model, sample, cfg)
-                        for row, term in zip(terms, losses):
+                    for micro, rows, micro_grads in micro_batches(epoch, batch):
+                        for row, term in zip(terms, rows):
                             if term is not None:
-                                row[micro] = term.data
+                                row[micro] = term
                         diverged = ~np.isfinite(terms[0, micro])
                         if diverged.any():
                             raise DivergenceError(
                                 f"non-finite loss at epoch {epoch + 1}, sample "
                                 f"{micro[int(diverged.argmax())]}; aborting with the checkpoint "
                                 f"from epoch {last_finite.epoch}", last_finite)
-                        backward(ag.scale(ag.sum_in_order(losses[0]), 1.0 / len(batch)))
-                        del losses  # free this graph before the next one is built
+                        for k, g in enumerate(micro_grads):
+                            if g is not None:
+                                grads[k] = g if grads[k] is None else grads[k] + g
+                    for p, g in zip(params, grads):
+                        p.grad = g
                     opt.step(lr)
 
             # a step can overflow a weight or a moment while every loss of

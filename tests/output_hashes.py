@@ -5,9 +5,10 @@ checkouts can be compared byte for byte.
 
 Run it in each checkout and compare the two files (``cmp a.json b.json``).
 The one JSON object maps a name to a hash. For every config of ``CONFIGS``
-(every objective of the patch model and every mask of the PointNet model)
-in ``single`` and ``double`` precision it holds the final and epoch-1
-checkpoints and ``metrics.csv`` of a two-epoch run, the checkpoint and
+(every objective of the patch model, every mask of the PointNet model, and
+one config of each with two micro-batches a step) in ``single`` and
+``double`` precision it holds the final and epoch-1 checkpoints and
+``metrics.csv`` of a two-epoch run, the checkpoint and
 ``metrics.csv`` of the same run resumed from epoch 1, the train and test
 feature arrays and CSVs, and the files ``reconstruct_export`` writes. It
 also holds the ``corrupted.xyz`` and ``plan.json`` that ``recloud corrupt``
@@ -46,6 +47,9 @@ CONFIGS = {
                                 decoder="fold"),
     "pointnet-view": dict(encoder="pointnet", mask_strategy="view"),
     "pointnet-none": dict(encoder="pointnet", mask_strategy="none"),
+    # two micro-batches a step, so a second usable CPU computes one of them
+    "decomposed-batch8": dict(encoder="transformer", batch_size=8),
+    "pointnet-random-batch8": dict(encoder="pointnet", mask_strategy="random", batch_size=8),
 }
 PRECISIONS = ("single", "double")
 CORRUPT_MASKS = ("none", "random", "fixed", "view", "patch")

@@ -2,8 +2,13 @@ import dataclasses
 import errno
 import hashlib
 import json
+import os
 import pathlib
 import re
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -11,7 +16,7 @@ import pytest
 from recloud import cli
 from recloud import evaluation as ev
 from recloud.autograd import Tensor, backward
-from recloud.corruption import sample_affine
+from recloud.corruption import DegenerateMaskError, sample_affine
 from recloud.data import (SynthSpec, load_split, read_cloud, stream, synth_generate,
                           write_cloud)
 from recloud.geometry import PatchSet, affine_apply, denormalize_patches
@@ -37,6 +42,55 @@ def dataset(tmp_path_factory):
     out = tmp_path_factory.mktemp("synthdata")
     spec = SynthSpec(samples_per_family=4, points_per_cloud=64, seed=5)
     return synth_generate(spec, out)
+
+
+# helper processes share the trainer's memory through os.memfd_create (Linux)
+helpers_need_shared_memory = pytest.mark.skipif(not hasattr(os, "memfd_create"),
+                                                reason="no os.memfd_create")
+
+
+def record_helpers(monkeypatch, poison=None) -> list[subprocess.Popen]:
+    """The helper processes ``pretrain`` starts from now on, in a list. With
+    ``poison``, ``poisoned``'s arguments, each helper computes its
+    micro-batches with ``poisoned(*poison)``."""
+    started = []
+
+    class Recorded(subprocess.Popen):
+        def __init__(self, args, **kwargs):
+            if poison is not None:
+                args = [args[0], "-c", f"import sys; sys.path[:] = {sys.path!r}; "
+                        f"import test_trainer, recloud.trainer as tr; "
+                        f"tr._micro_batch = test_trainer.poisoned(*{poison!r}); tr._helper_main()"]
+            super().__init__(args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recorded)
+    return started
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    return record_helpers(monkeypatch)
+
+
+def poisoned(epoch: int, sample: int, kind: str):
+    """``trainer._micro_batch``, but at ``epoch``, for the micro-batch holding
+    ``sample``, with a NaN total loss for that sample (``kind`` "nan") or a
+    raised ``DegenerateMaskError`` ("raise")."""
+    import recloud.trainer as tr
+    compute = tr._micro_batch
+
+    def micro_batch(model, clouds, cfg, at, batch_size, micro):
+        rows, grads = compute(model, clouds, cfg, at, batch_size, micro)
+        if (at, kind) == (epoch, "raise") and sample in micro:
+            raise DegenerateMaskError(f"poisoned sample {sample}")
+        if at == epoch and sample in micro:
+            rows[0] = rows[0].copy()
+            rows[0][micro.index(sample)] = np.nan
+            return rows, None
+        return rows, grads
+
+    return micro_batch
 
 
 class TestTrainConfig:
@@ -632,7 +686,7 @@ class TestResumeCheck:
         assert rc == cli.EXIT_BAD_CONFIG
         err = capsys.readouterr().err
         assert "invalid-config" in err and "'encoder.layers.0.weight'" in err
-        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == []
+        assert not (tmp_path / "run").exists()
 
 
 class TestModelConfigCli:
@@ -796,28 +850,40 @@ class TestMicroBatches:
     grouping and feature extraction do not depend on it at all."""
 
     @staticmethod
-    def run(dataset, cfg, tmp_path, micro, monkeypatch):
+    def run(dataset, cfg, tmp_path, micro, monkeypatch, cpus=1):
+        """The checkpoint and metrics bytes of a run at micro-batch size
+        ``micro`` with ``cpus`` usable CPUs (one: no helper process, so a
+        spy in this process sees every micro-batch)."""
         import recloud.trainer as tr
         monkeypatch.setattr(tr, "MICRO_BATCH", micro)
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
         out = tmp_path / f"b{cfg.batch_size}-m{micro}"
-        out.mkdir()
+        out.mkdir(parents=True)
         save_checkpoint(pretrain(dataset, cfg, metrics_path=out / "metrics.csv"),
                         out / "checkpoint.ckpt")
         return (out / "checkpoint.ckpt").read_bytes(), (out / "metrics.csv").read_bytes()
 
+    @helpers_need_shared_memory
     @pytest.mark.parametrize("precision", ["single", "double"])
     @pytest.mark.parametrize("overrides", MICRO_BATCH_CONFIGS,
                              ids=lambda o: "-".join(str(v) for v in o.values()))
     def test_rerun_at_fixed_micro_batch_is_byte_identical(self, dataset, tmp_path, monkeypatch,
-                                                         overrides, precision):
+                                                         spawned, overrides, precision):
         import recloud.trainer as tr
-        # batch 5 runs micro-batches of 4 and 1, so each step adds two gradients
-        cfg = tiny_cfg(epochs=2, batch_size=5, **{**overrides, "precision": precision})
-        runs = []
-        for name in ("first", "second"):
-            (tmp_path / name).mkdir()
-            runs.append(self.run(dataset, cfg, tmp_path / name, tr.MICRO_BATCH, monkeypatch))
-        assert runs[0] == runs[1]
+        # batch 5 runs micro-batches of 4 and 1, and batch 9 of 4, 4 and 1, so
+        # each step adds two or three gradients. Each parameter takes one
+        # gradient per micro-batch graph, so their sum in micro-batch order
+        # is the same bytes when two helper processes compute the last two
+        # (3 usable CPUs); ``TestHelpers`` varies the CPU count
+        for batch_size, reruns in ((5, (1, 1)), (9, (1, 3))):
+            cfg = tiny_cfg(epochs=2, batch_size=batch_size, **{**overrides, "precision": precision})
+            runs = []
+            for i, cpus in enumerate(reruns):
+                spawned.clear()
+                runs.append(self.run(dataset, cfg, tmp_path / f"run{i}", tr.MICRO_BATCH,
+                                     monkeypatch, cpus))
+                assert len(spawned) == cpus - 1
+            assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("overrides", MICRO_BATCH_CONFIGS,
                              ids=lambda o: "-".join(str(v) for v in o.values()))
@@ -862,8 +928,6 @@ class TestMicroBatches:
             want_calls.append(len(rngs))
             return join([prepare_sample(p[None], c, [r]) for p, r in zip(points, rngs)])
 
-        (tmp_path / "grouped").mkdir()
-        (tmp_path / "alone").mkdir()
         got = self.run(dataset, cfg, tmp_path / "grouped", 4, monkeypatch)
         monkeypatch.setattr(tr, "prepare_sample", alone)
         assert self.run(dataset, cfg, tmp_path / "alone", 4, monkeypatch) == got
@@ -885,6 +949,184 @@ class TestMicroBatches:
         for table in tables.values():
             assert table.ids == tables[1].ids and table.labels == tables[1].labels
             assert table.features.tobytes() == tables[1].features.tobytes()
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited (a zombie has)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rpartition(")")[2].split()[0] not in ("Z", "X")
+
+
+@helpers_need_shared_memory
+class TestHelpers:
+    """With more usable CPUs, helper processes compute the later micro-batches
+    of each step, and no output byte moves (here for every CPU count on two
+    configs, in ``TestMicroBatches`` with two helpers on every config). Their
+    failures surface in the trainer as they would without them, and no
+    helper outlives ``pretrain``."""
+
+    # 12 train clouds: a batch of 8, whose second micro-batch a helper computes
+    # with 2 usable CPUs, then a batch of 4
+    CFG = dict(epochs=3, batch_size=8)
+
+    @staticmethod
+    def helper_sample(cfg, dataset, epoch):
+        """A sample the helper computes at ``epoch`` with 2 usable CPUs."""
+        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed)[0])
+        return int(stream(cfg.seed, "shuffle", epoch).permutation(n)[5])
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    @pytest.mark.parametrize("overrides", [MICRO_BATCH_CONFIGS[0], MICRO_BATCH_CONFIGS[6]],
+                             ids=["patch-decomposed", "pointnet-random"])
+    def test_runs_are_the_same_bytes_for_any_usable_cpu_count(self, dataset, tmp_path,
+                                                              monkeypatch, spawned, overrides,
+                                                              precision):
+        # the shares and gradient slots do not depend on the model, so two
+        # configs cover them: at batch 5 one helper computes the last
+        # micro-batch, at batch 9 one computes the last two or two compute
+        # one each, and the short last batch of each epoch has fewer
+        import recloud.trainer as tr
+        for batch_size in (5, 9):
+            cfg = tiny_cfg(epochs=2, batch_size=batch_size, **{**overrides, "precision": precision})
+            runs = []
+            for cpus in (1, 2, 3):
+                spawned.clear()
+                runs.append(TestMicroBatches.run(dataset, cfg, tmp_path / f"cpus{cpus}",
+                                                 tr.MICRO_BATCH, monkeypatch, cpus))
+                assert len(spawned) == min(cpus, -(-batch_size // tr.MICRO_BATCH)) - 1
+            assert runs[1] == runs[0] and runs[2] == runs[0]
+
+    @pytest.mark.parametrize("case", ["loss-in-a-helper", "loss-1e+30", "moments-overflow-double"])
+    def test_divergence_is_the_same_with_helpers(self, dataset, tmp_path, monkeypatch, case):
+        import recloud.trainer as tr
+        if case == "loss-in-a-helper":
+            cfg = tiny_cfg(**self.CFG)
+            poison = (1, self.helper_sample(cfg, dataset, 1), "nan")
+        else:
+            cfg = tiny_cfg(encoder="pointnet", pointnet_hidden="16", epochs=5, learning_rate=1e30,
+                           batch_size=16, precision="double" if "double" in case else "single")
+            poison = None
+        spawned = record_helpers(monkeypatch, poison)
+        outcomes = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
+            with monkeypatch.context() as m:
+                if poison is not None and cpus == 1:
+                    m.setattr(tr, "_micro_batch", poisoned(*poison))
+                with pytest.raises(DivergenceError) as exc:
+                    pretrain(dataset, cfg)
+            save_checkpoint(exc.value.checkpoint, tmp_path / "last.ckpt")
+            outcomes.append((str(exc.value), (tmp_path / "last.ckpt").read_bytes()))
+        assert len(spawned) == 1
+        assert outcomes[0] == outcomes[1]
+        if poison is not None:
+            assert outcomes[0][0].startswith(
+                f"non-finite loss at epoch 2, sample {poison[1]}; aborting with the "
+                f"checkpoint from epoch 1")
+
+    def test_an_exception_in_a_helper_is_raised_with_its_type(self, dataset, tmp_path,
+                                                               monkeypatch, capsys):
+        import recloud.trainer as tr
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        cfg = tiny_cfg(**self.CFG)
+        sample = self.helper_sample(cfg, dataset, 1)
+        spawned = record_helpers(monkeypatch, (1, sample, "raise"))
+        (tmp_path / "c.cfg").write_text(cfg.to_text())
+        rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
+                       "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg")])
+        assert rc == cli.EXIT_DEGENERATE_MASK
+        assert f"error: degenerate-mask: poisoned sample {sample}\n" in capsys.readouterr().err
+        assert [p.returncode for p in spawned] == [0]
+
+    def test_a_dead_helper_fails_the_run_naming_its_exit_code(self, dataset, monkeypatch,
+                                                               spawned):
+        import recloud.trainer as tr
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+
+        def kill(epoch, report, lr):
+            spawned[0].kill()
+            spawned[0].wait()
+
+        with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}$"):
+            pretrain(dataset, tiny_cfg(**self.CFG), epoch_callback=kill)
+
+    def test_no_helper_outlives_pretrain(self, dataset, monkeypatch, spawned):
+        import recloud.trainer as tr
+        # two micro-batches a step need one helper, however many CPUs are free
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 3)
+        cfg = tiny_cfg(**self.CFG)
+        pretrain(dataset, cfg)
+
+        class Stop(Exception):
+            pass
+
+        def stop(epoch, report, lr):
+            raise Stop
+
+        with pytest.raises(Stop):
+            pretrain(dataset, cfg, epoch_callback=stop)
+        assert [p.returncode for p in spawned] == [0, 0]
+
+    def test_helpers_exit_when_the_trainer_is_killed(self, dataset):
+        script = (
+            "import subprocess, sys\n"
+            "import recloud.trainer as tr\n"
+            "class Announced(subprocess.Popen):\n"
+            "    def __init__(self, *args, **kwargs):\n"
+            "        super().__init__(*args, **kwargs)\n"
+            "        print('helper', self.pid, flush=True)\n"
+            "subprocess.Popen = Announced\n"
+            "tr._usable_cpus = lambda: 2\n"
+            "tr.pretrain(sys.argv[1], tr.TrainConfig.from_text(sys.stdin.read()),\n"
+            "            epoch_callback=lambda *a: print('epoch', flush=True))\n")
+        trainer = subprocess.Popen(
+            [sys.executable, "-c", script, str(dataset.root / "manifest.tsv")],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        trainer.stdin.write(tiny_cfg(**{**self.CFG, "epochs": 1000}).to_text())
+        trainer.stdin.close()
+        helpers = []
+        for line in trainer.stdout:
+            if line.startswith("helper"):
+                helpers.append(int(line.split()[1]))
+            elif line.startswith("epoch"):
+                break  # the second epoch has begun
+        os.kill(trainer.pid, signal.SIGKILL)
+        assert trainer.wait(timeout=10) == -signal.SIGKILL
+        trainer.stdout.close()
+        deadline = time.monotonic() + 5
+        while any(map(running, helpers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert len(helpers) == 1 and not any(map(running, helpers))
+
+    @pytest.mark.parametrize("case", ["non-finite-resume", "empty-train-split",
+                                      "patch-mask-ratio-1"])
+    def test_a_rejected_run_starts_no_helper_and_leaves_no_out(self, dataset, tmp_path,
+                                                              monkeypatch, capsys, spawned, case):
+        import recloud.trainer as tr
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        manifest, args = dataset.root / "manifest.tsv", []
+        if case == "patch-mask-ratio-1":
+            cfg, args = tiny_cfg(batch_size=8), ["--alpha", "1.0"]
+        else:
+            cfg = tiny_cfg(**TestResumeCheck.CFG, batch_size=8)
+        if case == "non-finite-resume":
+            save_checkpoint(TestResumeCheck.poisoned(cfg, {("params", None): np.nan}),
+                            tmp_path / "nan.ckpt")
+            args = ["--resume", str(tmp_path / "nan.ckpt")]
+        elif case == "empty-train-split":
+            manifest = dataset.root / "test-only.tsv"
+            lines = (dataset.root / "manifest.tsv").read_text().splitlines(keepends=True)
+            manifest.write_text("".join(line for line in lines if line.endswith("\ttest\n")))
+        (tmp_path / "c.cfg").write_text(cfg.to_text())
+        rc = cli.main(["pretrain", "--manifest", str(manifest), "--out", str(tmp_path / "run"),
+                       "--config", str(tmp_path / "c.cfg"), *args])
+        assert rc == cli.EXIT_BAD_CONFIG
+        assert "error: invalid-config: " in capsys.readouterr().err
+        assert not (tmp_path / "run").exists() and spawned == []
 
 
 class TestPrecisionContract:
