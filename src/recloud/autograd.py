@@ -12,10 +12,11 @@ records no graph, so a frozen model's forward pass is inference only: its
 pools reduce without keeping the pick a backward pass would read.
 
 Where a shared tensor meets per-sample rows (:func:`linear`,
-:func:`layer_norm`), axis 0 is the batch, and the shared tensor's gradient
-is one product or sum over the rows of every sample at once. Its rounding
-therefore depends on how many samples a pass holds; a fixed micro-batch
-(``trainer.MICRO_BATCH``) keeps runs bit-identical.
+:func:`fold_linear`, :func:`layer_norm`), axis 0 is the batch, and the
+shared tensor's gradient is one product or sum over the rows of every
+sample at once. Its rounding therefore depends on how many samples a pass
+holds; a fixed micro-batch (``trainer.MICRO_BATCH``) keeps runs
+bit-identical.
 
 Verification mode runs in float64; :func:`finite_difference_check` compares
 analytic gradients against central differences.
@@ -27,7 +28,7 @@ shares.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -207,21 +208,45 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return Tensor(out_data.reshape(xs[:-1] + ws[1:]), parents=(x, w, b), backward_fn=bw)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    ts = tuple(tensors)
-    if not ts:
-        raise ValueError("concat requires at least one tensor")
-    out_data = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    offsets = np.cumsum([0] + sizes)
+def fold_linear(x: Tensor, grid: np.ndarray, w: Tensor, b: Tensor) -> Tensor:
+    """``[grid[j] | x[i]] @ w + b`` for every feature row ``x[i]`` of a
+    ``(B, ..., d)`` batch and every seed ``grid[j]`` of a constant ``(k, c)``
+    grid: the first layer of a folding head, ``(B, ..., k, h)`` for a
+    ``(c + d, h)`` weight whose first c rows act on the grid (cast to the
+    weight's dtype).
+
+    No row is tiled over the seeds: the stacked ``x.reshape(B, -1, d) @
+    w[c:]`` plus ``b`` (each row its sample's alone bit for bit, as in
+    :func:`linear`) is broadcast against the seed rows ``grid @ w[:c]``. The
+    backward sums the gradient over the seeds before the row products and
+    writes both row blocks of the one weight gradient.
+    """
+    xs, ws = x.data.shape, w.data.shape
+    if (x.data.ndim < 2 or grid.ndim != 2 or w.data.ndim != 2
+            or ws[0] != grid.shape[1] + xs[-1] or b.data.shape != ws[1:]):
+        raise ValueError(f"fold_linear expects (B, ..., d), (k, c), (c + d, h) and (h,), "
+                         f"got {xs}, {grid.shape}, {ws} and {b.data.shape}")
+    k, c = grid.shape
+    grid = grid.astype(w.data.dtype, copy=False)
+    x3 = x.data.reshape(xs[0], -1, xs[-1])
+    rows = x3 @ w.data[c:]
+    rows += b.data
+    out_data = rows[:, :, None, :] + grid @ w.data[:c]  # (B, m, k, h)
 
     def bw(g: np.ndarray) -> None:
-        for t, lo, hi in zip(ts, offsets[:-1], offsets[1:]):
-            sl = [slice(None)] * g.ndim
-            sl[axis] = slice(lo, hi)
-            _accumulate(t, g[tuple(sl)])
+        g3 = g.reshape(-1, k, ws[1])
+        g_rows = g3.sum(axis=1)  # (B*m, h)
+        if x._needs:
+            _accumulate(x, (g_rows @ w.data[c:].T).reshape(xs))
+        if w._needs:
+            gw = np.empty(ws, dtype=g.dtype)
+            gw[:c] = grid.T @ g3.sum(axis=0)
+            gw[c:] = x3.reshape(-1, xs[-1]).T @ g_rows
+            _accumulate(w, gw)
+        if b._needs:
+            _accumulate(b, g_rows.sum(axis=0))
 
-    return Tensor(out_data, parents=ts, backward_fn=bw)
+    return Tensor(out_data.reshape(xs[:-1] + (k, ws[1])), parents=(x, w, b), backward_fn=bw)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

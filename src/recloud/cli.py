@@ -12,10 +12,9 @@ run (its last finite checkpoint is written) or an internal error, 2 usage,
 one per further usable CPU (``trainer.pretrain``); its outputs are the same
 bytes for any CPU count. Each helper runs one BLAS thread. A caller whose own
 BLAS runs a thread per CPU (numpy's default) gains nothing from them, as the
-CPUs are then oversubscribed; on a 2-vCPU Xeon its ``patch-dae`` epochs read
-137-190 ms without helpers and 165-183 ms with one. With BLAS pinned to one
-thread (``OPENBLAS_NUM_THREADS=1``, as the benchmark runs) they read 196 ms
-without a helper and 109 ms with one.
+CPUs are then oversubscribed. Pin the caller's BLAS to one thread
+(``OPENBLAS_NUM_THREADS=1``, as the benchmark runs) for the helpers to pay:
+on a 2-vCPU Xeon one helper then nearly halves a ``patch-dae`` epoch.
 """
 from __future__ import annotations
 

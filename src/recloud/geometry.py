@@ -75,8 +75,9 @@ def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
     transposed copy of a cloud, to one ``(d,)`` query, giving ``(w,)``, or
     to ``(..., n, d)`` queries, giving ``(..., n, w)`` (equal leading axes).
 
-    The one squared-distance kernel of the package (FPS, k-NN and so the
-    cluster masks, ``pairwise_sqdist`` and Chamfer). Computed as
+    The squared-distance kernel of k-NN and so the cluster masks,
+    ``pairwise_sqdist`` and Chamfer; FPS repeats its arithmetic inline for
+    its one query per cloud, in fewer numpy calls. Computed as
     ``(dx*dx + dy*dy) + dz*dz``: the additions
     ``np.sum((pts - q) ** 2, axis=-1)`` makes over its 3-long axis, so the
     result is the same bit for bit, without the strided ``(..., w, 3)``
@@ -133,11 +134,17 @@ def farthest_point_sample(points: np.ndarray, n: int, rng,
     # entries are forced to -1 so argmax never revisits them (matters for
     # clouds with duplicate points).
     min_sq = np.full((len(clouds), w), np.inf)
+    diff = np.empty_like(cols)
     for i in range(n):
         if i:
             selected[:, i] = np.argmax(min_sq, axis=1)  # the first max: lowest index
         pick = selected[:, i]
-        sq = _sqdist_to(cols, clouds[batch, pick][:, None, :])[:, 0]  # (B, w)
+        # ``_sqdist_to``'s (dx*dx + dy*dy) + dz*dz for one query per cloud,
+        # in one subtract over all coordinates
+        np.subtract(cols, clouds[batch, pick][:, :, None], out=diff)
+        diff *= diff
+        sq = diff[:, 0] + diff[:, 1]  # (B, w)
+        sq += diff[:, 2]
         if rows is not None:
             rows[:, i] = sq
         np.minimum(min_sq, sq, out=min_sq)

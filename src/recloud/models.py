@@ -21,9 +21,11 @@ losses cast their targets to the prediction's dtype.
 Every reconstruction head (``FCDecoder``, ``FoldDecoder``; ``point_head``
 builds one by kind) maps ``(B, ..., d)`` feature rows to ``(B, ..., k, 3)``
 point sets: one pooled row per sample for a whole cloud or the patch
-centers, one row per decoded token for local patches. The patch model makes
-every local prediction through ``PatchAutoencoder.predict_patches``, with
-mask plans for the masked patches or without them for all patches.
+centers, one row per decoded token for local patches; the folding head
+never copies a row per grid seed (``autograd.fold_linear``). The patch
+model makes every local prediction through
+``PatchAutoencoder.predict_patches``, with mask plans for the masked
+patches or without them for all patches.
 """
 from __future__ import annotations
 
@@ -188,25 +190,18 @@ def folding_grid(k: int) -> np.ndarray:
 
 class FoldDecoder(Module):
     """Folding head: deform a canonical 2-D grid of k seeds conditioned on
-    each feature row through one shared MLP pass; ``(B, ..., d)`` rows to
-    ``(B, ..., k, 3)`` point sets."""
+    each feature row through one shared ReLU MLP over ``[seed | row]``
+    (FoldingNet's first folding, arXiv 1712.07262), whose first layer is
+    ``ag.fold_linear``; ``(B, ..., d)`` rows to ``(B, ..., k, 3)`` point sets."""
 
     def __init__(self, feat_dim: int, points: int, hidden: int, rng: np.random.Generator | None):
-        self.points = points
         self.grid = folding_grid(points)
         self.layers = mlp_chain((feat_dim + 2, hidden, hidden, 3), rng)
 
     def __call__(self, features: Tensor) -> Tensor:
-        k, lead, d = self.points, features.shape[:-1], features.shape[-1]
-        b, m = lead[0], int(np.prod(lead[1:], dtype=np.int64))
-        # broadcast each row over its k seeds; add's backward sums them back
-        rep = ag.add(ag.reshape(features, (b, m, 1, d)), Tensor(np.zeros((k, 1), features.dtype)))
-        rep = ag.reshape(rep, (b, m * k, d))                                # (B, m*k, d)
-        grid = self.grid.astype(features.dtype)
-        seeds = Tensor(np.broadcast_to(np.tile(grid, (m, 1)), (b, m * k, 2)))
-        x = ag.concat([seeds, rep], axis=2)
-        pts = run_mlp(self.layers, x)                                       # (B, m*k, 3)
-        return ag.reshape(pts, lead + (k, 3))
+        first, *rest = self.layers
+        x = ag.fold_linear(features, self.grid, first.weight, first.bias)  # (B, ..., k, hidden)
+        return run_mlp(rest, ag.relu(x))
 
 
 HEAD_KINDS = ("fc", "fold")

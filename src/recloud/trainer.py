@@ -652,13 +652,14 @@ def _helper_died(proc: subprocess.Popen):
 
 
 @contextlib.contextmanager
-def _helpers(model, clouds: list[np.ndarray], cfg: TrainConfig):
+def _helpers(model, clouds: list[np.ndarray], cfg: TrainConfig, start_epoch: int):
     """Start ``min(usable CPUs, micro-batches per batch) - 1`` helper
-    processes for ``model``'s run on ``clouds``, and yield
-    ``micro_batches(epoch, batch)``. That generator gives each micro-batch
-    of ``batch`` as ``(micro, *_micro_batch(...))``, in micro-batch order:
-    the first contiguous share computed here as it is consumed, each next
-    share in a helper. The helpers are closed and waited for on exit.
+    processes for ``model``'s run on ``clouds`` from ``start_epoch`` (none
+    when no epoch is left), and yield ``micro_batches(epoch, batch)``. That
+    generator gives each micro-batch of ``batch`` as ``(micro,
+    *_micro_batch(...))``, in micro-batch order: the first contiguous share
+    computed here as it is consumed, each next share in a helper. The
+    helpers are closed and waited for on exit.
 
     A helper is a fresh interpreter (``_helper_main``), never a fork: a fork
     copies each page either process writes, inherits the caller's BLAS
@@ -670,7 +671,7 @@ def _helpers(model, clouds: list[np.ndarray], cfg: TrainConfig):
     which parameters have a gradient, or the exception it raised, which is
     raised here with the helper's traceback as its cause."""
     per_batch = -(-min(cfg.batch_size, len(clouds)) // MICRO_BATCH)
-    workers = min(_usable_cpus(), per_batch)
+    workers = min(_usable_cpus(), per_batch) if start_epoch < cfg.epochs else 1
     params = model.parameters()
     procs: list[subprocess.Popen] = []
 
@@ -819,7 +820,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
         Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
     # each row is written as its epoch ends, so a run that stops early keeps
     # the rows of the epochs it finished; a resumed run appends to its file
-    with _helpers(model, clouds, cfg) as micro_batches, \
+    with _helpers(model, clouds, cfg, start_epoch) as micro_batches, \
             (open(metrics_path, "a" if resume is not None else "w")
              if metrics_path is not None else contextlib.nullcontext()) as metrics:
         if metrics is not None and metrics.tell() == 0:

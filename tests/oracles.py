@@ -175,3 +175,30 @@ def layer_norm_grads_oracle(x: np.ndarray, g: np.ndarray, eps: float = 1e-5):
         g_gain = g_gain + (gi * y).sum(axis=0)
         g_shift = g_shift + gi.sum(axis=0)
     return g_gain, g_shift
+
+
+def fold_head_oracle(features: np.ndarray, grid: np.ndarray, weights, biases, g: np.ndarray):
+    """Output and gradients ``(out, g_features, g_weights, g_biases)`` of
+    ``sum(g * head(features))`` for a folding head, in float64, by the dense
+    form: every ``(B, m, d)`` feature row tiled over the ``(k, 2)`` grid's
+    seeds, the grid concatenated in front, then the ReLU MLP of ``weights``
+    and ``biases`` over those ``(B, m, k, 2 + d)`` rows."""
+    f, grid, g = (np.asarray(a, dtype=np.float64) for a in (features, grid, g))
+    weights = [np.asarray(w, dtype=np.float64) for w in weights]
+    biases = [np.asarray(b, dtype=np.float64) for b in biases]
+    b, m, d = f.shape
+    k = len(grid)
+    tiled = np.tile(f[:, :, None, :], (1, 1, k, 1))
+    seeds = np.tile(grid, (b, m, 1, 1))
+    acts = [np.concatenate([seeds, tiled], axis=-1)]
+    for i, (w, bias) in enumerate(zip(weights, biases)):
+        z = acts[-1] @ w + bias
+        acts.append(z if i == len(weights) - 1 else np.maximum(z, 0.0))
+    g_weights, g_biases = [None] * len(weights), [None] * len(weights)
+    gz = g
+    for i in reversed(range(len(weights))):
+        rows, g2 = acts[i].reshape(-1, acts[i].shape[-1]), gz.reshape(-1, gz.shape[-1])
+        g_weights[i], g_biases[i] = rows.T @ g2, g2.sum(axis=0)
+        g_in = gz @ weights[i].T
+        gz = g_in * (acts[i] > 0)
+    return acts[-1], g_in[..., 2:].sum(axis=2), g_weights, g_biases

@@ -2,13 +2,15 @@
 checkouts can be compared byte for byte.
 
     PYTHONPATH=src python tests/output_hashes.py > h.json
+    PYTHONPATH=src python tests/output_hashes.py --compare a.json b.json
 
-Run it in each checkout and compare the two files (``cmp a.json b.json``).
-The one JSON object maps a name to a hash. For every config of ``CONFIGS``
-(every objective of the patch model, every mask of the PointNet model, and
-one config of each with two micro-batches a step) in ``single`` and
-``double`` precision it holds the final and epoch-1 checkpoints and
-``metrics.csv`` of a two-epoch run, the checkpoint and
+Run it in each checkout, then compare the two files: ``--compare`` prints
+every name whose hash differs or that only one file holds, and exits 1 if
+there is any. The one JSON object maps a name to a hash. For every config
+of ``CONFIGS`` (every objective of the patch model, every mask of the
+PointNet model, and one config of each with two micro-batches a step) in
+``single`` and ``double`` precision it holds the final and epoch-1
+checkpoints and ``metrics.csv`` of a two-epoch run, the checkpoint and
 ``metrics.csv`` of the same run resumed from epoch 1, the train and test
 feature arrays and CSVs, and the files ``reconstruct_export`` writes. It
 also holds the ``corrupted.xyz`` and ``plan.json`` that ``recloud corrupt``
@@ -17,6 +19,7 @@ pytest from collecting it; ``test_output_hashes.py`` runs it on one config.
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -126,7 +129,31 @@ def run_hashes(work: Path, configs=CONFIGS, precisions=PRECISIONS,
     return hashes
 
 
-def main() -> int:
+def moved(a: Path, b: Path) -> list[str]:
+    """One line per name whose hash differs between the hash files ``a`` and
+    ``b`` or that only one of them holds, in name order."""
+    old, new = (json.loads(path.read_text()) for path in (a, b))
+    lines = []
+    for name in sorted(old.keys() | new.keys()):
+        if name not in new:
+            lines.append(f"only in {a}: {name}")
+        elif name not in old:
+            lines.append(f"only in {b}: {name}")
+        elif old[name] != new[name]:
+            lines.append(f"differs: {name}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--compare", nargs=2, type=Path, metavar=("A", "B"),
+                        help="compare two hash files instead of hashing")
+    args = parser.parse_args(argv)
+    if args.compare:
+        lines = moved(*args.compare)
+        for line in lines:
+            print(line)
+        return 1 if lines else 0
     with tempfile.TemporaryDirectory() as work:
         hashes = run_hashes(Path(work))
     json.dump(hashes, sys.stdout, indent=1, sort_keys=True)

@@ -144,11 +144,10 @@ def fd_cases():
     b2 = Tensor(r(4, 3))
     m2 = Tensor(r(3, 5))
     m3 = Tensor(r(2, 5, 3))
-    cat_other = Tensor(r(2, 3))
     b3 = Tensor(r(2, 4, 3))
     # Chamfer operands that require grad: the node then builds both sides
     c2, c3 = Tensor(r(4, 3), requires_grad=True), Tensor(r(2, 4, 3), requires_grad=True)
-    consts.update(b2=b2, m2=m2, m3=m3, cat_other=cat_other, b3=b3, c2=c2, c3=c3)
+    consts.update(b2=b2, m2=m2, m3=m3, b3=b3, c2=c2, c3=c3)
     # a batch of 2 samples x 3 rows of width 4, mapped to width 5; the weights
     # require grad, so the backward builds every gradient
     lx, lw, lb = (Tensor(r(*shape), requires_grad=True) for shape in ((2, 3, 4), (4, 5), (5,)))
@@ -183,9 +182,6 @@ def fd_cases():
         case("matmul_2d", lambda x: total(mul(ag.matmul(x, consts["m2"]),
                                                       ag.matmul(x, consts["m2"]))), r(4, 3)),
         case("matmul_stacked", lambda x: total(ag.matmul(x, consts["m3"])), r(2, 4, 5)),
-        case("concat", lambda x: total(mul(ag.concat([x, consts["cat_other"]], axis=0),
-                                                   ag.concat([x, consts["cat_other"]], axis=0))),
-             r(3, 3)),
         case("reshape", lambda x: total(mul(ag.reshape(x, (6, 2)),
                                                     ag.reshape(x, (6, 2)))), r(3, 4)),
         case("transpose", lambda x: total(mul(ag.transpose(x, (1, 2, 0)),
@@ -223,11 +219,22 @@ def fd_cases():
     # one-row samples, the shape of the global and whole heads: the flat
     # weight gradient then takes another BLAS path than a stacked one would
     one = Tensor(r(2, 1, 4), requires_grad=True)
-    return cases + [
+    cases += [
         case("linear_w_one_row", lambda w: sq(ag.linear(one, w, lb)), r(4, 5)),
         case("linear_b_one_row", lambda b: sq(ag.linear(one, lw, b)), r(5)),
         case("layer_norm_gain_one_row", lambda g: sq(ag.layer_norm(one, g, ln_shift)), r(4)),
         case("layer_norm_shift_one_row", lambda b: sq(ag.layer_norm(one, ln_gain, b)), r(4)),
+    ]
+    # a folding head's first layer: 2 samples x 3 rows of width 4 against a
+    # grid of 5 two-wide seeds, mapped to width 6 (a (2 + 4, 6) weight)
+    grid = r(5, 2)
+    fx, fw, fb = (Tensor(r(*shape), requires_grad=True) for shape in ((2, 3, 4), (6, 6), (6,)))
+    return cases + [
+        case("fold_linear_x", lambda x: sq(ag.fold_linear(x, grid, fw, fb)), r(2, 3, 4)),
+        case("fold_linear_w", lambda w: sq(ag.fold_linear(fx, grid, w, fb)), r(6, 6)),
+        case("fold_linear_b", lambda b: sq(ag.fold_linear(fx, grid, fw, b)), r(6)),
+        # one pooled row per sample, the shape of a fold center or cloud head
+        case("fold_linear_x_pooled", lambda x: sq(ag.fold_linear(x, grid, fw, fb)), r(2, 4)),
     ]
 
 

@@ -1,6 +1,8 @@
 """``output_hashes.py``, the byte-equality check between two checkouts,
-hashes the same outputs on a rerun."""
-from output_hashes import CONFIGS, run_hashes
+hashes the same outputs on a rerun, and its ``--compare`` names what moved."""
+import json
+
+from output_hashes import CONFIGS, main, run_hashes
 
 
 def test_a_rerun_hashes_the_same(tmp_path):
@@ -12,3 +14,14 @@ def test_a_rerun_hashes_the_same(tmp_path):
             "decomposed/single/resumed/checkpoint.ckpt", "decomposed/single/metrics.csv",
             "decomposed/single/features-test", "decomposed/single/recon/recon_masked",
             "corrupt/patch-none/plan.json"} <= runs[0].keys()
+
+
+def test_compare_names_every_moved_hash(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"kept": "1", "moved": "2", "dropped": "3"}))
+    b.write_text(json.dumps({"kept": "1", "moved": "4", "added": "5"}))
+    assert main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        f"only in {b}: added", f"only in {a}: dropped", "differs: moved"]
+    assert main(["--compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == ""

@@ -1102,6 +1102,19 @@ class TestHelpers:
             time.sleep(0.05)
         assert len(helpers) == 1 and not any(map(running, helpers))
 
+    def test_a_finished_run_resumes_without_a_helper(self, dataset, tmp_path, monkeypatch,
+                                                    spawned):
+        import recloud.trainer as tr
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
+        cfg = tiny_cfg(**{**self.CFG, "epochs": 1})
+        save_checkpoint(pretrain(dataset, cfg), tmp_path / "done.ckpt")
+        assert len(spawned) == 1  # two micro-batches a step: a helper computes one
+        spawned.clear()
+        resumed = pretrain(dataset, cfg, resume=load_checkpoint(tmp_path / "done.ckpt"))
+        save_checkpoint(resumed, tmp_path / "resumed.ckpt")
+        assert spawned == []
+        assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "done.ckpt").read_bytes()
+
     @pytest.mark.parametrize("case", ["non-finite-resume", "empty-train-split",
                                       "patch-mask-ratio-1"])
     def test_a_rejected_run_starts_no_helper_and_leaves_no_out(self, dataset, tmp_path,
