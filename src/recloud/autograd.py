@@ -390,16 +390,6 @@ def min_over_axis(a: Tensor, axis: int) -> Tensor:
     return _pool(a, axis, np.min)
 
 
-def mean_pool_over_axis(a: Tensor, axis: int) -> Tensor:
-    n = a.data.shape[axis]
-    out_data = a.data.mean(axis=axis)
-
-    def bw(g: np.ndarray) -> None:
-        _accumulate(a, np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
-
-    return Tensor(out_data, parents=(a,), backward_fn=bw)
-
-
 def sum_in_order(a: Tensor, axis: int = 0) -> Tensor:
     """Sum over ``axis`` adding entries first to last, the order of a Python
     loop of ``add`` (so a looped sum is reproduced bit for bit)."""

@@ -106,7 +106,11 @@ def _load_affine_spec_file(path: str) -> dict:
 
 
 def _cmd_corrupt(args) -> int:
-    kwargs: dict = {"seed": args.seed, "mask_ratio": args.alpha}
+    check_seed(args.seed)
+    pts = read_cloud(args.input)
+    if args.num_points is not None:
+        pts = resample(pts, args.num_points, stream(args.seed, "corrupt"))
+    kwargs: dict = {"seed": args.seed, "mask_ratio": args.alpha, "num_points": len(pts)}
     if args.affine_spec:
         kwargs.update(_load_affine_spec_file(args.affine_spec))
     if args.affine is not None:
@@ -118,10 +122,6 @@ def _cmd_corrupt(args) -> int:
         kwargs.update(encoder="pointnet", mask_strategy=args.mask,
                       cluster_size=args.cluster_size, max_clusters=args.max_clusters)
     cfg = TrainConfig(**kwargs)
-
-    pts = read_cloud(args.input)
-    if args.num_points is not None:
-        pts = resample(pts, args.num_points, stream(args.seed, "corrupt"))
     _echo_config({"input": args.input, "out": args.out, "mask": args.mask,
                   "alpha": args.alpha, "seed": args.seed,
                   "affine_families": cfg.affine_families,

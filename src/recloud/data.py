@@ -431,14 +431,11 @@ def stream(seed: int, purpose: str, *ids: int) -> np.random.Generator:
 
 
 def load_split(manifest: DatasetManifest, split: str, num_points: int,
-               seed: int = 0) -> tuple[list[np.ndarray], list[str], list[str]]:
-    """Read one split: unit-sphere-normalized clouds resampled to a fixed
-    count, plus labels and sample ids (relative paths)."""
-    clouds, labels, ids = [], [], []
+               seed: int = 0) -> list[np.ndarray]:
+    """Read one split's clouds in manifest order, each resampled to
+    ``num_points`` and normalized to the unit sphere."""
+    clouds = []
     for i, entry in enumerate(manifest.split(split)):
         pts = read_cloud(manifest.resolve(entry))
-        pts = normalize_unit_sphere(resample(pts, num_points, stream(seed, "load", i)))
-        clouds.append(pts)
-        labels.append(entry.label)
-        ids.append(entry.path)
-    return clouds, labels, ids
+        clouds.append(normalize_unit_sphere(resample(pts, num_points, stream(seed, "load", i))))
+    return clouds

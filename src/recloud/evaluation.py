@@ -70,7 +70,7 @@ def _encoder_features(model, cfg: TrainConfig, clouds: list[np.ndarray],
     patches = normalize_patches(patchify(np.stack(clouds), cfg.num_patches, cfg.patch_size, rngs))
     encoded = model.encode_all(patches)
     pooled = np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
-                             ag.mean_pool_over_axis(encoded, axis=1).data], axis=1)
+                             encoded.data.mean(axis=1)], axis=1)
     return pooled.astype(np.float64)
 
 

@@ -203,14 +203,13 @@ class PatchSet:
     """Patch centers plus per-center k-NN patches.
 
     ``patches[i]`` holds the k nearest points (center included) to
-    ``centers[i]``; ``indices[i]`` are their source-cloud indices. When
-    ``normalized`` is true, patch coordinates are relative to their center.
-    A batch of sets carries leading axes on every array.
+    ``centers[i]``, nearest first. When ``normalized`` is true, patch
+    coordinates are relative to their center. A batch of sets carries
+    leading axes on every array.
     """
 
     centers: np.ndarray
     patches: np.ndarray
-    indices: np.ndarray | None
     normalized: bool
 
     def __post_init__(self):
@@ -240,8 +239,8 @@ def patchify(points: np.ndarray, num_patches: int, patch_size: int, rng) -> Patc
     rows = np.empty(pts.shape[:-2] + (num_patches, pts.shape[-2]))
     center_idx = farthest_point_sample(pts, num_patches, rng, rows=rows)
     centers = _gather(pts, center_idx)
-    idx = knn(pts, centers, patch_size, sq=rows)
-    return PatchSet(centers=centers, patches=_gather(pts, idx), indices=idx, normalized=False)
+    patches = _gather(pts, knn(pts, centers, patch_size, sq=rows))
+    return PatchSet(centers=centers, patches=patches, normalized=False)
 
 
 def normalize_patches(ps: PatchSet) -> PatchSet:

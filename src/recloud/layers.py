@@ -10,7 +10,8 @@ from .autograd import Tensor
 
 
 class Parameter(Tensor):
-    """A trainable tensor, named by its path in the model.
+    """A trainable tensor, named by its path in the model (see
+    :meth:`Module.named_parameters`).
 
     Layers hand the parameter itself to the autograd primitives, so it is a
     leaf of every graph it enters and its ``grad`` accumulates there;
@@ -19,22 +20,14 @@ class Parameter(Tensor):
     The parameter owns the dtype of its values: layers draw their values
     in float64, ``build_model`` casts each parameter once to the run's
     precision (a model built without drawing holds :func:`unfilled` views
-    in it), and every array written in from outside (a checkpoint's
-    values, or the optimizer moments restored beside them) goes through
-    :meth:`conform`. The optimizer moments live on ``trainer.AdamW``.
+    in it), and ``trainer.restore`` casts a checkpoint's values and moments
+    to it. The optimizer moments live on ``trainer.AdamW``.
     """
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
     def __init__(self, data: np.ndarray):
         super().__init__(data, requires_grad=True)
-        self.name = ""  # its path in the model, set by ``Module.named_parameters``
-
-    def conform(self, value: np.ndarray) -> np.ndarray:
-        """A private copy of ``value`` in this parameter's shape and dtype."""
-        if value.shape != self.data.shape:
-            raise ValueError(f"parameter {self.name!r}: shape {value.shape} != {self.data.shape}")
-        return value.astype(self.data.dtype)
 
 
 class Module:
@@ -48,8 +41,6 @@ class Module:
         for attr, value in self.__dict__.items():
             path = f"{prefix}{attr}" if prefix else attr
             if isinstance(value, Parameter):
-                if not value.name:
-                    value.name = path
                 yield path, value
             elif isinstance(value, Module):
                 yield from value.named_parameters(prefix=f"{path}.")
@@ -139,16 +130,16 @@ class SelfAttention(Module):
         self.v = Linear(dim, dim, rng)
         self.proj = Linear(dim, dim, rng)
 
-    def _split(self, x: Tensor) -> Tensor:
-        # (B, n, d) -> (B, heads, n, head_dim)
+    def _split(self, x: Tensor, axes: tuple[int, ...] = (0, 2, 1, 3)) -> Tensor:
+        # (B, n, d) -> (B, n, heads, head_dim), permuted by ``axes``
         b, n, _ = x.shape
-        return ag.transpose(ag.reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
+        return ag.transpose(ag.reshape(x, (b, n, self.heads, self.head_dim)), axes)
 
     def __call__(self, x: Tensor) -> Tensor:
-        q = self._split(self.q(x))
-        k = self._split(self.k(x))
+        q = self._split(self.q(x))  # (B, heads, n, head_dim)
+        k = self._split(self.k(x), (0, 2, 3, 1))  # (B, heads, head_dim, n)
         v = self._split(self.v(x))
-        logits = ag.scale(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), self.head_dim ** -0.5)
+        logits = ag.scale(ag.matmul(q, k), self.head_dim ** -0.5)
         attn = ag.softmax(logits, axis=-1)
         out = ag.matmul(attn, v)  # (B, heads, n, head_dim)
         return self.proj(ag.reshape(ag.transpose(out, (0, 2, 1, 3)), x.shape))

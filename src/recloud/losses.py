@@ -62,8 +62,8 @@ def chamfer(a, b) -> Tensor:
     to each row's pick and ``g / q`` to each column's, adds the two where
     they coincide, and hands the nonzero entries to
     ``autograd._add_pair_grads``. Value and gradients equal the composition
-    ``pairwise_sqdist`` -> ``min_over_axis`` (both axes) ->
-    ``mean_pool_over_axis`` -> ``add`` bit for bit.
+    ``pairwise_sqdist`` -> ``min_over_axis`` (both axes) -> a mean over the
+    last axis -> ``add`` bit for bit.
     """
     ta = _as_points(a, np.float64, "first cloud")
     tb = _as_points(b, ta.dtype, "second cloud")

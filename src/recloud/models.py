@@ -70,7 +70,8 @@ class PointNetEncoder(Module):
 class TokenEmbedder(Module):
     """Per-patch PointNet: shared MLP on coordinates, max pool across the k
     neighbors; a center-normalized ``PatchSet`` of ``(B, n, k, 3)`` patches
-    to ``(B, n, d)`` tokens."""
+    to ``(B, n, d)`` tokens. Each layer takes the ``(B, n, k, w)`` rows as
+    they are: ``ag.linear`` makes the ``(B, n·k, w)`` view itself."""
 
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator | None):
         self.layers = mlp_chain((3, hidden, dim), rng)
@@ -79,9 +80,7 @@ class TokenEmbedder(Module):
         if not patches.normalized:
             raise ValueError("token embedding requires center-normalized patches")
         x = _as_tensor(patches.patches, self.layers[0])  # (B, n, k, 3)
-        b, n, k, _ = x.shape
-        flat = ag.reshape(x, (b, n * k, 3))
-        feat = ag.reshape(run_mlp(self.layers, flat), (b, n, k, -1))
+        feat = run_mlp(self.layers, x)  # (B, n, k, d)
         return ag.max_pool_over_axis(feat, axis=2)  # (B, n, d)
 
 

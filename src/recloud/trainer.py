@@ -67,7 +67,7 @@ _RANGE_FIELDS = ("affine_rotate", "affine_translate", "affine_scale", "affine_sh
 # Lower bounds of TrainConfig fields (learning_rate 0 is a frozen-run sanity
 # mode; check_seed bounds the seed); every other integer is a size or count
 _AT_LEAST = {"warmup_epochs": 0, "decoder_depth": 0, "learning_rate": 0.0, "lr_min": 0.0,
-             "global_weight": 0.0, "seed": None}
+             "global_weight": 0.0, "weight_decay": 0.0, "seed": None}
 # TrainConfig fields with a fixed set of values; the CLI offers the same
 CHOICES = {"precision": ("single", "double"), "encoder": ("pointnet", "transformer"),
            "affine_role": ("corruption", "augmentation"), "objective": OBJECTIVES,
@@ -147,6 +147,12 @@ class TrainConfig:
             raise ValueError(f"affine_scale must be positive, got {self.affine_scale!r}")
         if not 0.0 <= self.affine_reflect <= 1.0:
             raise ValueError(f"affine_reflect must be in [0, 1], got {self.affine_reflect!r}")
+        # AdamW divides by 1 - beta ** t and by sqrt(moment) + adam_eps
+        for name in ("beta1", "beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)!r}")
+        if self.adam_eps <= 0.0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps!r}")
         unknown = enabled_families(self.affine_families) - set(ALL_FAMILIES)
         if unknown:
             raise ValueError(f"affine_families: unknown sub-families {sorted(unknown)}")
@@ -166,6 +172,10 @@ class TrainConfig:
             if self.feature_dim % self.num_heads:
                 raise ValueError(f"feature_dim {self.feature_dim} is not divisible by "
                                  f"num_heads {self.num_heads}")
+            for name in ("num_patches", "patch_size"):
+                if getattr(self, name) > self.num_points:
+                    raise ValueError(f"{name} {getattr(self, name)} exceeds num_points "
+                                     f"{self.num_points}")
         if self.mask_strategy == "auto":
             object.__setattr__(self, "mask_strategy",
                                "random" if self.encoder == "pointnet" else "patch")
@@ -362,8 +372,7 @@ def prepare_sample(clouds: np.ndarray, cfg: TrainConfig,
     if plans is not None:
         vis = np.stack([p.visible for p in plans])
         visible = PatchSet(centers=_rows(visible.centers, vis),
-                           patches=_rows(visible.patches, vis),
-                           indices=_rows(visible.indices, vis), normalized=True)
+                           patches=_rows(visible.patches, vis), normalized=True)
     return Sample(visible, target, transforms, plans, targets.centers, targets.patches)
 
 
@@ -453,6 +462,14 @@ def snapshot(model, opt: AdamW, cfg: TrainConfig, epoch: int) -> Checkpoint:
                       params=params, moments1=m1, moments2=m2)
 
 
+def _conform(name: str, value: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A private copy of ``value`` in the shape and dtype of ``like``, the
+    values of parameter ``name``."""
+    if value.shape != like.shape:
+        raise ValueError(f"parameter {name!r}: shape {value.shape} != {like.shape}")
+    return value.astype(like.dtype)
+
+
 def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
     """Load the checkpoint's parameters into ``model``, and its moments and
     step count into ``opt``, the optimizer of ``model.parameters()``, if given.
@@ -463,10 +480,10 @@ def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
         missing = sorted(names ^ set(ckpt.params))
         raise ValueError(f"checkpoint does not match the model: mismatched names {missing[:5]}")
     for i, (name, p) in enumerate(named):
-        p.data = p.conform(ckpt.params[name])
+        p.data = _conform(name, ckpt.params[name], p.data)
         if opt is not None:
-            opt.moment1[i] = p.conform(ckpt.moments1[name])
-            opt.moment2[i] = p.conform(ckpt.moments2[name])
+            opt.moment1[i] = _conform(name, ckpt.moments1[name], p.data)
+            opt.moment2[i] = _conform(name, ckpt.moments2[name], p.data)
     if opt is not None:
         opt.step_count = ckpt.step
 
@@ -798,7 +815,7 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     """
     if isinstance(manifest, (str, Path)):
         manifest = DatasetManifest.load(manifest)
-    clouds, _, _ = load_split(manifest, "train", cfg.num_points, seed=cfg.seed)
+    clouds = load_split(manifest, "train", cfg.num_points, seed=cfg.seed)
     if not clouds:
         raise ValueError("manifest has no training samples")
 

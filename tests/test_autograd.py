@@ -41,6 +41,17 @@ def mul(a, b):
     return Tensor(out_data, parents=(a, b), backward_fn=bw)
 
 
+def mean_over_axis(a, axis):
+    """The mean over one axis: a primitive only the tests use, for the
+    graph ``losses.chamfer`` replaces with one node."""
+    n = a.data.shape[axis]
+
+    def bw(g):
+        ag._accumulate(a, np.repeat(np.expand_dims(g / n, axis), n, axis=axis))
+
+    return Tensor(a.data.mean(axis=axis), parents=(a,), backward_fn=bw)
+
+
 class TestForwardValues:
     def test_relu(self):
         out = ag.relu(t([-1.0, 0.0, 2.0]))
@@ -194,9 +205,8 @@ def fd_cases():
                                                consts["b2"])), r(4, 3)),
         case("max_pool", lambda x: total(ag.max_pool_over_axis(x, axis=1)), r(4, 5)),
         case("min_over_axis", lambda x: total(ag.min_over_axis(x, axis=0)), r(4, 5)),
-        case("mean_pool", lambda x: total(mul(ag.mean_pool_over_axis(x, axis=0),
-                                                      ag.mean_pool_over_axis(x, axis=0))),
-             r(4, 3)),
+        case("mean_over_axis", lambda x: total(mul(mean_over_axis(x, axis=0),
+                                                   mean_over_axis(x, axis=0))), r(4, 3)),
         case("pairwise_sqdist", lambda x: mean(ag.pairwise_sqdist(x, consts["b2"])),
              r(5, 3)),
         case("pairwise_sqdist_batched", lambda x: ag.add(
@@ -284,7 +294,7 @@ def test_every_primitive_many_shapes():
              layer_norm,
              lambda x: ag.max_pool_over_axis(x, axis=0),
              lambda x: ag.min_over_axis(x, axis=0),
-             lambda x: ag.mean_pool_over_axis(x, axis=0)]
+             lambda x: mean_over_axis(x, axis=0)]
     for trial in range(100):
         op = unary[trial % len(unary)]
         rows = int(rng.integers(2, 6))
@@ -350,8 +360,8 @@ class TestSparsePairwiseBackward:
     @staticmethod
     def chamfer_of(d):
         # the graph losses.chamfer builds: one nonzero per row and per column
-        fwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1)
-        bwd = ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1)
+        fwd = mean_over_axis(ag.min_over_axis(d, axis=-1), axis=-1)
+        bwd = mean_over_axis(ag.min_over_axis(d, axis=-2), axis=-1)
         return total(ag.add(fwd, bwd))
 
     def test_chamfer_graphs_equal_dense_sum(self):
@@ -398,8 +408,8 @@ class TestSparsePairwiseBackward:
 def composed_chamfer(ta, tb):
     """The graph ``losses.chamfer`` replaces with one node."""
     d = ag.pairwise_sqdist(ta, tb)
-    return ag.add(ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-1), axis=-1),
-                  ag.mean_pool_over_axis(ag.min_over_axis(d, axis=-2), axis=-1))
+    return ag.add(mean_over_axis(ag.min_over_axis(d, axis=-1), axis=-1),
+                  mean_over_axis(ag.min_over_axis(d, axis=-2), axis=-1))
 
 
 def chamfer_clouds(rng, lead, p, q, kind):

@@ -240,7 +240,7 @@ class TestSynthGenerate:
         assert len(manifest) == 40
         assert len(manifest.split("train")) == 32
         assert len(manifest.split("test")) == 8
-        clouds, labels, ids = load_split(manifest, "train", 32)
+        clouds = load_split(manifest, "train", 32)
         assert len(clouds) == 32 and clouds[0].shape == (32, 3)
 
     def test_same_seed_byte_identical(self, tmp_path):

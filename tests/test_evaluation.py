@@ -290,7 +290,6 @@ class TestExtraction:
                 # nothing drew between resample and the FPS start
                 assert state == after_resample
                 assert points[j].tobytes() == cloud.tobytes()
-                assert ps.indices[j][0][0] == start
                 assert ps.centers[j][0].tobytes() == cloud[start].tobytes()
                 i += 1
 
@@ -299,7 +298,7 @@ class TestExtraction:
         _, manifest, _ = probe_setup
         ckpt = foreign_checkpoint(tiny_cfg(precision=precision))
         cfg = ckpt.config
-        # not frozen: the reference pools go through the graph path
+        # not frozen: the reference max pool goes through the graph path
         model = build_model(cfg)
         restore(model, ckpt)
         for split in ("train", "test"):
@@ -311,11 +310,9 @@ class TestExtraction:
                     resample(read_cloud(manifest.resolve(entry)), cfg.num_points, rng))
                 ps = normalize_patches(patchify(cloud, cfg.num_patches, cfg.patch_size, rng))
                 encoded = model.encode_all(PatchSet(centers=ps.centers[None],
-                                                    patches=ps.patches[None], indices=None,
-                                                    normalized=True))
+                                                    patches=ps.patches[None], normalized=True))
                 rows.append(np.concatenate([ag.max_pool_over_axis(encoded, axis=1).data,
-                                            ag.mean_pool_over_axis(encoded, axis=1).data],
-                                           axis=1))
+                                            encoded.data.mean(axis=1)], axis=1))
             want = np.concatenate(rows).astype(np.float64)
             assert got.features.tobytes() == want.tobytes()
 

@@ -285,14 +285,13 @@ class TestPatchify:
         pts = random_cloud(rng, 10)
         ps = patchify(pts, 1, 10, rng)
         assert ps.patches.shape == (1, 10, 3)
-        assert sorted(ps.indices[0].tolist()) == list(range(10))
+        assert ps.patches[0].tobytes() == pts[knn_oracle(pts, ps.centers[0], 10)].tobytes()
 
     def test_collinear_pairs(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [2, 0, 0], [3, 0, 0]])
         ps = patchify(pts, 2, 2, np.random.default_rng(0))
         for i in range(2):
-            center_idx = int(ps.indices[i][0])
-            assert ps.indices[i].tolist() == knn_oracle(pts, pts[center_idx], 2)
+            assert ps.patches[i].tobytes() == pts[knn_oracle(pts, ps.centers[i], 2)].tobytes()
 
     def test_shape_contract(self):
         rng = np.random.default_rng(14)
@@ -310,8 +309,7 @@ class TestPatchify:
         pts = random_cloud(rng, 50)
         ps = patchify(pts, 6, 7, rng)
         for i in range(6):
-            assert ps.indices[i].tolist() == knn_oracle(pts, ps.centers[i], 7)
-            np.testing.assert_array_equal(ps.patches[i], pts[ps.indices[i]])
+            assert ps.patches[i].tobytes() == pts[knn_oracle(pts, ps.centers[i], 7)].tobytes()
 
 
 def cloud_batch(rng, kind: str, b: int, w: int) -> np.ndarray:
@@ -356,18 +354,16 @@ class TestBatchedGrouping:
                                       [np.random.default_rng(s) for s in seeds])
         ps = patchify(clouds, self.N, self.K, [np.random.default_rng(s) for s in seeds])
         assert picks.shape == (b, self.N)
-        assert ps.centers.shape == (b, self.N, 3) and ps.indices.shape == (b, self.N, self.K)
+        assert ps.centers.shape == (b, self.N, 3) and ps.patches.shape == (b, self.N, self.K, 3)
         for i, (pts, seed) in enumerate(zip(clouds, seeds)):
             start = int(np.random.default_rng(seed).integers(self.W))
             centers = fps_oracle(pts, self.N, start)
             assert picks[i].tolist() == centers
             assert ps.centers[i].tobytes() == pts[centers].tobytes()
             for j, c in enumerate(centers):
-                assert ps.indices[i, j].tolist() == knn_oracle(pts, pts[c], self.K)
-            assert ps.patches[i].tobytes() == pts[ps.indices[i]].tobytes()
+                assert ps.patches[i, j].tobytes() == pts[knn_oracle(pts, pts[c], self.K)].tobytes()
             alone = patchify(pts, self.N, self.K, np.random.default_rng(seed))
-            for got, want in ((ps.centers[i], alone.centers), (ps.patches[i], alone.patches),
-                              (ps.indices[i], alone.indices)):
+            for got, want in ((ps.centers[i], alone.centers), (ps.patches[i], alone.patches)):
                 assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("b", [None, 1, 3, 4])
@@ -391,7 +387,10 @@ class TestBatchedGrouping:
         assert centers.tobytes() == ps.centers.tobytes()
         cols = np.ascontiguousarray(np.swapaxes(clouds, -1, -2))
         assert sq.tobytes() == _sqdist_to(cols, centers).tobytes()
-        assert knn(clouds, centers, self.K).tobytes() == ps.indices.tobytes()
+        # the patches are the points of knn's own rows, the distances computed again
+        idx = knn(clouds, centers, self.K).reshape(b or 1, self.N, self.K)
+        want = np.stack([pts[i] for pts, i in zip(clouds.reshape(-1, self.W, 3), idx)])
+        assert ps.patches.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_knn_of_a_batch_matches_the_oracle_per_cloud(self, kind):

@@ -235,7 +235,7 @@ class TestSampleStep:
         cfg = tiny_cfg()
         model = build_model(cfg)
         from recloud.data import load_split
-        clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        clouds = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         x = clouds[0]
         total, got_local, got_global = sample_loss(
             model, prepare_sample(x[None], cfg, [stream(cfg.seed, "sample", 0, 0)]), cfg)
@@ -250,14 +250,12 @@ class TestSampleStep:
         linear, shift = transform[:, :3].T, transform[:, 3]
         corrupted = PatchSet(centers=clean.centers @ linear + shift,
                              patches=(clean.patches.reshape(-1, 3) @ linear + shift)
-                             .reshape(clean.patches.shape),
-                             indices=clean.indices, normalized=False)
+                             .reshape(clean.patches.shape), normalized=False)
         clean_n = normalize_patches(clean)
         corr_n = normalize_patches(corrupted)
         plan = mask_patches(cfg.num_patches, cfg.mask_ratio, rng)
         vis = PatchSet(centers=corrupted.centers[plan.visible][None],
-                       patches=corr_n.patches[plan.visible][None],
-                       indices=None, normalized=True)
+                       patches=corr_n.patches[plan.visible][None], normalized=True)
         encoded = model.encode_visible(vis)
         local = loss_local(model.predict_patches(encoded, clean.centers[None], [plan]),
                            clean_n.patches[plan.masked][None])
@@ -335,6 +333,26 @@ class TestCorruptCommand:
                        str(tmp_path / "out"), "--mask", "random", "--seed", seed, *extra])
         assert rc == cli.EXIT_BAD_CONFIG
         assert "seed must be in" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("extra", [(), ("--num-points", "100")], ids=["as-is", "resampled"])
+    @pytest.mark.parametrize("option", ["--patches", "--patch-size"])
+    def test_patches_larger_than_the_cloud_exit_bad_config(self, tmp_path, capsys, option,
+                                                           extra):
+        write_cloud(tmp_path / "in.xyz", np.random.default_rng(8).standard_normal((120, 3)))
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "in.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "patch", option, "121", *extra])
+        assert rc == cli.EXIT_BAD_CONFIG
+        field = "num_patches" if option == "--patches" else "patch_size"
+        points = extra[1] if extra else "120"
+        assert f"{field} 121 exceeds num_points {points}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_input_is_reported_before_a_bad_config(self, tmp_path, capsys):
+        rc = cli.main(["corrupt", "--input", str(tmp_path / "nope.xyz"), "--out",
+                       str(tmp_path / "out"), "--mask", "patch", "--patches", "0"])
+        assert rc == cli.EXIT_MISSING_FILE
+        assert "error: missing-file: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("bad,lineno", [("format", 2), ("element vertex", 3),
@@ -696,8 +714,21 @@ class TestModelConfigCli:
     @pytest.mark.parametrize("lines,err", [
         ("encoder_depth = 2\ndecoder_depth = 2\n", "decoder depth 2 must be smaller"),
         ("feature_dim = 30\nnum_heads = 4\n", "divisible"),
-        ("num_heads = 3\n", "divisible")],
-        ids=["decoder-not-shallower", "heads-do-not-divide-dim", "three-heads"])
+        ("num_heads = 3\n", "divisible"),
+        ("num_patches = 128\n", "num_patches 128 exceeds num_points 64"),
+        ("patch_size = 128\n", "patch_size 128 exceeds num_points 64"),
+        # AdamW's bias correction is zero at beta = 1; with adam_eps = 0 a
+        # parameter whose gradient is zero (the first layer of a positional
+        # embedding, behind its zero-initialized second) steps by 0 / 0
+        ("beta1 = 1.0\n", "beta1 must be in [0, 1)"),
+        ("beta1 = -0.1\n", "beta1 must be in [0, 1)"),
+        ("beta2 = 1.0\n", "beta2 must be in [0, 1)"),
+        ("adam_eps = 0.0\n", "adam_eps must be positive"),
+        ("adam_eps = -1e-08\n", "adam_eps must be positive"),
+        ("weight_decay = -0.01\n", "weight_decay must be at least 0.0")],
+        ids=["decoder-not-shallower", "heads-do-not-divide-dim", "three-heads",
+             "more-patches-than-points", "patch-larger-than-cloud", "beta1-one",
+             "beta1-negative", "beta2-one", "eps-zero", "eps-negative", "negative-decay"])
     def test_transformer_config_is_rejected_before_out_exists(self, dataset, tmp_path, capsys,
                                                               lines, err):
         (tmp_path / "c.cfg").write_text(lines)
@@ -834,8 +865,7 @@ def join(samples):
     visible = [s.visible for s in samples]
     if isinstance(visible[0], PatchSet):
         visible = PatchSet(centers=cat([v.centers for v in visible]),
-                           patches=cat([v.patches for v in visible]),
-                           indices=cat([v.indices for v in visible]), normalized=True)
+                           patches=cat([v.patches for v in visible]), normalized=True)
     else:
         visible = cat(visible)
     plans = None if samples[0].plans is None else [p for s in samples for p in s.plans]
@@ -932,7 +962,7 @@ class TestMicroBatches:
         monkeypatch.setattr(tr, "prepare_sample", alone)
         assert self.run(dataset, cfg, tmp_path / "alone", 4, monkeypatch) == got
         # the run hands prepare_sample whole micro-batches
-        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed)[0])
+        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed))
         sizes = [min(4, b - lo) for b in (min(5, n - s) for s in range(0, n, 5))
                  for lo in range(0, b, 4)]
         assert max(sizes) == 4 and want_calls == sizes * cfg.epochs
@@ -975,7 +1005,7 @@ class TestHelpers:
     @staticmethod
     def helper_sample(cfg, dataset, epoch):
         """A sample the helper computes at ``epoch`` with 2 usable CPUs."""
-        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed)[0])
+        n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed))
         return int(stream(cfg.seed, "shuffle", epoch).permutation(n)[5])
 
     @pytest.mark.parametrize("precision", ["single", "double"])
@@ -1163,7 +1193,7 @@ class TestPrecisionContract:
         # no node of the forward graph, and no gradient, widens to float64
         cfg = tiny_cfg(encoder=encoder, pointnet_hidden="16", precision="single")
         model = build_model(cfg)
-        clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        clouds = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         sample = prepare_sample(clouds[0][None], cfg, [stream(cfg.seed, "sample", 0, 0)])
         total, *_ = sample_loss(model, sample, cfg)
         backward(total)
@@ -1191,7 +1221,7 @@ class TestPrecisionContract:
         for narrow, wide in zip(runs["single"][1].parameters(), runs["double"][1].parameters()):
             wide.data = narrow.data.astype(np.float64)
         cfg = runs["single"][0]
-        clouds, _, _ = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        clouds = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
         for i, x in enumerate(clouds):
             out = {}
             for precision, (cfg, model) in runs.items():
