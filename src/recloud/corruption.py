@@ -199,6 +199,25 @@ def mask_fixed_clusters(points: np.ndarray, ratio: float, cluster_size: int,
     return _drop_clusters(pts, sizes, rng)
 
 
+def _occlusion_grid(unit: np.ndarray, target_visible: int) -> int:
+    """The bins per side of the view-occlusion grid for ``(w, 2)`` projected
+    points scaled to ``[0, 1]``: of 1 to ceil(sqrt(w)) + 1, the first whose
+    count of occupied bins is nearest ``target_visible``.
+
+    Grid 1 occupies one bin. Every larger grid is binned at once: its
+    ``(w, 2)`` cells, offset past the bins of the smaller grids, go through
+    one ``bincount``, and one ``add.reduceat`` counts each grid's occupied
+    bins."""
+    grids = np.arange(2, int(np.ceil(np.sqrt(len(unit)))) + 2)
+    cells = np.minimum(unit * grids[:, None, None], (grids - 1)[:, None, None]).astype(np.int64)
+    sizes = grids ** 2
+    starts = np.cumsum(sizes) - sizes
+    bins = cells[..., 0] * grids[:, None] + cells[..., 1] + starts[:, None]
+    occupied = np.bincount(bins.ravel(), minlength=int(sizes.sum())) > 0
+    counts = np.concatenate([[1], np.add.reduceat(occupied.astype(np.int64), starts)])
+    return int(np.argmin(np.abs(counts - target_visible))) + 1
+
+
 def mask_view_occlusion(points: np.ndarray, ratio: float,
                         rng: np.random.Generator) -> tuple[MaskPlan, np.ndarray]:
     """Mask points occluded along a random view direction.
@@ -228,22 +247,13 @@ def mask_view_occlusion(points: np.ndarray, ratio: float,
     lo = proj.min(axis=0)
     span = proj.max(axis=0) - lo
     span[span == 0] = 1.0
-
-    def bins(grid: int) -> np.ndarray:
-        cell = np.minimum((proj - lo) / span * grid, grid - 1).astype(np.int64)
-        return cell[:, 0] * grid + cell[:, 1]
-
-    best_grid, best_err = 1, abs(1 - target_visible)
-    for grid in range(2, int(np.ceil(np.sqrt(w))) + 2):
-        err = abs(np.count_nonzero(np.bincount(bins(grid))) - target_visible)
-        if err < best_err:
-            best_grid, best_err = grid, err
-        if err == 0:
-            break
+    unit = (proj - lo) / span
+    grid = _occlusion_grid(unit, target_visible)
+    cell = np.minimum(unit * grid, grid - 1).astype(np.int64)
 
     depth_order = np.lexsort((np.arange(w), depth))  # ascending depth, index ties
     # the first point of each bin in depth order is its frontmost
-    _, first = np.unique(bins(best_grid)[depth_order], return_index=True)
+    _, first = np.unique((cell[:, 0] * grid + cell[:, 1])[depth_order], return_index=True)
     visible = np.zeros(w, dtype=bool)
     visible[depth_order[first]] = True
     n_vis = len(first)

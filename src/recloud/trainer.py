@@ -13,8 +13,12 @@ micro-batch order. A micro-batch is corrupted into one batch-first
 ``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is.
 With more than one usable CPU, helper processes compute the later
 micro-batches of each batch, one contiguous share each, while the trainer
-computes the first; as the sum keeps its order, a run is bit-identical for
-any number of helpers.
+computes the first. The parameters and moments are then cut into one
+contiguous element range per process, the trainer's first: each process
+sums its range's gradient over the batch's micro-batches and steps it with
+``AdamW``, and at an epoch's last step counts its range's non-finite
+values. Every sum keeps the micro-batch order and every step is
+elementwise, so a run is bit-identical for any number of helpers.
 """
 from __future__ import annotations
 
@@ -59,7 +63,9 @@ OBJECTIVES = ("decomposed", "whole", "local-only", "global-only")
 # workload (2-CPU AVX-512 Xeon), 4 and 8 ran fastest, about 1.3x the
 # per-sample rate, and 8 raised peak memory by 33-41 MB over 4. It also
 # bounds the helper processes of ``pretrain``: one fewer than a batch's
-# micro-batches, at most.
+# micro-batches, at most. Those processes and the trainer each compute a
+# share of a batch's micro-batches, then each sums and steps its own range
+# of the parameters' elements, whoever computed the micro-batches.
 MICRO_BATCH = 4
 
 # TrainConfig fields holding an "lo:hi" range
@@ -258,51 +264,137 @@ def scheduled_lr(cfg: TrainConfig, epoch: int) -> float:
     return cosine_lr(t, total, cfg.learning_rate, cfg.lr_min)
 
 
+# Elements per block of ``AdamW.step``. A block's parameters, both moments
+# and the two scratch arrays take 640 KB in float32 (1.25 MB in float64), so
+# they stay in a core's L2 across the step's 15 elementwise passes; one pass
+# at a time over the 3 MB FC weight of the benchmark's cloud-ae misses L2 on
+# every pass. Blocked, one whole step of that model took 4.0 against 8.0 ms
+# per tensor, and of patch-dae, whose largest tensor holds 65k elements, 6.8
+# against 8.1 ms (2-vCPU AVX-512 Xeon, float32, cache evicted before each
+# step, median of 40).
+STEP_BLOCK = 1 << 15
+
+
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments.
 
-    The optimizer owns its state: one pair of moment buffers per parameter,
-    zero-filled in the parameter's dtype when the optimizer is built, and
-    the step count. Both are checkpointed so a resumed run continues
-    exactly; a model used only for inference has no optimizer and holds no
-    moments.
+    The optimizer owns its state: the parameters' values and both moments
+    in three flat arrays of the parameters' one dtype, one contiguous range
+    per parameter in the model's order, and the step count. Each
+    parameter's ``data`` and each ``moment1[i]`` and ``moment2[i]`` is a view
+    of its range. ``state`` is the tuple of the three arrays: passed in
+    (``pretrain`` passes arrays it shares with its helper processes), it
+    already holds the values and moments; else the values are copied in and
+    the moments start at zero. The state is checkpointed so a resumed run
+    continues exactly; a model used only for inference has no optimizer and
+    holds no moments.
+
+    ``step`` updates the elements of ``span`` only, a range of the flat
+    arrays (all of them by default): each helper process of ``pretrain``
+    steps its own range of the same arrays. It updates them in blocks of
+    ``STEP_BLOCK`` elements that cross parameter boundaries, with two reused
+    scratch arrays, and gives the same bytes as one update per parameter:
+    every operation is elementwise and runs in the same order.
 
     Every scalar is held as a Python float, which NumPy casts to the array's
     dtype under both value-based casting (NumPy 1) and NEP 50 (NumPy 2), and
-    every update is written in place. So the arithmetic runs in each
-    parameter's own dtype, and no scalar type can change that dtype.
+    every update is written in place. So the arithmetic runs in the
+    parameters' own dtype, and no scalar type can change that dtype.
     """
 
     def __init__(self, params: list[Parameter], beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.05):
+                 eps: float = 1e-8, weight_decay: float = 0.05,
+                 state: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+                 span: tuple[int, int] | None = None):
         self.params = list(params)
-        # calloc'd: the pages of a moment that ``restore`` replaces are never touched
-        self.moment1 = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
-        self.moment2 = [np.zeros(p.data.shape, p.data.dtype) for p in self.params]
+        self.offsets = [0]
+        for p in self.params:
+            self.offsets.append(self.offsets[-1] + p.data.size)
+        if state is None:
+            values = np.concatenate([p.data.ravel() for p in self.params])
+            # calloc'd: no page is touched before the first step or ``restore``
+            state = values, np.zeros_like(values), np.zeros_like(values)
+        self.state = state
+        for p, view in zip(self.params, self.views(state[0])):
+            p.data = view
+        self.moment1 = self.views(state[1])
+        self.moment2 = self.views(state[2])
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.eps = float(eps)
         self.weight_decay = float(weight_decay)
         self.step_count = 0
+        self.span = (0, self.offsets[-1]) if span is None else span
+        # each block [a, b) of the span, with its pieces: (parameter, first and
+        # end element within the parameter, first and end element within the block)
+        lo, hi = self.span
+        self._blocks = []
+        for a in range(lo, hi, STEP_BLOCK):
+            b = min(a + STEP_BLOCK, hi)
+            self._blocks.append((a, b, [
+                (k, first - start, end - start, first - a, end - a)
+                for k, (start, stop) in enumerate(zip(self.offsets, self.offsets[1:]))
+                for first, end in [(max(a, start), min(b, stop))] if first < end]))
+        self._scratch = np.empty((2, min(STEP_BLOCK, hi - lo)), state[0].dtype)
 
-    def step(self, lr: float) -> None:
+    def views(self, flat: np.ndarray) -> list[np.ndarray]:
+        """One view of ``flat``, laid out like the flat values, per parameter."""
+        return [flat[lo:hi].reshape(p.data.shape)
+                for p, lo, hi in zip(self.params, self.offsets, self.offsets[1:])]
+
+    def step(self, lr: float, grads: list[list[np.ndarray | None]] | None = None,
+             count: bool = False) -> int:
+        """One AdamW update of ``span`` at learning rate ``lr``.
+
+        ``grads`` holds the gradients of a step's micro-batches in
+        micro-batch order, each one array per parameter or None where that
+        micro-batch did not reach it; an array is read only inside
+        ``span``. A parameter's gradient is their sum in that order, or
+        zeros if none reached it. By default it is each parameter's
+        ``grad``. With ``count``, returns the number of non-finite values
+        among the span's parameters and moments after the update, else 0."""
         lr = float(lr)
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
-        for p, m1, m2 in zip(self.params, self.moment1, self.moment2):
-            w = p.data
+        decay = 1.0 - lr * self.weight_decay
+        if grads is None:
+            grads = [[p.grad for p in self.params]]
+        values, moments1, moments2 = self.state
+        bad = 0
+        for a, b, pieces in self._blocks:
+            g, u = self._scratch[:, :b - a]
+            for k, first, end, at, to in pieces:
+                summed = g[at:to]
+                reached = [mb[k] for mb in grads if mb[k] is not None]
+                if not reached:
+                    summed.fill(0)
+                for i, grad in enumerate(reached):
+                    part = grad.reshape(-1)[first:end]
+                    if i == 0:
+                        np.copyto(summed, part)
+                    else:
+                        summed += part
+            w, m1, m2 = values[a:b], moments1[a:b], moments2[a:b]
             if self.weight_decay:
-                w *= 1.0 - lr * self.weight_decay
-            g = np.zeros_like(w) if p.grad is None else p.grad.astype(w.dtype, copy=False)
+                w *= decay
             m1 *= self.beta1
-            m1 += (1.0 - self.beta1) * g
+            m1 += np.multiply(g, 1.0 - self.beta1, out=u)
             m2 *= self.beta2
-            m2 += (1.0 - self.beta2) * (g * g)
-            update = lr * (m1 / bias1)
-            update /= np.sqrt(m2 / bias2) + self.eps
-            w -= update
+            g *= g
+            g *= 1.0 - self.beta2
+            m2 += g
+            np.divide(m1, bias1, out=u)
+            u *= lr
+            np.divide(m2, bias2, out=g)
+            np.sqrt(g, out=g)
+            g += self.eps
+            u /= g
+            w -= u
+            if count:
+                bad += sum(arr.size - np.count_nonzero(np.isfinite(arr)) for arr in (w, m1, m2))
+        return bad
 
 
 # ---------------------------------------------------------------------------
@@ -462,28 +554,30 @@ def snapshot(model, opt: AdamW, cfg: TrainConfig, epoch: int) -> Checkpoint:
                       params=params, moments1=m1, moments2=m2)
 
 
-def _conform(name: str, value: np.ndarray, like: np.ndarray) -> np.ndarray:
-    """A private copy of ``value`` in the shape and dtype of ``like``, the
-    values of parameter ``name``."""
-    if value.shape != like.shape:
-        raise ValueError(f"parameter {name!r}: shape {value.shape} != {like.shape}")
-    return value.astype(like.dtype)
-
-
 def restore(model, ckpt: Checkpoint, opt: AdamW | None = None) -> None:
     """Load the checkpoint's parameters into ``model``, and its moments and
-    step count into ``opt``, the optimizer of ``model.parameters()``, if given.
-    Every parameter is overwritten, so build ``model`` without drawing."""
+    step count into ``opt``, the optimizer of ``model.parameters()``, if given,
+    cast to the parameters' dtype. Without ``opt`` each parameter gets a
+    private copy, so build ``model`` without drawing; with it they are
+    written into the optimizer's arrays."""
     named = list(model.named_parameters())
     names = {name for name, _ in named}
     if names != set(ckpt.params):
         missing = sorted(names ^ set(ckpt.params))
         raise ValueError(f"checkpoint does not match the model: mismatched names {missing[:5]}")
     for i, (name, p) in enumerate(named):
-        p.data = _conform(name, ckpt.params[name], p.data)
+        pairs = [(p.data, ckpt.params[name])]
         if opt is not None:
-            opt.moment1[i] = _conform(name, ckpt.moments1[name], p.data)
-            opt.moment2[i] = _conform(name, ckpt.moments2[name], p.data)
+            pairs += [(opt.moment1[i], ckpt.moments1[name]),
+                      (opt.moment2[i], ckpt.moments2[name])]
+        for like, value in pairs:
+            if value.shape != like.shape:
+                raise ValueError(f"parameter {name!r}: shape {value.shape} != {like.shape}")
+        if opt is None:
+            p.data = ckpt.params[name].astype(p.data.dtype)
+        else:
+            for into, value in pairs:
+                into[...] = value
     if opt is not None:
         opt.step_count = ckpt.step
 
@@ -636,14 +730,14 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
 
 
-def _shared_state(values: list, clouds: tuple, slots: int, fd: int | None = None):
+def _shared_state(size: int, dtype, clouds: tuple, slots: int, fd: int | None = None):
     """The arrays ``pretrain`` shares with its helpers, each at a 64-byte
     boundary of one memory file: a new zero-filled one when ``fd`` is None,
-    else the file ``fd`` names. ``values`` holds the parameters' ``(shape,
-    dtype)`` pairs and ``clouds`` that of the stacked clouds. Returns the
-    file's descriptor, the parameters' arrays, the clouds' array, and
-    ``slots`` gradient slots, each one array per parameter."""
-    specs = values + [clouds] + values * slots
+    else the file ``fd`` names. ``size`` and ``dtype`` are those of the
+    flat parameters and ``clouds`` the ``(shape, dtype)`` of the stacked
+    clouds. Returns the file's descriptor, ``AdamW``'s three flat arrays,
+    the clouds' array, and ``slots`` flat gradient slots."""
+    specs = [((size,), dtype)] * 3 + [clouds] + [((size,), dtype)] * slots
     offsets, end = [], 0
     for shape, dtype in specs:
         offsets.append(-(-end // 64) * 64)
@@ -654,8 +748,26 @@ def _shared_state(values: list, clouds: tuple, slots: int, fd: int | None = None
     region = mmap.mmap(fd, end)
     arrays = [np.ndarray(shape, dtype, region, offset)
               for (shape, dtype), offset in zip(specs, offsets)]
-    n = len(values)
-    return fd, arrays[:n], arrays[n], [arrays[lo:lo + n] for lo in range(n + 1, len(arrays), n)]
+    return fd, tuple(arrays[:3]), arrays[3], arrays[4:]
+
+
+def _outside(opt: AdamW) -> list[tuple[int, int, int]]:
+    """The pieces ``(parameter, first element, end element)`` of the
+    parameters that lie outside ``opt.span``: what a process publishes of a
+    micro-batch's gradient, for the processes owning them to sum."""
+    lo, hi = opt.span
+    pieces = []
+    for k, (first, end) in enumerate(zip(opt.offsets, opt.offsets[1:])):
+        for a, b in ((first, min(end, lo)), (max(first, hi), end)):
+            if a < b:
+                pieces.append((k, a - first, b - first))
+    return pieces
+
+
+def _publish(grads: list, slot: list[np.ndarray], pieces: list[tuple[int, int, int]]) -> None:
+    for k, first, end in pieces:
+        if grads[k] is not None:
+            slot[k].reshape(-1)[first:end] = grads[k].reshape(-1)[first:end]
 
 
 # Thread counts of the BLAS and OpenMP builds numpy may load. A helper runs
@@ -668,129 +780,183 @@ def _helper_died(proc: subprocess.Popen):
     raise RuntimeError(f"pretraining helper {proc.pid} exited with code {proc.wait()}")
 
 
-@contextlib.contextmanager
-def _helpers(model, clouds: list[np.ndarray], cfg: TrainConfig, start_epoch: int):
-    """Start ``min(usable CPUs, micro-batches per batch) - 1`` helper
-    processes for ``model``'s run on ``clouds`` from ``start_epoch`` (none
-    when no epoch is left), and yield ``micro_batches(epoch, batch)``. That
-    generator gives each micro-batch of ``batch`` as ``(micro,
-    *_micro_batch(...))``, in micro-batch order: the first contiguous share
-    computed here as it is consumed, each next share in a helper. The
-    helpers are closed and waited for on exit.
+class _Helpers:
+    """The processes of a ``pretrain`` run from ``start_epoch``: the trainer
+    and ``min(usable CPUs, micro-batches per batch) - 1`` helpers (none when
+    no epoch is left), which ``start`` starts and leaving the context closes
+    and waits for.
+
+    ``opt`` is the run's ``AdamW``. Each process owns one contiguous range
+    of its flat arrays, cut by element count, the trainer's first: it sums
+    the gradient of its range and steps it. ``micro_batches(epoch, batch)``
+    gives each micro-batch of ``batch`` as ``(micro, rows)``, its loss terms
+    (see ``_micro_batch``), in micro-batch order: the first contiguous share
+    computed here as it is consumed, each next share in a helper. Once every
+    loss has passed its check, ``step(lr, count)`` steps the batch in every
+    process at once and returns their summed count of non-finite values.
 
     A helper is a fresh interpreter (``_helper_main``), never a fork: a fork
     copies each page either process writes, inherits the caller's BLAS
     threads, and ``multiprocessing``'s other start methods re-run the
-    caller's ``__main__``. The parameters' values, the stacked clouds and
-    one gradient slot per micro-batch a helper computes in a step live in
-    one memory file the helpers map, so ``AdamW``'s in-place step is what
-    they read at the next step; a helper sends back only the loss terms and
-    which parameters have a gradient, or the exception it raised, which is
-    raised here with the helper's traceback as its cause."""
-    per_batch = -(-min(cfg.batch_size, len(clouds)) // MICRO_BATCH)
-    workers = min(_usable_cpus(), per_batch) if start_epoch < cfg.epochs else 1
-    params = model.parameters()
-    procs: list[subprocess.Popen] = []
+    caller's ``__main__``. The parameters, both moments, the stacked clouds
+    and one gradient slot per micro-batch of a step live in one memory file
+    the helpers map. Each process keeps its micro-batches' gradients and
+    publishes into their slots only the parts outside its own range, which
+    the other owners sum. A helper sends back only the loss terms and which
+    parameters have a gradient, or its count of non-finite values after a
+    step, or the exception it raised, which is raised here with the
+    helper's traceback as its cause."""
 
-    def send(proc, message) -> None:
+    def __init__(self, model, clouds: list[np.ndarray], cfg: TrainConfig, start_epoch: int):
+        self.model, self.clouds, self.cfg = model, clouds, cfg
+        per_batch = -(-min(cfg.batch_size, len(clouds)) // MICRO_BATCH)
+        workers = min(_usable_cpus(), per_batch) if start_epoch < cfg.epochs else 1
+        params = model.parameters()
+        size = sum(p.data.size for p in params)
+        self.spans = [(size * j // workers, size * (j + 1) // workers) for j in range(workers)]
+        self.procs: list[subprocess.Popen] = []
+        self.fd = state = None
+        self.grads: list[list | None] = []  # the batch's, in micro-batch order, for ``step``
+        slots = []
+        if workers > 1:
+            self.layout = (size, cfg.dtype,
+                           ((len(clouds),) + clouds[0].shape, clouds[0].dtype), per_batch)
+            self.fd, state, stacked, slots = _shared_state(*self.layout)
+            np.concatenate([p.data.ravel() for p in params], out=state[0])
+            stacked[...] = clouds
+            clouds[:] = stacked  # each cloud a view of the shared copy, which is the only one
+        self.opt = AdamW(params, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
+                         state=state, span=self.spans[0])
+        self.slots = [self.opt.views(slot) for slot in slots]
+        self.outside = _outside(self.opt)
+
+    def __enter__(self) -> "_Helpers":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        if self.fd is not None:
+            os.close(self.fd)
+        for proc in self.procs:
+            proc.communicate()  # closes its input, so it exits once its step is done
+
+    def start(self) -> None:
+        if self.fd is None:
+            return
+        code = (f"import sys; sys.path[:] = {sys.path!r}; "
+                f"from {__name__} import {_helper_main.__name__} as main; main()")
+        env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
+        for span in self.spans[1:]:
+            self.procs.append(subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
+                                               stdout=subprocess.PIPE, pass_fds=(self.fd,),
+                                               env=env))
+            self._send(self.procs[-1], (self.cfg, self.fd, self.layout, span,
+                                        self.opt.step_count))
+        os.close(self.fd)
+        self.fd = None
+
+    @staticmethod
+    def _send(proc, message) -> None:
         try:
             proc.stdin.write(pickle.dumps(message))
             proc.stdin.flush()
         except BrokenPipeError:
             _helper_died(proc)
 
-    def micro_batches(epoch: int, batch: list[int]):
-        micros = [batch[lo:lo + MICRO_BATCH] for lo in range(0, len(batch), MICRO_BATCH)]
-        sharing = min(workers, len(micros))  # the last batch may be short
-        bounds = [len(micros) * j // sharing for j in range(sharing + 1)]
-        shares = list(zip(procs, bounds[1:], bounds[2:]))
-        for proc, lo, hi in shares:
-            send(proc, (epoch, len(batch), micros[lo:hi], lo - bounds[1]))
-        for micro in micros[:bounds[1]]:
-            yield micro, *_micro_batch(model, clouds, cfg, epoch, len(batch), micro)
-        for proc, lo, hi in shares:
-            try:
-                results, error = pickle.load(proc.stdout)
-            except (EOFError, pickle.UnpicklingError):
-                _helper_died(proc)
-            for micro, (rows, has), slot in zip(micros[lo:hi], results, slots[lo - bounds[1]:]):
-                # a slot is rewritten only at the next step, after the
-                # optimizer has read it
-                yield micro, rows, (None if has is None
-                                    else [g if h else None for g, h in zip(slot, has)])
-            if error is not None:
-                exc, trace = error
-                raise exc from RuntimeError(f"in pretraining helper {proc.pid}:\n{trace}")
+    @staticmethod
+    def _receive(proc) -> tuple:
+        try:
+            return pickle.load(proc.stdout)
+        except (EOFError, pickle.UnpicklingError):
+            _helper_died(proc)
 
-    if workers == 1:
-        slots = []
-        yield micro_batches
-        return
-    # the helpers compute all but the first ``per_batch // workers``
-    # micro-batches of a full step, and no more of a short one
-    layout = ([(p.data.shape, p.data.dtype) for p in params],
-              ((len(clouds),) + clouds[0].shape, clouds[0].dtype),
-              per_batch - per_batch // workers)
-    fd, values, stacked, slots = _shared_state(*layout)
-    for p, shared in zip(params, values):
-        shared[...] = p.data
-        p.data = shared
-    stacked[...] = clouds
-    clouds[:] = stacked  # each cloud a view of the shared copy, which is the only one
-    code = (f"import sys; sys.path[:] = {sys.path!r}; "
-            f"from {__name__} import {_helper_main.__name__} as main; main()")
-    env = {**os.environ, **dict.fromkeys(_THREAD_VARS, "1")}
-    try:
-        for _ in range(workers - 1):
-            procs.append(subprocess.Popen([sys.executable, "-c", code], stdin=subprocess.PIPE,
-                                          stdout=subprocess.PIPE, pass_fds=(fd,), env=env))
-            send(procs[-1], (cfg, fd, layout))
-        os.close(fd)
-        fd = None
-        yield micro_batches
-    finally:
-        if fd is not None:
-            os.close(fd)
-        for proc in procs:
-            proc.communicate()  # closes its input, so it exits once its step is done
+    @staticmethod
+    def _raise(proc, error) -> None:
+        if error is not None:
+            exc, trace = error
+            raise exc from RuntimeError(f"in pretraining helper {proc.pid}:\n{trace}")
+
+    def micro_batches(self, epoch: int, batch: list[int]):
+        micros = [batch[lo:lo + MICRO_BATCH] for lo in range(0, len(batch), MICRO_BATCH)]
+        sharing = min(len(self.procs) + 1, len(micros))  # the last batch may be short
+        bounds = [len(micros) * j // sharing for j in range(sharing + 1)]
+        shares = list(zip(self.procs, bounds[1:], bounds[2:]))
+        for proc, lo, hi in shares:
+            self._send(proc, ("compute", epoch, len(batch), micros[lo:hi], lo))
+        self.grads = []
+        for m, micro in enumerate(micros[:bounds[1]]):
+            rows, grads = _micro_batch(self.model, self.clouds, self.cfg, epoch, len(batch), micro)
+            if grads is not None and self.slots:
+                _publish(grads, self.slots[m], self.outside)
+            self.grads.append(grads)
+            yield micro, rows
+        for proc, lo, hi in shares:
+            results, error = self._receive(proc)
+            for m, (micro, (rows, has)) in enumerate(zip(micros[lo:hi], results), lo):
+                # a slot is rewritten only at the next step, after every
+                # process has summed it
+                self.grads.append(None if has is None
+                                  else [g if h else None for g, h in zip(self.slots[m], has)])
+                yield micro, rows
+            self._raise(proc, error)
+
+    def step(self, lr: float, count: bool) -> int:
+        has = [[g is not None for g in grads] for grads in self.grads]
+        for proc in self.procs:
+            self._send(proc, ("step", lr, has, count))
+        bad = self.opt.step(lr, self.grads, count)
+        for proc in self.procs:
+            counted, error = self._receive(proc)
+            self._raise(proc, error)
+            bad += counted
+        return bad
 
 
 def _helper_main() -> None:
-    """A helper process of ``pretrain`` (see ``_helpers``): computes the
-    shares of micro-batches its trainer sends and writes their gradients
-    into the shared slots, until its input ends because the trainer closed
-    it, exited or was killed."""
+    """A helper process of ``pretrain`` (see ``_Helpers``): computes the
+    shares of micro-batches its trainer sends, and steps its range of the
+    parameters when told to, until its input ends because the trainer
+    closed it, exited or was killed."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the trainer's to handle
     np.seterr(over="ignore", invalid="ignore")  # as in the trainer's loop
     inbox, outbox = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # the output pipe carries replies only
-    cfg, fd, layout = pickle.load(inbox)
-    _, values, clouds, slots = _shared_state(*layout, fd)
+    cfg, fd, layout, span, step_count = pickle.load(inbox)
+    _, state, clouds, slots = _shared_state(*layout, fd)
     os.close(fd)
     model = build_model(cfg, draw=False)
-    for p, shared in zip(model.parameters(), values):
-        shared.flags.writeable = False
-        p.data = shared
+    opt = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
+                state=state, span=span)
+    opt.step_count = step_count
+    slots = [opt.views(slot) for slot in slots]
+    outside = _outside(opt)
+    own = {}  # this step's micro-batches computed here, by index: their gradients
     while True:
         try:
-            epoch, batch_size, micros, first = pickle.load(inbox)
+            kind, *message = pickle.load(inbox)
         except EOFError:
             return
-        results, error = [], None
+        reply, error = [], None
         try:
-            for micro, slot in zip(micros, slots[first:]):
-                rows, grads = _micro_batch(model, clouds, cfg, epoch, batch_size, micro)
-                if grads is None:  # the trainer stops at this micro-batch's loss
-                    results.append((rows, None))
-                    break
-                results.append((rows, [g is not None for g in grads]))
-                for shared, g in zip(slot, grads):
-                    if g is not None:
-                        shared[...] = g
+            if kind == "compute":
+                epoch, batch_size, micros, first = message
+                for m, micro in enumerate(micros, first):
+                    rows, grads = _micro_batch(model, clouds, cfg, epoch, batch_size, micro)
+                    if grads is None:  # the trainer stops at this micro-batch's loss
+                        reply.append((rows, None))
+                        break
+                    reply.append((rows, [g is not None for g in grads]))
+                    _publish(grads, slots[m], outside)
+                    own[m] = grads
+            else:
+                lr, has, count = message
+                reply = opt.step(lr, [own[m] if m in own else
+                                      [g if h else None for g, h in zip(slots[m], reached)]
+                                      for m, reached in enumerate(has)], count)
+                own.clear()
         except Exception as exc:  # re-raised by the trainer, in micro-batch order
             error = exc, traceback.format_exc()
         try:
-            outbox.write(pickle.dumps((results, error)))
+            outbox.write(pickle.dumps((reply, error)))
             outbox.flush()
         except BrokenPipeError:
             os._exit(0)  # the trainer is gone; drop the reply it cannot read
@@ -822,71 +988,63 @@ def pretrain(manifest: DatasetManifest | str | Path, cfg: TrainConfig,
     if resume is not None and resume.fingerprint != cfg.fingerprint():
         raise ValueError("checkpoint config fingerprint does not match the requested config")
     model = build_model(cfg, draw=resume is None)
-    opt = AdamW(model.parameters(), beta1=cfg.beta1, beta2=cfg.beta2,
-                eps=cfg.adam_eps, weight_decay=cfg.weight_decay)
-    start_epoch = 0
-    if resume is not None:
-        restore(model, resume, opt)
-        start_epoch = resume.epoch
+    start_epoch = 0 if resume is None else resume.epoch
+    with _Helpers(model, clouds, cfg, start_epoch) as helpers:
+        opt = helpers.opt
+        if resume is not None:
+            restore(model, resume, opt)
+        last_finite = snapshot(model, opt, cfg, epoch=start_epoch)
+        bad = None if resume is None else _first_non_finite(last_finite)
+        if bad is not None:
+            raise ValueError(f"resume checkpoint holds non-finite values in {bad}")
+        if metrics_path is not None:
+            Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
+        helpers.start()
+        # each row is written as its epoch ends, so a run that stops early
+        # keeps the rows of the epochs it finished; a resumed run appends
+        with (open(metrics_path, "a" if resume is not None else "w")
+              if metrics_path is not None else contextlib.nullcontext()) as metrics:
+            if metrics is not None and metrics.tell() == 0:
+                metrics.write("epoch,total,local,global,lr\n")
+            for epoch in range(start_epoch, cfg.epochs):
+                lr = scheduled_lr(cfg, epoch)
+                order = stream(cfg.seed, "shuffle", epoch).permutation(len(clouds))
+                # each sample's (total, local, global) in its column; an absent term is 0
+                terms = np.zeros((3, len(clouds)))
+                for lo in range(0, len(order), cfg.batch_size):
+                    batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
+                    # overflow happens only on a run that is diverging; the
+                    # non-finite checks below are the safety net
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        for micro, rows in helpers.micro_batches(epoch, batch):
+                            for row, term in zip(terms, rows):
+                                if term is not None:
+                                    row[micro] = term
+                            diverged = ~np.isfinite(terms[0, micro])
+                            if diverged.any():
+                                raise DivergenceError(
+                                    f"non-finite loss at epoch {epoch + 1}, sample "
+                                    f"{micro[int(diverged.argmax())]}; aborting with the "
+                                    f"checkpoint from epoch {last_finite.epoch}", last_finite)
+                        # a step can overflow a weight or a moment while every
+                        # loss of its epoch stays finite: the epoch's last step
+                        # counts the non-finite values it leaves
+                        bad = helpers.step(lr, count=lo + cfg.batch_size >= len(order))
 
-    last_finite = snapshot(model, opt, cfg, epoch=start_epoch)
-    bad = None if resume is None else _first_non_finite(last_finite)
-    if bad is not None:
-        raise ValueError(f"resume checkpoint holds non-finite values in {bad}")
-    if metrics_path is not None:
-        Path(metrics_path).parent.mkdir(parents=True, exist_ok=True)
-    # each row is written as its epoch ends, so a run that stops early keeps
-    # the rows of the epochs it finished; a resumed run appends to its file
-    with _helpers(model, clouds, cfg, start_epoch) as micro_batches, \
-            (open(metrics_path, "a" if resume is not None else "w")
-             if metrics_path is not None else contextlib.nullcontext()) as metrics:
-        if metrics is not None and metrics.tell() == 0:
-            metrics.write("epoch,total,local,global,lr\n")
-        params = model.parameters()
-        for epoch in range(start_epoch, cfg.epochs):
-            lr = scheduled_lr(cfg, epoch)
-            order = stream(cfg.seed, "shuffle", epoch).permutation(len(clouds))
-            # each sample's (total, local, global) in its column; an absent term is 0
-            terms = np.zeros((3, len(clouds)))
-            for lo in range(0, len(order), cfg.batch_size):
-                batch = [int(i) for i in order[lo:lo + cfg.batch_size]]
-                grads = [None] * len(params)
-                # overflow happens only on a run that is diverging; the
-                # non-finite loss check below is the safety net
-                with np.errstate(over="ignore", invalid="ignore"):
-                    for micro, rows, micro_grads in micro_batches(epoch, batch):
-                        for row, term in zip(terms, rows):
-                            if term is not None:
-                                row[micro] = term
-                        diverged = ~np.isfinite(terms[0, micro])
-                        if diverged.any():
-                            raise DivergenceError(
-                                f"non-finite loss at epoch {epoch + 1}, sample "
-                                f"{micro[int(diverged.argmax())]}; aborting with the checkpoint "
-                                f"from epoch {last_finite.epoch}", last_finite)
-                        for k, g in enumerate(micro_grads):
-                            if g is not None:
-                                grads[k] = g if grads[k] is None else grads[k] + g
-                    for p, g in zip(params, grads):
-                        p.grad = g
-                    opt.step(lr)
-
-            # a step can overflow a weight or a moment while every loss of
-            # its epoch stays finite
-            state = snapshot(model, opt, cfg, epoch=epoch + 1)
-            bad = _first_non_finite(state)
-            if bad is not None:
-                raise DivergenceError(
-                    f"non-finite values in {bad} after epoch {epoch + 1}; aborting "
-                    f"with the checkpoint from epoch {last_finite.epoch}", last_finite)
-            last_finite = state
-            # average in sample-id order so the epoch metric does not depend
-            # on the shuffle (float summation is order-sensitive)
-            mean = LossReport(*(float(row.mean()) for row in terms))
-            if metrics is not None:
-                metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
-                              f"{mean.global_!r},{lr!r}\n")
-                metrics.flush()
-            if epoch_callback is not None:
-                epoch_callback(epoch + 1, mean, lr)
+                state = snapshot(model, opt, cfg, epoch=epoch + 1)
+                if bad:
+                    raise DivergenceError(
+                        f"non-finite values in {_first_non_finite(state)} after epoch "
+                        f"{epoch + 1}; aborting with the checkpoint from epoch "
+                        f"{last_finite.epoch}", last_finite)
+                last_finite = state
+                # average in sample-id order so the epoch metric does not depend
+                # on the shuffle (float summation is order-sensitive)
+                mean = LossReport(*(float(row.mean()) for row in terms))
+                if metrics is not None:
+                    metrics.write(f"{epoch + 1},{mean.total!r},{mean.local!r},"
+                                  f"{mean.global_!r},{lr!r}\n")
+                    metrics.flush()
+                if epoch_callback is not None:
+                    epoch_callback(epoch + 1, mean, lr)
     return last_finite

@@ -202,3 +202,41 @@ def fold_head_oracle(features: np.ndarray, grid: np.ndarray, weights, biases, g:
         g_in = gz @ weights[i].T
         gz = g_in * (acts[i] > 0)
     return acts[-1], g_in[..., 2:].sum(axis=2), g_weights, g_biases
+
+
+def adamw_step_oracle(values, moments1, moments2, grads, lr: float, t: int,
+                      beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
+                      weight_decay: float = 0.05) -> None:
+    """Step ``t`` of AdamW, in place, one whole parameter at a time:
+    ``grads[i]`` lists parameter i's micro-batch gradients, added in order
+    into a new array (zeros when empty)."""
+    bias1 = 1.0 - beta1 ** t
+    bias2 = 1.0 - beta2 ** t
+    for w, m1, m2, gs in zip(values, moments1, moments2, grads):
+        if weight_decay:
+            w *= 1.0 - lr * weight_decay
+        g = np.zeros_like(w)
+        for i, grad in enumerate(gs):
+            g = grad if i == 0 else g + grad
+        m1 *= beta1
+        m1 += (1.0 - beta1) * g
+        m2 *= beta2
+        m2 += (1.0 - beta2) * (g * g)
+        update = lr * (m1 / bias1)
+        update /= np.sqrt(m2 / bias2) + eps
+        w -= update
+
+
+def occlusion_grid_oracle(unit: np.ndarray, target_visible: int) -> int:
+    """The view-occlusion grid one grid at a time: from 1 bin per side up,
+    count each grid's occupied bins, keep the first nearest
+    ``target_visible``, and stop at an exact hit."""
+    best_grid, best_err = 1, abs(1 - target_visible)
+    for grid in range(2, int(np.ceil(np.sqrt(len(unit)))) + 2):
+        cell = np.minimum(unit * grid, grid - 1).astype(np.int64)
+        err = abs(len(np.unique(cell[:, 0] * grid + cell[:, 1])) - target_visible)
+        if err < best_err:
+            best_grid, best_err = grid, err
+        if err == 0:
+            break
+    return best_grid

@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recloud.corruption import (DegenerateMaskError, MaskPlan, mask_fixed_clusters,
-                                mask_patches, mask_random_clusters, mask_view_occlusion,
-                                sample_affine)
+from recloud.corruption import (DegenerateMaskError, MaskPlan, _occlusion_grid,
+                                mask_fixed_clusters, mask_patches, mask_random_clusters,
+                                mask_view_occlusion, sample_affine)
 from recloud.geometry import affine_apply
 from recloud.losses import chamfer
 from recloud.trainer import TrainConfig
 
-from oracles import replay_cluster_mask, view_occlusion_oracle
+from oracles import occlusion_grid_oracle, replay_cluster_mask, view_occlusion_oracle
 
 
 def degenerate_cfg():
@@ -225,6 +225,29 @@ class TestMaskViewOcclusion:
                     plan, _ = mask_view_occlusion(cloud, ratio, np.random.default_rng(seed))
                     expected = view_occlusion_oracle(cloud, ratio, np.random.default_rng(seed))
                     assert plan.masked.tolist() == expected
+
+    def test_grid_search_picks_the_loops_grid(self):
+        # every grid binned at once picks the grid the one-at-a-time loop
+        # picks, ties and exact hits included: rounded clouds stack points
+        # and put them on cell boundaries
+        rng = np.random.default_rng(15)
+        for case in range(60):
+            w = int(rng.integers(50, 2048))
+            cloud = rng.standard_normal((w, 3))
+            if case % 2:
+                cloud = np.round(cloud * rng.choice([1, 2, 4]))
+            basis = (np.eye(3)[:, :2] if case % 4 == 1
+                     else np.linalg.qr(rng.standard_normal((3, 3)))[0][:, :2])
+            proj = cloud @ basis
+            lo = proj.min(axis=0)
+            span = proj.max(axis=0) - lo
+            span[span == 0] = 1.0
+            unit = (proj - lo) / span
+            target = w - int(np.floor(rng.uniform(0.1, 0.9) * w))
+            assert _occlusion_grid(unit, target) == occlusion_grid_oracle(unit, target)
+        # one stacked point: every grid occupies one bin, and the first, grid 1, wins
+        assert _occlusion_grid(np.zeros((50, 2)), 20) == occlusion_grid_oracle(
+            np.zeros((50, 2)), 20) == 1
 
 
 class TestMaskPatches:

@@ -22,10 +22,12 @@ from recloud.data import (SynthSpec, load_split, read_cloud, stream, synth_gener
 from recloud.geometry import PatchSet, affine_apply, denormalize_patches
 from recloud.layers import Parameter
 from recloud.losses import chamfer
-from recloud.trainer import (AdamW, Checkpoint, DivergenceError, Sample, TrainConfig,
-                             build_model, cosine_lr, load_checkpoint, parse_config_text,
-                             prepare_sample, pretrain, restore, sample_loss, save_checkpoint,
-                             scheduled_lr, snapshot)
+from recloud.trainer import (STEP_BLOCK, AdamW, Checkpoint, DivergenceError, Sample,
+                             TrainConfig, build_model, cosine_lr, load_checkpoint,
+                             parse_config_text, prepare_sample, pretrain, restore, sample_loss,
+                             save_checkpoint, scheduled_lr, snapshot)
+
+from oracles import adamw_step_oracle
 
 
 def tiny_cfg(**overrides):
@@ -49,18 +51,17 @@ helpers_need_shared_memory = pytest.mark.skipif(not hasattr(os, "memfd_create"),
                                                 reason="no os.memfd_create")
 
 
-def record_helpers(monkeypatch, poison=None) -> list[subprocess.Popen]:
+def record_helpers(monkeypatch, patch=None) -> list[subprocess.Popen]:
     """The helper processes ``pretrain`` starts from now on, in a list. With
-    ``poison``, ``poisoned``'s arguments, each helper computes its
-    micro-batches with ``poisoned(*poison)``."""
+    ``patch``, a statement, each helper runs it once it has imported
+    ``test_trainer`` and ``recloud.trainer as tr``, before its work begins."""
     started = []
 
     class Recorded(subprocess.Popen):
         def __init__(self, args, **kwargs):
-            if poison is not None:
+            if patch is not None:
                 args = [args[0], "-c", f"import sys; sys.path[:] = {sys.path!r}; "
-                        f"import test_trainer, recloud.trainer as tr; "
-                        f"tr._micro_batch = test_trainer.poisoned(*{poison!r}); tr._helper_main()"]
+                        f"import test_trainer, recloud.trainer as tr; {patch}; tr._helper_main()"]
             super().__init__(args, **kwargs)
             started.append(self)
 
@@ -75,8 +76,9 @@ def spawned(monkeypatch):
 
 def poisoned(epoch: int, sample: int, kind: str):
     """``trainer._micro_batch``, but at ``epoch``, for the micro-batch holding
-    ``sample``, with a NaN total loss for that sample (``kind`` "nan") or a
-    raised ``DegenerateMaskError`` ("raise")."""
+    ``sample``, with a NaN total loss for that sample (``kind`` "nan"), a
+    raised ``DegenerateMaskError`` ("raise"), or an infinite last element
+    of the last parameter's gradient ("inf-grad")."""
     import recloud.trainer as tr
     compute = tr._micro_batch
 
@@ -84,13 +86,31 @@ def poisoned(epoch: int, sample: int, kind: str):
         rows, grads = compute(model, clouds, cfg, at, batch_size, micro)
         if (at, kind) == (epoch, "raise") and sample in micro:
             raise DegenerateMaskError(f"poisoned sample {sample}")
-        if at == epoch and sample in micro:
+        if (at, kind) == (epoch, "inf-grad") and sample in micro:
+            grads[-1] = grads[-1].copy()
+            grads[-1].flat[-1] = np.inf
+        elif at == epoch and sample in micro:
             rows[0] = rows[0].copy()
             rows[0][micro.index(sample)] = np.nan
             return rows, None
         return rows, grads
 
     return micro_batch
+
+
+def killed_in_step(n: int):
+    """``trainer.AdamW.step``, but the owner of the parameters' last range
+    kills itself with SIGKILL as it enters its ``n``-th step."""
+    import recloud.trainer as tr
+    step, calls = tr.AdamW.step, []
+
+    def killed(opt, *args, **kwargs):
+        calls.append(opt.span)
+        if len(calls) == n and opt.span[1] == opt.offsets[-1]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return step(opt, *args, **kwargs)
+
+    return killed
 
 
 class TestTrainConfig:
@@ -217,6 +237,59 @@ class TestAdamW:
         np.testing.assert_allclose(opt.moment1[0], 0.2)
         np.testing.assert_allclose(opt.moment2[0], 0.004)
         assert opt.step_count == 1
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+    def test_blocked_step_is_the_per_tensor_step(self, dtype, weight_decay):
+        # 3 blocks and a part: tensors cross block boundaries and one spans a
+        # whole block. Micro-batch 1 reaches only tensor 0, none reaches 2.
+        rng = np.random.default_rng(3)
+        shapes = [(5,), (STEP_BLOCK + 7,), (3, 11), (2 * STEP_BLOCK // 3, 2), (1,)]
+        params = [Parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
+        want = [p.data.copy() for p in params]
+        want1, want2 = ([np.zeros_like(w) for w in want] for _ in range(2))
+        grads = [[rng.standard_normal(s).astype(dtype) for s in shapes] for _ in range(3)]
+        grads[1][1:] = [None] * 4
+        for micro in grads:
+            micro[2] = None
+        whole = AdamW(params, weight_decay=weight_decay)
+        # the same state stepped as three owners' spans, one cut inside a tensor
+        shards = [Parameter(p.data.copy()) for p in params]
+        first = AdamW(shards, weight_decay=weight_decay, span=(0, 9))
+        owners = [first] + [AdamW(shards, weight_decay=weight_decay, state=first.state, span=s)
+                            for s in ((9, STEP_BLOCK + 20), (STEP_BLOCK + 20, first.offsets[-1]))]
+        for t, lr in enumerate((1e-2, 3e-3), 1):
+            whole.step(lr, grads)
+            for opt in owners:
+                opt.step(lr, grads)
+            adamw_step_oracle(want, want1, want2, [[g[i] for g in grads if g[i] is not None]
+                                                   for i in range(len(shapes))],
+                              lr, t, weight_decay=weight_decay)
+        for opt in (whole, first):
+            for got, expected in (([p.data for p in opt.params], want), (opt.moment1, want1),
+                                  (opt.moment2, want2)):
+                for a, b in zip(got, expected):
+                    assert a.dtype == dtype and a.tobytes() == b.tobytes()
+        # by default the step reads each parameter's own grad, None for none
+        for p, g in zip(params, grads[0]):
+            p.grad = g
+        whole.step(1e-2)
+        adamw_step_oracle(want, want1, want2, [[] if g is None else [g] for g in grads[0]],
+                          1e-2, 3, weight_decay=weight_decay)
+        assert all(p.data.tobytes() == w.tobytes() for p, w in zip(params, want))
+
+    def test_step_counts_the_non_finite_values_of_its_span(self):
+        params = [Parameter(np.zeros(STEP_BLOCK + 3, np.float32)),
+                  Parameter(np.zeros(4, np.float32))]
+        grads = [[np.ones(STEP_BLOCK + 3, np.float32), np.ones(4, np.float32)]]
+        grads[0][1][2] = np.inf  # its moments turn inf and its weight NaN
+        whole = AdamW(params)
+        halves = [AdamW(params, state=whole.state, span=s)
+                  for s in ((0, STEP_BLOCK), (STEP_BLOCK, STEP_BLOCK + 7))]
+        with np.errstate(invalid="ignore"):  # inf / inf
+            assert whole.step(1e-3, grads) == 0
+            assert whole.step(1e-3, grads, count=True) == 3
+            assert [opt.step(1e-3, grads, count=True) for opt in halves] == [0, 3]
 
     def test_float64_lr_keeps_float32(self):
         p = Parameter(np.full(4, 1.0, dtype=np.float32))
@@ -1017,10 +1090,18 @@ class TestHelpers:
         # the shares and gradient slots do not depend on the model, so two
         # configs cover them: at batch 5 one helper computes the last
         # micro-batch, at batch 9 one computes the last two or two compute
-        # one each, and the short last batch of each epoch has fewer
+        # one each, and the short last batch of each epoch has fewer. Each
+        # process sums and steps its own range of the parameters: in the
+        # PointNet config every cut between two ranges splits the FC weight
         import recloud.trainer as tr
         for batch_size in (5, 9):
             cfg = tiny_cfg(epochs=2, batch_size=batch_size, **{**overrides, "precision": precision})
+            if cfg.encoder == "pointnet":
+                named = list(build_model(cfg).named_parameters())
+                ends = np.cumsum([p.data.size for _, p in named])
+                cuts = [ends[-1] * j // w for w in (2, 3) for j in range(1, w)]
+                assert {named[int(np.searchsorted(ends, c, side="right"))][0]
+                        for c in cuts} == {"decoder.layers.1.weight"}
             runs = []
             for cpus in (1, 2, 3):
                 spawned.clear()
@@ -1029,22 +1110,33 @@ class TestHelpers:
                 assert len(spawned) == min(cpus, -(-batch_size // tr.MICRO_BATCH)) - 1
             assert runs[1] == runs[0] and runs[2] == runs[0]
 
-    @pytest.mark.parametrize("case", ["loss-in-a-helper", "loss-1e+30", "moments-overflow-double"])
+    @pytest.mark.parametrize("case", ["loss-in-a-helper", "state-in-a-helper-range",
+                                      "loss-1e+30", "moments-overflow-double"])
     def test_divergence_is_the_same_with_helpers(self, dataset, tmp_path, monkeypatch, case):
         import recloud.trainer as tr
+        poison, trainer_poisoned = None, (1,)
         if case == "loss-in-a-helper":
             cfg = tiny_cfg(**self.CFG)
             poison = (1, self.helper_sample(cfg, dataset, 1), "nan")
+        elif case == "state-in-a-helper-range":
+            # the trainer computes the one micro-batch of epoch 2's last step,
+            # whose gradient turns infinite in the last element: the helper
+            # sums and steps it, and alone counts the non-finite values
+            cfg = tiny_cfg(**self.CFG)
+            n = len(load_split(dataset, "train", cfg.num_points, seed=cfg.seed))
+            poison = (1, int(stream(cfg.seed, "shuffle", 1).permutation(n)[-1]), "inf-grad")
+            trainer_poisoned = (1, 2)
+            name, last = list(build_model(cfg).named_parameters())[-1]
         else:
             cfg = tiny_cfg(encoder="pointnet", pointnet_hidden="16", epochs=5, learning_rate=1e30,
                            batch_size=16, precision="double" if "double" in case else "single")
-            poison = None
-        spawned = record_helpers(monkeypatch, poison)
+        spawned = record_helpers(
+            monkeypatch, poison and f"tr._micro_batch = test_trainer.poisoned(*{poison!r})")
         outcomes = []
         for cpus in (1, 2):
             monkeypatch.setattr(tr, "_usable_cpus", lambda: cpus)
             with monkeypatch.context() as m:
-                if poison is not None and cpus == 1:
+                if poison is not None and cpus in trainer_poisoned:
                     m.setattr(tr, "_micro_batch", poisoned(*poison))
                 with pytest.raises(DivergenceError) as exc:
                     pretrain(dataset, cfg)
@@ -1052,10 +1144,14 @@ class TestHelpers:
             outcomes.append((str(exc.value), (tmp_path / "last.ckpt").read_bytes()))
         assert len(spawned) == 1
         assert outcomes[0] == outcomes[1]
-        if poison is not None:
+        if case == "loss-in-a-helper":
             assert outcomes[0][0].startswith(
                 f"non-finite loss at epoch 2, sample {poison[1]}; aborting with the "
                 f"checkpoint from epoch 1")
+        elif case == "state-in-a-helper-range":
+            assert outcomes[0][0] == (
+                f"non-finite values in parameter {name!r} (1 of {last.data.size} values) "
+                f"after epoch 2; aborting with the checkpoint from epoch 1")
 
     def test_an_exception_in_a_helper_is_raised_with_its_type(self, dataset, tmp_path,
                                                                monkeypatch, capsys):
@@ -1063,7 +1159,8 @@ class TestHelpers:
         monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
         cfg = tiny_cfg(**self.CFG)
         sample = self.helper_sample(cfg, dataset, 1)
-        spawned = record_helpers(monkeypatch, (1, sample, "raise"))
+        spawned = record_helpers(
+            monkeypatch, f"tr._micro_batch = test_trainer.poisoned(1, {sample}, 'raise')")
         (tmp_path / "c.cfg").write_text(cfg.to_text())
         rc = cli.main(["pretrain", "--manifest", str(dataset.root / "manifest.tsv"),
                        "--out", str(tmp_path / "run"), "--config", str(tmp_path / "c.cfg")])
@@ -1082,6 +1179,20 @@ class TestHelpers:
 
         with pytest.raises(RuntimeError, match=f"exited with code {-signal.SIGKILL}$"):
             pretrain(dataset, tiny_cfg(**self.CFG), epoch_callback=kill)
+
+    def test_a_helper_killed_while_it_steps_fails_the_run(self, dataset, monkeypatch):
+        import recloud.trainer as tr
+        # batch 9 holds three micro-batches, so with 3 usable CPUs two
+        # helpers own the second and third ranges; the second dies as it
+        # enters its third step, the first of epoch 2
+        monkeypatch.setattr(tr, "_usable_cpus", lambda: 3)
+        spawned = record_helpers(monkeypatch, "tr.AdamW.step = test_trainer.killed_in_step(3)")
+        with pytest.raises(RuntimeError) as exc:
+            pretrain(dataset, tiny_cfg(**{**self.CFG, "batch_size": 9}))
+        assert str(exc.value) == (f"pretraining helper {spawned[1].pid} exited with code "
+                                  f"{-signal.SIGKILL}")
+        assert [p.returncode for p in spawned] == [0, -signal.SIGKILL]
+        assert not any(running(p.pid) for p in spawned)
 
     def test_no_helper_outlives_pretrain(self, dataset, monkeypatch, spawned):
         import recloud.trainer as tr
