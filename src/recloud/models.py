@@ -254,8 +254,6 @@ class PatchAutoencoder(Module):
     """
 
     def __init__(self, cfg: TrainConfig, rng: np.random.Generator | None):
-        if not 0.0 < cfg.mask_ratio < 1.0:
-            raise ValueError(f"mask ratio must be in (0, 1), got {cfg.mask_ratio}")
         d, ffn = cfg.feature_dim, cfg.ffn_mult
         self.token_embed = TokenEmbedder(d, cfg.token_hidden, rng)
         self.pos_embed_encoder = PositionalEmbed(d, cfg.pe_hidden, rng)

@@ -10,15 +10,18 @@ is derived statelessly from the seed, epoch and sample index by ``data.stream``
 Each batch runs as micro-batches of ``MICRO_BATCH`` samples, one forward
 and one backward each from zeroed gradients, whose gradients add up in
 micro-batch order. A micro-batch is corrupted into one batch-first
-``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is.
-With more than one usable CPU, helper processes compute the later
-micro-batches of each batch, one contiguous share each, while the trainer
-computes the first. The parameters and moments are then cut into one
-contiguous element range per process, the trainer's first: each process
-sums its range's gradient over the batch's micro-batches and steps it with
-``AdamW``, and at an epoch's last step counts its range's non-finite
-values. Every sum keeps the micro-batch order and every step is
-elementwise, so a run is bit-identical for any number of helpers.
+``Sample`` (``prepare_sample``), which ``sample_loss`` reads as it is, and
+its whole gradient is written into that micro-batch's row of one
+``(micro-batches, parameters' elements)`` array, laid out like the flat
+parameters. With more than one usable CPU, helper processes compute the
+later micro-batches of each batch, one contiguous share each, while the
+trainer computes the first; the rows live in memory they all map. The
+parameters and moments are cut into one contiguous element range per
+process, the trainer's first: each process sums its range's columns of
+the rows in micro-batch order and steps that range with ``AdamW``, and at
+an epoch's last step counts its range's non-finite values. Every sum keeps
+the micro-batch order and every step is elementwise, so a run is
+bit-identical for any number of helpers.
 """
 from __future__ import annotations
 
@@ -42,9 +45,9 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor, backward
-from .corruption import (ALL_FAMILIES, MaskPlan, enabled_families, mask_fixed_clusters,
-                         mask_patches, mask_random_clusters, mask_view_occlusion,
-                         parse_range, sample_affine)
+from .corruption import (ALL_FAMILIES, MaskPlan, _mask_budget, enabled_families,
+                         mask_fixed_clusters, mask_patches, mask_random_clusters,
+                         mask_view_occlusion, parse_range, sample_affine)
 from .data import DatasetManifest, check_seed, load_split, stream
 from .geometry import PatchSet, affine_apply, normalize_patches, patchify
 from .layers import Parameter
@@ -64,8 +67,8 @@ OBJECTIVES = ("decomposed", "whole", "local-only", "global-only")
 # per-sample rate, and 8 raised peak memory by 33-41 MB over 4. It also
 # bounds the helper processes of ``pretrain``: one fewer than a batch's
 # micro-batches, at most. Those processes and the trainer each compute a
-# share of a batch's micro-batches, then each sums and steps its own range
-# of the parameters' elements, whoever computed the micro-batches.
+# share of a batch's micro-batches into their gradient rows, then each sums
+# the rows over its own range of the parameters' elements and steps it.
 MICRO_BATCH = 4
 
 # TrainConfig fields holding an "lo:hi" range
@@ -149,6 +152,8 @@ class TrainConfig:
         if narrowest < 1:
             raise ValueError(f"pointnet_hidden must list positive widths, "
                              f"got {self.pointnet_hidden!r}")
+        if not 0.0 < self.mask_ratio < 1.0:
+            raise ValueError(f"mask ratio must be in (0, 1), got {self.mask_ratio!r}")
         if parse_range(self.affine_scale)[0] <= 0:
             raise ValueError(f"affine_scale must be positive, got {self.affine_scale!r}")
         if not 0.0 <= self.affine_reflect <= 1.0:
@@ -185,6 +190,10 @@ class TrainConfig:
         if self.mask_strategy == "auto":
             object.__setattr__(self, "mask_strategy",
                                "random" if self.encoder == "pointnet" else "patch")
+        if self.mask_strategy != "none":
+            # a drawn mask must leave some points (or patches) masked and some visible
+            _mask_budget(self.num_points if self.encoder == "pointnet" else self.num_patches,
+                         self.mask_ratio)
 
     @property
     def pointnet_widths(self) -> tuple[int, ...]:
@@ -325,57 +334,38 @@ class AdamW:
         self.weight_decay = float(weight_decay)
         self.step_count = 0
         self.span = (0, self.offsets[-1]) if span is None else span
-        # each block [a, b) of the span, with its pieces: (parameter, first and
-        # end element within the parameter, first and end element within the block)
-        lo, hi = self.span
-        self._blocks = []
-        for a in range(lo, hi, STEP_BLOCK):
-            b = min(a + STEP_BLOCK, hi)
-            self._blocks.append((a, b, [
-                (k, first - start, end - start, first - a, end - a)
-                for k, (start, stop) in enumerate(zip(self.offsets, self.offsets[1:]))
-                for first, end in [(max(a, start), min(b, stop))] if first < end]))
-        self._scratch = np.empty((2, min(STEP_BLOCK, hi - lo)), state[0].dtype)
+        self._scratch = np.empty((2, min(STEP_BLOCK, self.span[1] - self.span[0])),
+                                 state[0].dtype)
 
     def views(self, flat: np.ndarray) -> list[np.ndarray]:
         """One view of ``flat``, laid out like the flat values, per parameter."""
         return [flat[lo:hi].reshape(p.data.shape)
                 for p, lo, hi in zip(self.params, self.offsets, self.offsets[1:])]
 
-    def step(self, lr: float, grads: list[list[np.ndarray | None]] | None = None,
-             count: bool = False) -> int:
+    def step(self, lr: float, grads: np.ndarray, count: bool = False) -> int:
         """One AdamW update of ``span`` at learning rate ``lr``.
 
-        ``grads`` holds the gradients of a step's micro-batches in
-        micro-batch order, each one array per parameter or None where that
-        micro-batch did not reach it; an array is read only inside
-        ``span``. A parameter's gradient is their sum in that order, or
-        zeros if none reached it. By default it is each parameter's
-        ``grad``. With ``count``, returns the number of non-finite values
-        among the span's parameters and moments after the update, else 0."""
+        ``grads`` is a ``(micro-batches, size)`` array, one row per
+        micro-batch of the step in micro-batch order, each laid out like the
+        flat values; only the span's columns are read. An element's gradient
+        is the sum of its column in row order. With ``count``, returns the
+        number of non-finite values among the span's parameters and moments
+        after the update, else 0."""
         lr = float(lr)
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
         bias2 = 1.0 - self.beta2 ** t
         decay = 1.0 - lr * self.weight_decay
-        if grads is None:
-            grads = [[p.grad for p in self.params]]
         values, moments1, moments2 = self.state
         bad = 0
-        for a, b, pieces in self._blocks:
+        lo, hi = self.span
+        for a in range(lo, hi, STEP_BLOCK):
+            b = min(a + STEP_BLOCK, hi)
             g, u = self._scratch[:, :b - a]
-            for k, first, end, at, to in pieces:
-                summed = g[at:to]
-                reached = [mb[k] for mb in grads if mb[k] is not None]
-                if not reached:
-                    summed.fill(0)
-                for i, grad in enumerate(reached):
-                    part = grad.reshape(-1)[first:end]
-                    if i == 0:
-                        np.copyto(summed, part)
-                    else:
-                        summed += part
+            np.copyto(g, grads[0, a:b])
+            for row in grads[1:]:
+                g += row[a:b]
             w, m1, m2 = values[a:b], moments1[a:b], moments2[a:b]
             if self.weight_decay:
                 w *= decay
@@ -707,21 +697,22 @@ class DivergenceError(RuntimeError):
 
 
 def _micro_batch(model, clouds, cfg: TrainConfig, epoch: int, batch_size: int,
-                 micro: list[int]) -> tuple[list, list | None]:
+                 micro: list[int], row: np.ndarray) -> list:
     """One micro-batch of a step of ``batch_size`` samples, from zeroed
     gradients: its ``(total, local, global_)`` loss terms as arrays (None
-    for an absent term) and, when its total is finite, each parameter's
-    gradient after the backward pass (None where the loss does not reach),
-    else None."""
+    for an absent term). When its total is finite, the whole gradient of the
+    backward pass is written into ``row``, laid out like ``AdamW``'s flat
+    values, with zeros for a parameter the loss does not reach."""
     model.zero_grad()
     sample = prepare_sample(np.stack([clouds[idx] for idx in micro]), cfg,
                             [stream(cfg.seed, "sample", epoch, idx) for idx in micro])
     losses = sample_loss(model, sample, cfg)
     rows = [None if term is None else term.data for term in losses]
-    if not np.isfinite(rows[0]).all():
-        return rows, None
-    backward(ag.scale(ag.sum_in_order(losses[0]), 1.0 / batch_size))
-    return rows, [p.grad for p in model.parameters()]
+    if np.isfinite(rows[0]).all():
+        backward(ag.scale(ag.sum_in_order(losses[0]), 1.0 / batch_size))
+        np.concatenate([np.zeros(p.data.size, row.dtype) if p.grad is None else p.grad.ravel()
+                        for p in model.parameters()], out=row)
+    return rows
 
 
 def _usable_cpus() -> int:
@@ -730,14 +721,15 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "memfd_create") else 1
 
 
-def _shared_state(size: int, dtype, clouds: tuple, slots: int, fd: int | None = None):
-    """The arrays ``pretrain`` shares with its helpers, each at a 64-byte
-    boundary of one memory file: a new zero-filled one when ``fd`` is None,
-    else the file ``fd`` names. ``size`` and ``dtype`` are those of the
-    flat parameters and ``clouds`` the ``(shape, dtype)`` of the stacked
-    clouds. Returns the file's descriptor, ``AdamW``'s three flat arrays,
-    the clouds' array, and ``slots`` flat gradient slots."""
-    specs = [((size,), dtype)] * 3 + [clouds] + [((size,), dtype)] * slots
+def _shared_state(size: int, dtype, clouds: tuple, rows: int, fd: int | None):
+    """The arrays of a ``pretrain`` run, each at a 64-byte boundary of one
+    memory map: anonymous when ``fd`` is -1, else of the memory file ``fd``
+    names, which helpers map too; None makes a new zero-filled one.
+    ``size`` and ``dtype`` are those of the flat parameters and ``clouds``
+    the ``(shape, dtype)`` of the stacked clouds. Returns the map's file
+    descriptor, ``AdamW``'s three flat arrays, the clouds' array, and the
+    ``(rows, size)`` gradient rows."""
+    specs = [((size,), dtype)] * 3 + [clouds, ((rows, size), dtype)]
     offsets, end = [], 0
     for shape, dtype in specs:
         offsets.append(-(-end // 64) * 64)
@@ -748,26 +740,7 @@ def _shared_state(size: int, dtype, clouds: tuple, slots: int, fd: int | None = 
     region = mmap.mmap(fd, end)
     arrays = [np.ndarray(shape, dtype, region, offset)
               for (shape, dtype), offset in zip(specs, offsets)]
-    return fd, tuple(arrays[:3]), arrays[3], arrays[4:]
-
-
-def _outside(opt: AdamW) -> list[tuple[int, int, int]]:
-    """The pieces ``(parameter, first element, end element)`` of the
-    parameters that lie outside ``opt.span``: what a process publishes of a
-    micro-batch's gradient, for the processes owning them to sum."""
-    lo, hi = opt.span
-    pieces = []
-    for k, (first, end) in enumerate(zip(opt.offsets, opt.offsets[1:])):
-        for a, b in ((first, min(end, lo)), (max(first, hi), end)):
-            if a < b:
-                pieces.append((k, a - first, b - first))
-    return pieces
-
-
-def _publish(grads: list, slot: list[np.ndarray], pieces: list[tuple[int, int, int]]) -> None:
-    for k, first, end in pieces:
-        if grads[k] is not None:
-            slot[k].reshape(-1)[first:end] = grads[k].reshape(-1)[first:end]
+    return fd, tuple(arrays[:3]), arrays[3], arrays[4]
 
 
 # Thread counts of the BLAS and OpenMP builds numpy may load. A helper runs
@@ -787,25 +760,26 @@ class _Helpers:
     and waits for.
 
     ``opt`` is the run's ``AdamW``. Each process owns one contiguous range
-    of its flat arrays, cut by element count, the trainer's first: it sums
-    the gradient of its range and steps it. ``micro_batches(epoch, batch)``
-    gives each micro-batch of ``batch`` as ``(micro, rows)``, its loss terms
-    (see ``_micro_batch``), in micro-batch order: the first contiguous share
-    computed here as it is consumed, each next share in a helper. Once every
-    loss has passed its check, ``step(lr, count)`` steps the batch in every
-    process at once and returns their summed count of non-finite values.
+    of its flat arrays, cut by element count, the trainer's first.
+    ``micro_batches(epoch, batch)`` gives each micro-batch of ``batch`` as
+    ``(micro, rows)``, its loss terms (see ``_micro_batch``), in micro-batch
+    order: the first contiguous share computed here as it is consumed, each
+    next share in a helper. Whoever computes a micro-batch writes its whole
+    gradient into that micro-batch's row of ``grads``. Once every loss has
+    passed its check, ``step(lr, count)`` has every process at once sum the
+    rows over its range and step it, and returns their summed count of
+    non-finite values.
 
     A helper is a fresh interpreter (``_helper_main``), never a fork: a fork
     copies each page either process writes, inherits the caller's BLAS
     threads, and ``multiprocessing``'s other start methods re-run the
     caller's ``__main__``. The parameters, both moments, the stacked clouds
-    and one gradient slot per micro-batch of a step live in one memory file
-    the helpers map. Each process keeps its micro-batches' gradients and
-    publishes into their slots only the parts outside its own range, which
-    the other owners sum. A helper sends back only the loss terms and which
-    parameters have a gradient, or its count of non-finite values after a
-    step, or the exception it raised, which is raised here with the
-    helper's traceback as its cause."""
+    and the gradient rows live in one memory file the helpers map, or in an
+    anonymous map without helpers. A row is rewritten only at the next
+    step's compute, after every process has summed it. A helper sends back
+    only the loss terms, or its count of non-finite values after a step, or
+    the exception it raised, which is raised here with the helper's
+    traceback as its cause."""
 
     def __init__(self, model, clouds: list[np.ndarray], cfg: TrainConfig, start_epoch: int):
         self.model, self.clouds, self.cfg = model, clouds, cfg
@@ -815,32 +789,28 @@ class _Helpers:
         size = sum(p.data.size for p in params)
         self.spans = [(size * j // workers, size * (j + 1) // workers) for j in range(workers)]
         self.procs: list[subprocess.Popen] = []
-        self.fd = state = None
-        self.grads: list[list | None] = []  # the batch's, in micro-batch order, for ``step``
-        slots = []
-        if workers > 1:
-            self.layout = (size, cfg.dtype,
-                           ((len(clouds),) + clouds[0].shape, clouds[0].dtype), per_batch)
-            self.fd, state, stacked, slots = _shared_state(*self.layout)
-            np.concatenate([p.data.ravel() for p in params], out=state[0])
-            stacked[...] = clouds
-            clouds[:] = stacked  # each cloud a view of the shared copy, which is the only one
+        self.layout = (size, cfg.dtype,
+                       ((len(clouds),) + clouds[0].shape, clouds[0].dtype), per_batch)
+        self.fd, state, stacked, self.grads = _shared_state(*self.layout,
+                                                            None if workers > 1 else -1)
+        np.concatenate([p.data.ravel() for p in params], out=state[0])
+        stacked[...] = clouds
+        clouds[:] = stacked  # each cloud a view of the mapped copy, which is the only one
         self.opt = AdamW(params, cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
                          state=state, span=self.spans[0])
-        self.slots = [self.opt.views(slot) for slot in slots]
-        self.outside = _outside(self.opt)
+        self.n = 0  # the batch's micro-batches: the rows to step
 
     def __enter__(self) -> "_Helpers":
         return self
 
     def __exit__(self, *exc) -> None:
-        if self.fd is not None:
+        if self.fd != -1:
             os.close(self.fd)
         for proc in self.procs:
             proc.communicate()  # closes its input, so it exits once its step is done
 
     def start(self) -> None:
-        if self.fd is None:
+        if self.fd == -1:
             return
         code = (f"import sys; sys.path[:] = {sys.path!r}; "
                 f"from {__name__} import {_helper_main.__name__} as main; main()")
@@ -852,7 +822,7 @@ class _Helpers:
             self._send(self.procs[-1], (self.cfg, self.fd, self.layout, span,
                                         self.opt.step_count))
         os.close(self.fd)
-        self.fd = None
+        self.fd = -1
 
     @staticmethod
     def _send(proc, message) -> None:
@@ -882,28 +852,19 @@ class _Helpers:
         shares = list(zip(self.procs, bounds[1:], bounds[2:]))
         for proc, lo, hi in shares:
             self._send(proc, ("compute", epoch, len(batch), micros[lo:hi], lo))
-        self.grads = []
-        for m, micro in enumerate(micros[:bounds[1]]):
-            rows, grads = _micro_batch(self.model, self.clouds, self.cfg, epoch, len(batch), micro)
-            if grads is not None and self.slots:
-                _publish(grads, self.slots[m], self.outside)
-            self.grads.append(grads)
-            yield micro, rows
+        self.n = len(micros)
+        for micro, row in zip(micros[:bounds[1]], self.grads):
+            yield micro, _micro_batch(self.model, self.clouds, self.cfg, epoch, len(batch),
+                                      micro, row)
         for proc, lo, hi in shares:
             results, error = self._receive(proc)
-            for m, (micro, (rows, has)) in enumerate(zip(micros[lo:hi], results), lo):
-                # a slot is rewritten only at the next step, after every
-                # process has summed it
-                self.grads.append(None if has is None
-                                  else [g if h else None for g, h in zip(self.slots[m], has)])
-                yield micro, rows
+            yield from zip(micros[lo:hi], results)
             self._raise(proc, error)
 
     def step(self, lr: float, count: bool) -> int:
-        has = [[g is not None for g in grads] for grads in self.grads]
         for proc in self.procs:
-            self._send(proc, ("step", lr, has, count))
-        bad = self.opt.step(lr, self.grads, count)
+            self._send(proc, ("step", lr, self.n, count))
+        bad = self.opt.step(lr, self.grads[:self.n], count)
         for proc in self.procs:
             counted, error = self._receive(proc)
             self._raise(proc, error)
@@ -913,23 +874,20 @@ class _Helpers:
 
 def _helper_main() -> None:
     """A helper process of ``pretrain`` (see ``_Helpers``): computes the
-    shares of micro-batches its trainer sends, and steps its range of the
-    parameters when told to, until its input ends because the trainer
-    closed it, exited or was killed."""
+    shares of micro-batches its trainer sends into their gradient rows, and
+    steps its range of the parameters when told to, until its input ends
+    because the trainer closed it, exited or was killed."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # an interrupt is the trainer's to handle
     np.seterr(over="ignore", invalid="ignore")  # as in the trainer's loop
     inbox, outbox = sys.stdin.buffer, sys.stdout.buffer
     sys.stdout = sys.stderr  # the output pipe carries replies only
     cfg, fd, layout, span, step_count = pickle.load(inbox)
-    _, state, clouds, slots = _shared_state(*layout, fd)
+    _, state, clouds, grads = _shared_state(*layout, fd)
     os.close(fd)
     model = build_model(cfg, draw=False)
     opt = AdamW(model.parameters(), cfg.beta1, cfg.beta2, cfg.adam_eps, cfg.weight_decay,
                 state=state, span=span)
     opt.step_count = step_count
-    slots = [opt.views(slot) for slot in slots]
-    outside = _outside(opt)
-    own = {}  # this step's micro-batches computed here, by index: their gradients
     while True:
         try:
             kind, *message = pickle.load(inbox)
@@ -939,20 +897,13 @@ def _helper_main() -> None:
         try:
             if kind == "compute":
                 epoch, batch_size, micros, first = message
-                for m, micro in enumerate(micros, first):
-                    rows, grads = _micro_batch(model, clouds, cfg, epoch, batch_size, micro)
-                    if grads is None:  # the trainer stops at this micro-batch's loss
-                        reply.append((rows, None))
-                        break
-                    reply.append((rows, [g is not None for g in grads]))
-                    _publish(grads, slots[m], outside)
-                    own[m] = grads
+                for micro, row in zip(micros, grads[first:]):
+                    reply.append(_micro_batch(model, clouds, cfg, epoch, batch_size, micro, row))
+                    if not np.isfinite(reply[-1][0]).all():
+                        break  # the trainer stops at this micro-batch's loss
             else:
-                lr, has, count = message
-                reply = opt.step(lr, [own[m] if m in own else
-                                      [g if h else None for g, h in zip(slots[m], reached)]
-                                      for m, reached in enumerate(has)], count)
-                own.clear()
+                lr, n, count = message
+                reply = opt.step(lr, grads[:n], count)
         except Exception as exc:  # re-raised by the trainer, in micro-batch order
             error = exc, traceback.format_exc()
         try:

@@ -78,22 +78,20 @@ def poisoned(epoch: int, sample: int, kind: str):
     """``trainer._micro_batch``, but at ``epoch``, for the micro-batch holding
     ``sample``, with a NaN total loss for that sample (``kind`` "nan"), a
     raised ``DegenerateMaskError`` ("raise"), or an infinite last element
-    of the last parameter's gradient ("inf-grad")."""
+    of the gradient row ("inf-grad")."""
     import recloud.trainer as tr
     compute = tr._micro_batch
 
-    def micro_batch(model, clouds, cfg, at, batch_size, micro):
-        rows, grads = compute(model, clouds, cfg, at, batch_size, micro)
+    def micro_batch(model, clouds, cfg, at, batch_size, micro, row):
+        rows = compute(model, clouds, cfg, at, batch_size, micro, row)
         if (at, kind) == (epoch, "raise") and sample in micro:
             raise DegenerateMaskError(f"poisoned sample {sample}")
         if (at, kind) == (epoch, "inf-grad") and sample in micro:
-            grads[-1] = grads[-1].copy()
-            grads[-1].flat[-1] = np.inf
+            row[-1] = np.inf
         elif at == epoch and sample in micro:
             rows[0] = rows[0].copy()
             rows[0][micro.index(sample)] = np.nan
-            return rows, None
-        return rows, grads
+        return rows
 
     return micro_batch
 
@@ -214,26 +212,24 @@ class TestAdamW:
     def test_zero_grad_zero_decay_keeps_params(self):
         p = self._param()
         before = p.data.copy()
-        AdamW([p], weight_decay=0.0).step(0.1)
+        AdamW([p], weight_decay=0.0).step(0.1, np.zeros((1, 4)))
         np.testing.assert_array_equal(p.data, before)
 
     def test_zero_grad_with_decay_scales(self):
         p = self._param(2.0)
-        AdamW([p], weight_decay=0.5).step(0.1)
+        AdamW([p], weight_decay=0.5).step(0.1, np.zeros((1, 4)))
         np.testing.assert_allclose(p.data, 2.0 * (1 - 0.1 * 0.5), rtol=1e-15)
 
     def test_unit_grad_first_step_magnitude(self):
         p = self._param(0.0)
-        p.grad = np.ones(4)
-        AdamW([p], weight_decay=0.0).step(0.01)
+        AdamW([p], weight_decay=0.0).step(0.01, np.ones((1, 4)))
         # bias-corrected first step moves by ~lr
         np.testing.assert_allclose(np.abs(p.data), 0.01, rtol=1e-6)
 
     def test_moments_update(self):
         p = self._param(0.0)
         opt = AdamW([p], weight_decay=0.0)
-        p.grad = np.full(4, 2.0)
-        opt.step(0.01)
+        opt.step(0.01, np.full((1, 4), 2.0))
         np.testing.assert_allclose(opt.moment1[0], 0.2)
         np.testing.assert_allclose(opt.moment2[0], 0.004)
         assert opt.step_count == 1
@@ -242,7 +238,8 @@ class TestAdamW:
     @pytest.mark.parametrize("weight_decay", [0.0, 0.05])
     def test_blocked_step_is_the_per_tensor_step(self, dtype, weight_decay):
         # 3 blocks and a part: tensors cross block boundaries and one spans a
-        # whole block. Micro-batch 1 reaches only tensor 0, none reaches 2.
+        # whole block. Micro-batch 1 reaches only tensor 0, none reaches 2:
+        # their rows are zero there, and the oracle sums only what is reached
         rng = np.random.default_rng(3)
         shapes = [(5,), (STEP_BLOCK + 7,), (3, 11), (2 * STEP_BLOCK // 3, 2), (1,)]
         params = [Parameter(rng.standard_normal(s).astype(dtype)) for s in shapes]
@@ -252,6 +249,9 @@ class TestAdamW:
         grads[1][1:] = [None] * 4
         for micro in grads:
             micro[2] = None
+        rows = np.stack([np.concatenate([np.zeros(np.prod(s, dtype=int), dtype) if g is None
+                                         else g.ravel() for s, g in zip(shapes, micro)])
+                         for micro in grads])
         whole = AdamW(params, weight_decay=weight_decay)
         # the same state stepped as three owners' spans, one cut inside a tensor
         shards = [Parameter(p.data.copy()) for p in params]
@@ -259,9 +259,9 @@ class TestAdamW:
         owners = [first] + [AdamW(shards, weight_decay=weight_decay, state=first.state, span=s)
                             for s in ((9, STEP_BLOCK + 20), (STEP_BLOCK + 20, first.offsets[-1]))]
         for t, lr in enumerate((1e-2, 3e-3), 1):
-            whole.step(lr, grads)
+            whole.step(lr, rows)
             for opt in owners:
-                opt.step(lr, grads)
+                opt.step(lr, rows)
             adamw_step_oracle(want, want1, want2, [[g[i] for g in grads if g[i] is not None]
                                                    for i in range(len(shapes))],
                               lr, t, weight_decay=weight_decay)
@@ -270,10 +270,8 @@ class TestAdamW:
                                   (opt.moment2, want2)):
                 for a, b in zip(got, expected):
                     assert a.dtype == dtype and a.tobytes() == b.tobytes()
-        # by default the step reads each parameter's own grad, None for none
-        for p, g in zip(params, grads[0]):
-            p.grad = g
-        whole.step(1e-2)
+        # one row is the whole gradient of a one-micro-batch step
+        whole.step(1e-2, rows[:1])
         adamw_step_oracle(want, want1, want2, [[] if g is None else [g] for g in grads[0]],
                           1e-2, 3, weight_decay=weight_decay)
         assert all(p.data.tobytes() == w.tobytes() for p, w in zip(params, want))
@@ -281,8 +279,8 @@ class TestAdamW:
     def test_step_counts_the_non_finite_values_of_its_span(self):
         params = [Parameter(np.zeros(STEP_BLOCK + 3, np.float32)),
                   Parameter(np.zeros(4, np.float32))]
-        grads = [[np.ones(STEP_BLOCK + 3, np.float32), np.ones(4, np.float32)]]
-        grads[0][1][2] = np.inf  # its moments turn inf and its weight NaN
+        grads = np.ones((1, STEP_BLOCK + 7), np.float32)
+        grads[0, STEP_BLOCK + 5] = np.inf  # its moments turn inf and its weight NaN
         whole = AdamW(params)
         halves = [AdamW(params, state=whole.state, span=s)
                   for s in ((0, STEP_BLOCK), (STEP_BLOCK, STEP_BLOCK + 7))]
@@ -293,9 +291,8 @@ class TestAdamW:
 
     def test_float64_lr_keeps_float32(self):
         p = Parameter(np.full(4, 1.0, dtype=np.float32))
-        p.grad = np.full(4, 0.5, dtype=np.float32)
         opt = AdamW([p], weight_decay=0.05)
-        opt.step(np.float64(0.01))
+        opt.step(np.float64(0.01), np.full((1, 4), 0.5, dtype=np.float32))
         for arr in (p.data, opt.moment1[0], opt.moment2[0]):
             assert arr.dtype == np.float32
         assert np.all(p.data != 1.0) and np.all(opt.moment1[0] != 0.0)
@@ -349,6 +346,28 @@ class TestSampleStep:
             if name.startswith("center_head"):
                 assert p.grad is not None
                 assert np.all(p.grad == 0.0), name
+
+    @pytest.mark.parametrize("precision", ["single", "double"])
+    def test_gradient_row_holds_each_gradient_in_model_order(self, dataset, precision):
+        # a local-only loss does not reach the center head: its part of the
+        # row is zeros, written over what the row held before
+        import recloud.trainer as tr
+        cfg = tiny_cfg(objective="local-only", precision=precision)
+        model = build_model(cfg)
+        clouds = load_split(dataset, "train", cfg.num_points, seed=cfg.seed)
+        named = list(model.named_parameters())
+        row = np.full(sum(p.data.size for _, p in named), np.nan, cfg.dtype)
+        tr._micro_batch(model, clouds, cfg, 0, 8, [3, 0, 5], row)
+        unreached, at = [], 0
+        for name, p in named:
+            part, at = row[at:at + p.data.size], at + p.data.size
+            if p.grad is None:
+                unreached.append(name)
+                assert part.tobytes() == bytes(part.nbytes), name
+            else:
+                assert p.grad.dtype == cfg.dtype and part.tobytes() == p.grad.tobytes(), name
+        assert unreached == [name for name, _ in named if name.startswith("center_head")]
+        assert unreached
 
     def test_augmentation_mode_targets_transformed_cloud(self):
         cfg = tiny_cfg(encoder="pointnet", affine_role="augmentation",
@@ -781,8 +800,9 @@ class TestResumeCheck:
 
 
 class TestModelConfigCli:
-    """A model the config cannot describe is a bad configuration (exit 4); a
-    mask that leaves no point visible is a degenerate mask (exit 5)."""
+    """A model the config cannot describe, or a mask ratio outside (0, 1), is
+    a bad configuration (exit 4); an in-range ratio whose mask would hold no
+    point or patch is a degenerate mask (exit 5). Neither leaves an --out."""
 
     @pytest.mark.parametrize("lines,err", [
         ("encoder_depth = 2\ndecoder_depth = 2\n", "decoder depth 2 must be smaller"),
@@ -827,8 +847,13 @@ class TestModelConfigCli:
                      "mask ratio", id="patch-mask-ratio-1"),
         pytest.param("", ["--encoder", "transformer", "--alpha", "1.5", "--mask", "none"], 4,
                      "mask ratio", id="unmasked-ratio-1.5"),
-        pytest.param("", ["--encoder", "pointnet", "--alpha", "1.0", "--mask", "random"], 5,
-                     "degenerate-mask", id="point-mask-ratio-1"),
+        pytest.param("", ["--encoder", "pointnet", "--alpha", "1.0", "--mask", "random"], 4,
+                     "mask ratio", id="point-mask-ratio-1"),
+        # in range, but floor(ratio * count) masks nothing: 64 points, 16 patches
+        pytest.param("", ["--encoder", "pointnet", "--alpha", "0.01", "--mask", "view"], 5,
+                     "degenerate-mask", id="point-mask-empty"),
+        pytest.param("", ["--encoder", "transformer", "--alpha", "0.05"], 5,
+                     "degenerate-mask", id="patch-mask-empty"),
     ] + [
         # a size or head kind the config cannot hold names its field
         pytest.param(line + "\n", ["--encoder", "transformer"], 4, line.split()[0],
@@ -845,6 +870,7 @@ class TestModelConfigCli:
                        "--epochs", "1", "--num-points", "64"] + args)
         assert rc == code
         assert err in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
 
 
 class TestReconstructCommand:
@@ -1087,7 +1113,7 @@ class TestHelpers:
     def test_runs_are_the_same_bytes_for_any_usable_cpu_count(self, dataset, tmp_path,
                                                               monkeypatch, spawned, overrides,
                                                               precision):
-        # the shares and gradient slots do not depend on the model, so two
+        # the shares and gradient rows do not depend on the model, so two
         # configs cover them: at batch 5 one helper computes the last
         # micro-batch, at batch 9 one computes the last two or two compute
         # one each, and the short last batch of each epoch has fewer. Each
@@ -1257,14 +1283,16 @@ class TestHelpers:
         assert (tmp_path / "resumed.ckpt").read_bytes() == (tmp_path / "done.ckpt").read_bytes()
 
     @pytest.mark.parametrize("case", ["non-finite-resume", "empty-train-split",
-                                      "patch-mask-ratio-1"])
+                                      "patch-mask-ratio-1", "point-mask-ratio-1"])
     def test_a_rejected_run_starts_no_helper_and_leaves_no_out(self, dataset, tmp_path,
                                                               monkeypatch, capsys, spawned, case):
         import recloud.trainer as tr
         monkeypatch.setattr(tr, "_usable_cpus", lambda: 2)
         manifest, args = dataset.root / "manifest.tsv", []
-        if case == "patch-mask-ratio-1":
-            cfg, args = tiny_cfg(batch_size=8), ["--alpha", "1.0"]
+        if case.endswith("mask-ratio-1"):
+            cfg = tiny_cfg(batch_size=8,
+                           encoder="pointnet" if case.startswith("point") else "transformer")
+            args = ["--alpha", "1.0"]
         else:
             cfg = tiny_cfg(**TestResumeCheck.CFG, batch_size=8)
         if case == "non-finite-resume":
