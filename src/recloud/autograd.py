@@ -21,10 +21,11 @@ bit-identical.
 Verification mode runs in float64; :func:`finite_difference_check` compares
 analytic gradients against central differences.
 
-``losses.chamfer`` is one node built outside this module: row-blocked
-distances by ``geometry._sqdist_to``, first-index (first-NaN) minima, and
-the sparse backward :func:`_add_pair_grads` that :func:`pairwise_sqdist`
-shares.
+``losses.chamfer`` is one node built outside this module: first-index
+(first-NaN) minima of the distances of ``geometry._sqdist_to``, computed
+whole when they fit one block and otherwise picked by ``losses._nearest``,
+whose BLAS product only filters the rows the kernel must settle, and the
+sparse backward :func:`_add_pair_grads` that :func:`pairwise_sqdist` shares.
 """
 from __future__ import annotations
 

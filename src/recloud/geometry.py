@@ -76,8 +76,10 @@ def _sqdist_to(cols: np.ndarray, q: np.ndarray) -> np.ndarray:
     to ``(..., n, d)`` queries, giving ``(..., n, w)`` (equal leading axes).
 
     The squared-distance kernel of k-NN and so the cluster masks,
-    ``pairwise_sqdist`` and Chamfer; FPS repeats its arithmetic inline for
-    its one query per cloud, in fewer numpy calls. Computed as
+    ``pairwise_sqdist``, and Chamfer's one-block distances and the rows
+    ``losses._nearest`` cannot settle. ``_nearest`` repeats its arithmetic
+    inline for the one pair it keeps per row, and FPS for its one query per
+    cloud, in fewer numpy calls. Computed as
     ``(dx*dx + dy*dy) + dz*dz``: the additions
     ``np.sum((pts - q) ** 2, axis=-1)`` makes over its 3-long axis, so the
     result is the same bit for bit, without the strided ``(..., w, 3)``

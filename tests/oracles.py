@@ -9,7 +9,14 @@ import numpy as np
 
 
 def sqdist(a, b) -> float:
-    return float(sum((float(x) - float(y)) ** 2 for x, y in zip(a, b)))
+    """(dx*dx + dy*dy) + dz*dz in Python floats. Each square is a product:
+    ``d ** 2`` goes through libm's ``pow``, which is not always correctly
+    rounded (1 in 20 differences of two points near 1e6)."""
+    total = 0.0
+    for x, y in zip(a, b):
+        d = float(x) - float(y)
+        total += d * d
+    return total
 
 
 def fps_oracle(points: np.ndarray, n: int, start: int) -> list[int]:

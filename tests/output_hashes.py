@@ -8,7 +8,8 @@ Run it in each checkout, then compare the two files: ``--compare`` prints
 every name whose hash differs or that only one file holds, and exits 1 if
 there is any. The one JSON object maps a name to a hash. For every config
 of ``CONFIGS`` (every objective of the patch model, every mask of the
-PointNet model, and one config of each with two micro-batches a step) in
+PointNet model, one config of each with two micro-batches a step, and a
+512-point PointNet config whose Chamfer spans several blocks) in
 ``single`` and ``double`` precision it holds the final and epoch-1
 checkpoints and ``metrics.csv`` of a two-epoch run, the checkpoint and
 ``metrics.csv`` of the same run resumed from epoch 1, the train and test
@@ -53,6 +54,8 @@ CONFIGS = {
     # two micro-batches a step, so a second usable CPU computes one of them
     "decomposed-batch8": dict(encoder="transformer", batch_size=8),
     "pointnet-random-batch8": dict(encoder="pointnet", mask_strategy="random", batch_size=8),
+    # distances too large for one block, so Chamfer takes losses._nearest's filtered path
+    "pointnet-512": dict(encoder="pointnet", mask_strategy="random", num_points=512),
 }
 PRECISIONS = ("single", "double")
 CORRUPT_MASKS = ("none", "random", "fixed", "view", "patch")

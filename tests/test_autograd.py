@@ -412,7 +412,7 @@ def composed_chamfer(ta, tb):
                   mean_over_axis(ag.min_over_axis(d, axis=-2), axis=-1))
 
 
-def chamfer_clouds(rng, lead, p, q, kind):
+def chamfer_clouds(rng, lead, p, q, kind, dtype=np.float64):
     a, b = rng.standard_normal(lead + (p, 3)), rng.standard_normal(lead + (q, 3))
     if kind == "integer grid":  # exact nearest-neighbour ties
         a, b = rng.integers(-2, 3, a.shape).astype(float), rng.integers(-2, 3, b.shape).astype(float)
@@ -422,12 +422,17 @@ def chamfer_clouds(rng, lead, p, q, kind):
     elif kind == "nan":
         a.reshape(-1)[rng.integers(a.size, size=2)] = np.nan
         b.reshape(-1)[rng.integers(b.size)] = np.nan
-    return a, b
+    elif kind == "offset":  # far from the origin: the BLAS product's rounding exceeds the gaps
+        shift = 1e3 if dtype == np.float32 else 1e6
+        a, b = shift + 1e-2 * a, shift + 1e-2 * b
+    return a.astype(dtype), b.astype(dtype)
 
 
-KINDS = ("random", "integer grid", "duplicates", "nan")
-# p = 1300 against 257 targets and the batch of three 1024-point targets
-# span several row blocks, so the running column minimum is exercised
+KINDS = ("random", "integer grid", "duplicates", "nan", "offset")
+# 1300 points against 257 and the batch of three 200-point clouds against
+# 1024 hold more than ``losses._BLOCK_BYTES`` of distances in both
+# precisions, so they take ``losses._nearest``'s filtered path; the others
+# fit one block
 SHAPES = [((), 1, 1), ((), 1, 40), ((), 40, 1), ((), 64, 64), ((), 300, 257),
           ((38,), 32, 32), ((2, 3), 129, 7), ((4,), 1, 5), ((3,), 200, 1024),
           ((), 1300, 257)]
@@ -446,7 +451,7 @@ class TestChamferNode:
         for dtype in (np.float64, np.float32):
             for lead, p, q in SHAPES:
                 for kind in KINDS:
-                    a, b = (x.astype(dtype) for x in chamfer_clouds(rng, lead, p, q, kind))
+                    a, b = chamfer_clouds(rng, lead, p, q, kind, dtype)
                     for weights in (rng.standard_normal(lead), np.zeros(lead)):
                         weights = weights.astype(dtype)
                         got = self.run(chamfer, a, b, weights)
@@ -524,13 +529,17 @@ class TestChamferNode:
         return max(1, losses._BLOCK_BYTES // (b.size // 3 * b.itemsize))
 
     def assert_equals_composition(self, a, b):
+        """Value and both gradients equal the composition's, for ``a``
+        against ``b`` and for ``b`` against ``a``; ``a``'s rows span at
+        least three row blocks."""
         blocks = -(-a.shape[-2] // self.block_rows(b))
         assert blocks >= 3, f"the case spans {blocks} row blocks"
         weights = np.random.default_rng(44).standard_normal(a.shape[:-2]).astype(a.dtype)
-        got = self.run(chamfer, a, b, weights)
-        want = self.run(composed_chamfer, a, b, weights)
-        for x, y in zip(got, want):
-            assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+        for x, y in ((a, b), (b, a)):
+            got = self.run(chamfer, x, y, weights)
+            want = self.run(composed_chamfer, x, y, weights)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
     @classmethod
     def placed_clouds(cls, dtype, placed):
@@ -607,8 +616,26 @@ class TestChamferNode:
         # the whole-cloud objective's micro-batch: four 1024-point pairs
         rng = np.random.default_rng(47)
         for kind in KINDS:
-            a, b = (x.astype(np.float32) for x in chamfer_clouds(rng, (4,), 1024, 1024, kind))
+            a, b = chamfer_clouds(rng, (4,), 1024, 1024, kind, np.float32)
             self.assert_equals_composition(a, b)
+
+    def test_tiny_scale(self):
+        # squared distances in the subnormal range, where the rounding
+        # bound holds only through the slack's absolute term
+        rng = np.random.default_rng(48)
+        for dtype, scale in ((np.float32, 1e-22), (np.float64, 1e-160)):
+            a, b = chamfer_clouds(rng, (3,), 200, 1024, "random", dtype)
+            self.assert_equals_composition(a * scale, b * scale)
+
+    def test_non_finite_entry_beside_finite_ones(self):
+        # one entry holds a NaN, an inf or a coordinate whose square is
+        # past float32's range; the other entries stay on the filtered path
+        rng = np.random.default_rng(49)
+        for dtype in (np.float32, np.float64):
+            for value in (np.nan, np.inf, 1e20):
+                a, b = chamfer_clouds(rng, (3,), 200, 1024, "random", dtype)
+                a[1, 7, 0] = value
+                self.assert_equals_composition(a, b)
 
     def test_gradient_fd_across_blocks(self):
         # both clouds' gradients, each at a batched shape that spans several blocks

@@ -213,6 +213,26 @@ class TestChamferMemory:
         assert peak < bound, f"forward peaked at {peak} bytes, over {bound}"
 
 
+class TestChamferFilter:
+    def test_few_rows_reach_the_exact_kernel(self, monkeypatch):
+        # the whole-cloud micro-batch in single precision, four pairs of 1024
+        # points in the unit ball: ``_nearest``'s product must settle almost
+        # every row, or the filtered path is only a slower exact kernel
+        rng = np.random.default_rng(32)
+        a, b = rng.standard_normal((2, 4, 1024, 3))
+        a, b = (x / np.linalg.norm(x, axis=-1, keepdims=True)
+                * rng.random((4, 1024, 1)) ** (1 / 3) for x in (a, b))
+        exact, kernel = [], losses._sqdist_to
+
+        def counted(cols, q):
+            exact.append(q.shape[-2])
+            return kernel(cols, q)
+
+        monkeypatch.setattr(losses, "_sqdist_to", counted)
+        chamfer(Tensor(a.astype(np.float32)), b.astype(np.float32))
+        assert sum(exact) <= 0.01 * 2 * 4 * 1024, f"{sum(exact)} rows reached the exact kernel"
+
+
 class TestLossGlobal:
     def test_identical_centers(self):
         c = np.random.default_rng(11).standard_normal((8, 3))
